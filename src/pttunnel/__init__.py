@@ -12,7 +12,7 @@ from .errors import (
     SpectralSingularityError,
     ZeroOfTError,
 )
-from .model import CellSpec, Derived, LatticeSpec, Particle, derived_quantities
+from .model import CellSpec, Derived, Particle, derived_quantities
 from .sweep import (
     GridSpec,
     LimitsReport,
@@ -28,7 +28,6 @@ from .timing import (
     BETA_MAX,
     ClosedForm,
     HartmanCoeffs,
-    TunnelingTimeResult,
     closed_form,
     free_propagation_time,
     hartman_coeffs,
@@ -39,7 +38,6 @@ from .timing import (
     transmission_closed,
     tunneling_time,
     tunneling_time_fd,
-    tunneling_time_result,
     xi_chi,
     xi_chi_prime,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "GridSpec",
     "HartmanCoeffs",
     "InvalidEnergyError",
-    "LatticeSpec",
     "LimitsReport",
     "OverflowGuardError",
     "Particle",
@@ -75,7 +72,6 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "TransferMatrix",
-    "TunnelingTimeResult",
     "ZeroOfTError",
     "barrier_matrix",
     "barrier_params",
@@ -101,7 +97,6 @@ __all__ = [
     "transmission_from_matrix",
     "tunneling_time",
     "tunneling_time_fd",
-    "tunneling_time_result",
     "unit_cell_matrix",
     "xi_chi",
     "xi_chi_prime",

@@ -4,8 +4,8 @@ Everything here is evaluated through the trigonometric/hyperbolic closed
 forms rather than the three-term recurrence, so values and ratios stay
 well-conditioned for arguments far outside [-1, 1].  Downstream code never
 needs a raw polynomial value at a huge argument: it consumes the bounded
-ratio ``q = U_{N-1}(x)/T_N(x)`` (and its derivative), which this module keeps
-finite for |x| up to ~1e300 and N up to 1e6.
+ratio ``q = U_{N-1}(x)/T_N(x)``, which this module keeps finite for |x| up
+to ~1e300 and N up to 1e6.
 
 Index conventions: ``U_{-1} = 0`` and ``U_{-2} = -1`` (the standard backward
 extension of the recurrence), so that N = 0 and N = 1 lattice formulas reduce
@@ -22,14 +22,11 @@ __all__ = [
     "cheb_T",
     "cheb_U",
     "cheb_ratio_q",
-    "cheb_q_derivative",
     "cheb_T_sign",
 ]
 
 # |T_N| below this (trig regime) counts as a root of T_N.
 ZERO_OF_T_TOL = 1e-12
-# |x^2 - 1| below this switches q' to the exact endpoint derivative.
-BAND_EDGE_TOL = 1e-10
 
 
 def _require_finite(x: float) -> float:
@@ -112,24 +109,6 @@ def cheb_ratio_q(n_cells: int, x: float) -> float:
     if abs(t_val) < ZERO_OF_T_TOL:
         raise ZeroOfTError(n, x)
     return math.sin(n * psi) / (math.sin(psi) * t_val)
-
-
-def cheb_q_derivative(n_cells: int, x: float) -> float:
-    """d/dx of cheb_ratio_q.
-
-    Uses the closed form N/(x^2-1) - q*x/(x^2-1) - N*q^2; the removable 0/0
-    at x = +-1 is replaced by the exact endpoint value -N(2N^2+1)/3 (obtained
-    from T_N'(+-1) = (+-1)^(N+1) ... via U_n'(+-1) = (+-1)^(n+1) n(n+1)(n+2)/3).
-    """
-    if n_cells < 1:
-        raise ValueError("cheb_q_derivative requires n_cells >= 1")
-    x = _require_finite(x)
-    n = n_cells
-    quad = (x - 1.0) * (x + 1.0)
-    if abs(quad) < BAND_EDGE_TOL:
-        return -n * (2.0 * n * n + 1.0) / 3.0
-    q = cheb_ratio_q(n, x)
-    return (n - q * x) / quad - n * q * q
 
 
 def cheb_T_sign(n: int, x: float) -> float:

@@ -217,7 +217,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if config.mode == "sweep-n":
             _emit_rows(run_sweep_n(config), config)
             return EXIT_OK
-        report = run_limits(config)
+        report = run_limits()
         text = report.to_json() + "\n"
         if config.output:
             write_text(text, config.output)

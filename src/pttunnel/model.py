@@ -14,7 +14,6 @@ from .errors import InvalidEnergyError
 __all__ = [
     "Particle",
     "CellSpec",
-    "LatticeSpec",
     "Derived",
     "derived_quantities",
 ]
@@ -31,8 +30,10 @@ class Particle:
     energy: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.energy, (int, float)) and math.isfinite(self.energy)):
-            raise InvalidEnergyError(f"energy must be finite, got {self.energy!r}")
+        if isinstance(self.energy, bool) or not (
+            isinstance(self.energy, (int, float)) and math.isfinite(self.energy)
+        ):
+            raise InvalidEnergyError(f"energy must be a finite number, got {self.energy!r}")
         if self.energy <= 0.0:
             raise InvalidEnergyError(f"energy must be positive, got {self.energy!r}")
 
@@ -54,33 +55,12 @@ class CellSpec:
     width: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.strength, bool) or isinstance(self.width, bool):
+            raise ValueError(f"strength and width must be numbers, got {self!r}")
         if not (math.isfinite(self.strength) and self.strength >= 0.0):
             raise ValueError(f"strength must be finite and >= 0, got {self.strength!r}")
         if not (math.isfinite(self.width) and self.width > 0.0):
             raise ValueError(f"width must be finite and > 0, got {self.width!r}")
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Repetition count and the exact total span L = 2*N*b."""
-
-    n_cells: int
-    span: float
-
-    def __post_init__(self) -> None:
-        if self.n_cells < 0:
-            raise ValueError(f"n_cells must be >= 0, got {self.n_cells!r}")
-        if not (math.isfinite(self.span) and self.span >= 0.0):
-            raise ValueError(f"span must be finite and >= 0, got {self.span!r}")
-
-    @classmethod
-    def for_cell(cls, cell: CellSpec, n_cells: int) -> "LatticeSpec":
-        return cls(n_cells, 2.0 * n_cells * cell.width)
-
-    def cell_width(self) -> float:
-        if self.n_cells == 0:
-            raise ValueError("empty lattice has no cell width")
-        return self.span / (2.0 * self.n_cells)
 
 
 @dataclass(frozen=True)

@@ -8,30 +8,26 @@ identical configuration produces byte-identical files.
 
 from __future__ import annotations
 
-import cmath
+import contextlib
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, TextIO
 
 from .chebyshev import cheb_ratio_q
-from .errors import (
-    OverflowGuardError,
-    SpectralSingularityError,
-    ZeroOfTError,
-)
+from .errors import OverflowGuardError, SpectralSingularityError
 from .model import CellSpec, Particle, derived_quantities
 from .timing import (
-    BETA_MAX,
+    _limit_time,
+    _wrap_phase,
+    closed_form,
     free_propagation_time,
     hartman_coeffs,
     hartman_limit_time,
     n_infinity_bracket,
-    phase_theta,
-    transmission_closed,
     tunneling_time_fd,
-    tunneling_time_result,
     xi_chi,
 )
 from .transfer import lattice_matrix_direct, transmission_from_matrix
@@ -165,27 +161,23 @@ class SweepRow:
     tau_free: float = _NAN
     rel_gap: float = _NAN
 
-    def value_for(self, column: str) -> object:
-        return {
-            "E": self.energy,
-            "V": self.strength,
-            "N": self.n_cells,
-            "b": self.width,
-            "L": self.span,
-            "tau": self.tau,
-            "tau_method": self.tau_method,
-            "tau_inf": self.tau_inf,
-            "tau_free": self.tau_free,
-            "rel_gap": self.rel_gap,
-            "t_abs": self.t_abs,
-            "theta": self.theta,
-            "flags": ";".join(self.flags),
-        }[column]
 
-
-def _wrap_phase(raw: float) -> float:
-    wrapped = math.remainder(raw, math.tau)
-    return wrapped if wrapped > -math.pi else math.pi
+# Column name -> value of a row, shared by the CSV and JSON writers.
+_COLUMN_VALUES = {
+    "E": attrgetter("energy"),
+    "V": attrgetter("strength"),
+    "N": attrgetter("n_cells"),
+    "b": attrgetter("width"),
+    "L": attrgetter("span"),
+    "tau": attrgetter("tau"),
+    "tau_method": attrgetter("tau_method"),
+    "tau_inf": attrgetter("tau_inf"),
+    "tau_free": attrgetter("tau_free"),
+    "rel_gap": attrgetter("rel_gap"),
+    "t_abs": attrgetter("t_abs"),
+    "theta": attrgetter("theta"),
+    "flags": lambda row: ";".join(row.flags),
+}
 
 
 def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow:
@@ -197,72 +189,42 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
       - root of T_N: finite-difference phase delay (method 'fd-fallback');
       - |xi^2 - 1| < tolerance: analytic endpoint fallback, flagged XiAtUnity;
       - otherwise the plain analytic expression.
+    A tau that is nan for any other reason is flagged Overflow.
     """
-    flags: list[str] = []
-    k = particle.k
+    record = closed_form(particle, cell, n_cells)
     span = 2.0 * n_cells * cell.width
-    if n_cells == 0:
-        return SweepRow(
-            energy=particle.energy,
-            strength=cell.strength,
-            n_cells=0,
-            width=cell.width,
-            span=0.0,
-            tau=0.0,
-            tau_method=METHOD_ANALYTIC,
-            t_abs=1.0,
-            theta=0.0,
-            flags=(),
-        )
-    d = derived_quantities(particle, cell)
-    if d.beta > BETA_MAX:
-        flags.append(FLAG_OVERFLOW)
-        gamma = hartman_coeffs(particle, cell.strength).gamma
-        return SweepRow(
-            energy=particle.energy,
-            strength=cell.strength,
-            n_cells=n_cells,
-            width=cell.width,
-            span=span,
-            tau=hartman_limit_time(particle, cell.strength),
-            tau_method=METHOD_HARTMAN,
-            t_abs=0.0,
-            theta=_wrap_phase(math.atan(gamma) - k * span),
-            flags=tuple(flags),
-        )
+    flags: list[str] = []
     method = METHOD_ANALYTIC
-    tau = _NAN
-    try:
-        result = tunneling_time_result(particle, cell, n_cells)
-        tau = result.tau
-        if result.band_edge_fallback:
-            flags.append(FLAG_BAND_EDGE)
-    except ZeroOfTError:
-        method = METHOD_FD
-        try:
-            tau = tunneling_time_fd(particle, cell, n_cells)
-        except SpectralSingularityError:
-            flags.append(FLAG_SINGULARITY)
-    t_abs = _NAN
-    theta = _NAN
-    try:
-        t = transmission_closed(particle, cell, n_cells)
-        t_abs = abs(t)
-        theta = cmath.phase(t)
-    except SpectralSingularityError:
-        if FLAG_SINGULARITY not in flags:
-            flags.append(FLAG_SINGULARITY)
-        t_abs = math.inf
-    except OverflowGuardError:
-        # |t| genuinely underflows double range; the phase is still well
-        # defined through the bounded ratio q*chi.
-        if FLAG_OVERFLOW not in flags:
-            flags.append(FLAG_OVERFLOW)
+    tau, theta = record.tau, record.theta
+    if record.handoff:
+        method = METHOD_HARTMAN
+        flags.append(FLAG_OVERFLOW)
         t_abs = 0.0
-        try:
-            theta = phase_theta(particle, cell, n_cells)
-        except ZeroOfTError:
-            pass
+        with contextlib.suppress(OverflowGuardError):
+            coeffs = hartman_coeffs(particle, cell.strength)
+            theta = _wrap_phase(math.atan(coeffs.gamma) - particle.k * span)
+            tau = _limit_time(coeffs, particle.k)
+    else:
+        if record.band_edge:
+            flags.append(FLAG_BAND_EDGE)
+        if record.zero_of_t:
+            method = METHOD_FD
+            try:
+                tau = tunneling_time_fd(particle, cell, n_cells)
+            except SpectralSingularityError:
+                flags.append(FLAG_SINGULARITY)
+        elif not math.isfinite(tau):
+            flags.append(FLAG_OVERFLOW)
+        if record.t is not None:
+            t_abs = abs(record.t)
+        elif isinstance(record.error, SpectralSingularityError):
+            if FLAG_SINGULARITY not in flags:
+                flags.append(FLAG_SINGULARITY)
+            t_abs = math.inf
+        else:  # |t| underflows double range; theta is the bounded-ratio phase
+            if FLAG_OVERFLOW not in flags:
+                flags.append(FLAG_OVERFLOW)
+            t_abs = 0.0
     return SweepRow(
         energy=particle.energy,
         strength=cell.strength,
@@ -306,11 +268,14 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
     widths = sorted(config.grid.values())
     rows: list[SweepRow] = []
     for strength in config.potentials:
-        tau_inf = hartman_limit_time(particle, strength) if strength > 0.0 else _NAN
+        tau_inf = _NAN
+        if strength > 0.0:
+            with contextlib.suppress(OverflowGuardError):
+                tau_inf = hartman_limit_time(particle, strength)
         for n_cells in config.cells:
             for width in widths:
                 row = evaluate_point(particle, CellSpec(strength, width), n_cells)
-                rows.append(_with(row, tau_inf=tau_inf))
+                rows.append(replace(row, tau_inf=tau_inf))
     return rows
 
 
@@ -332,28 +297,8 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
             width = span / (2.0 * n_cells)
             row = evaluate_point(particle, CellSpec(strength, width), n_cells)
             rel_gap = abs(row.tau - tau_free) / tau_free
-            rows.append(_with(row, tau_free=tau_free, rel_gap=rel_gap))
+            rows.append(replace(row, tau_free=tau_free, rel_gap=rel_gap))
     return rows
-
-
-def _with(row: SweepRow, **overrides: float) -> SweepRow:
-    fields = {
-        "energy": row.energy,
-        "strength": row.strength,
-        "n_cells": row.n_cells,
-        "width": row.width,
-        "span": row.span,
-        "tau": row.tau,
-        "tau_method": row.tau_method,
-        "t_abs": row.t_abs,
-        "theta": row.theta,
-        "flags": row.flags,
-        "tau_inf": row.tau_inf,
-        "tau_free": row.tau_free,
-        "rel_gap": row.rel_gap,
-    }
-    fields.update(overrides)
-    return SweepRow(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +339,10 @@ class LimitsReport:
             ],
         }
         return json.dumps(payload, indent=2)
+
+
+def _limit_check(name: str, residual: float, tolerance: float, detail: str) -> LimitCheck:
+    return LimitCheck(name, residual, tolerance, residual < tolerance, detail)
 
 
 def draw_regular_point(
@@ -443,22 +392,23 @@ def oracle_triangle_residuals(
     used = 0
     while used < count:
         particle, cell, n_cells = draw_regular_point(rng)
+        record = closed_form(particle, cell, n_cells)
+        if record.t is None or record.zero_of_t:
+            continue
         try:
-            t_closed = transmission_closed(particle, cell, n_cells)
             t_direct = transmission_from_matrix(
                 lattice_matrix_direct(particle, cell, n_cells)
             )
-            tau = tunneling_time_result(particle, cell, n_cells).tau
             tau_fd = tunneling_time_fd(particle, cell, n_cells)
-        except (ZeroOfTError, SpectralSingularityError, OverflowGuardError):
+        except (SpectralSingularityError, OverflowGuardError):
             continue
-        worst_t = max(worst_t, abs(t_closed - t_direct) / abs(t_direct))
-        worst_tau = max(worst_tau, abs(tau - tau_fd) / max(abs(tau_fd), 1e-300))
+        worst_t = max(worst_t, abs(record.t - t_direct) / abs(t_direct))
+        worst_tau = max(worst_tau, abs(record.tau - tau_fd) / max(abs(tau_fd), 1e-300))
         used += 1
     return worst_t, worst_tau, used
 
 
-def run_limits(config: SweepConfig | None = None) -> LimitsReport:
+def run_limits() -> LimitsReport:
     """Machine-checkable validation of every analytic limit the library claims.
 
     Covers the thick-barrier coefficient identity g2 - gamma*f4 = 0, the
@@ -466,7 +416,6 @@ def run_limits(config: SweepConfig | None = None) -> LimitsReport:
     ratios at beta = 15, and the oracle triangle (closed form against matrix
     product, analytic time against finite differences).
     """
-    del config  # the validation suites are fixed; kept for CLI symmetry
     rng = random.Random(_LIMITS_SEED)
     checks: list[LimitCheck] = []
 
@@ -476,15 +425,10 @@ def run_limits(config: SweepConfig | None = None) -> LimitsReport:
         strength = rng.uniform(0.1, 100.0)
         c = hartman_coeffs(particle, strength)
         worst = max(worst, abs(c.g2 - c.gamma * c.f4) / max(abs(c.g2), 1.0))
-    checks.append(
-        LimitCheck(
-            name="thick-cell-coefficient-identity",
-            residual=worst,
-            tolerance=1e-12,
-            passed=worst < 1e-12,
-            detail="max scaled |g2 - gamma*f4| over 1000 draws",
-        )
-    )
+    checks.append(_limit_check(
+        "thick-cell-coefficient-identity", worst, 1e-12,
+        "max scaled |g2 - gamma*f4| over 1000 draws",
+    ))
 
     worst = 0.0
     for _ in range(1000):
@@ -494,15 +438,10 @@ def run_limits(config: SweepConfig | None = None) -> LimitsReport:
         value = n_infinity_bracket(particle, strength, span)
         reference = free_propagation_time(particle, span)
         worst = max(worst, abs(value - reference) / reference)
-    checks.append(
-        LimitCheck(
-            name="thin-cell-bracket-identity",
-            residual=worst,
-            tolerance=1e-12,
-            passed=worst < 1e-12,
-            detail="max relative |bracket-form - L/2k| over 1000 draws",
-        )
-    )
+    checks.append(_limit_check(
+        "thin-cell-bracket-identity", worst, 1e-12,
+        "max relative |bracket-form - L/2k| over 1000 draws",
+    ))
 
     worst = 0.0
     for energy, strength in ((1.0, 20.0), (4.0, 10.0), (0.5, 7.0), (2.0, 50.0)):
@@ -519,35 +458,20 @@ def run_limits(config: SweepConfig | None = None) -> LimitsReport:
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
         for n_cells in (1, 2, 3, 4):
             worst = max(worst, abs(cheb_ratio_q(n_cells, xi) * xi - 1.0))
-    checks.append(
-        LimitCheck(
-            name="thick-cell-asymptotic-ratios",
-            residual=worst,
-            tolerance=1e-4,
-            passed=worst < 1e-4,
-            detail="xi*e^-2beta/f1, chi*e^-2beta/(U-/4 sin phi), chi/(xi*gamma), q*xi at beta=15",
-        )
-    )
+    checks.append(_limit_check(
+        "thick-cell-asymptotic-ratios", worst, 1e-4,
+        "xi*e^-2beta/f1, chi*e^-2beta/(U-/4 sin phi), chi/(xi*gamma), q*xi at beta=15",
+    ))
 
     worst_t, worst_tau, used = oracle_triangle_residuals(rng, 200)
-    checks.append(
-        LimitCheck(
-            name="oracle-triangle-transmission",
-            residual=worst_t,
-            tolerance=1e-9,
-            passed=worst_t < 1e-9,
-            detail=f"closed form vs direct 2N-barrier product over {used} points",
-        )
-    )
-    checks.append(
-        LimitCheck(
-            name="oracle-triangle-time",
-            residual=worst_tau,
-            tolerance=1e-5,
-            passed=worst_tau < 1e-5,
-            detail=f"analytic tau vs finite-difference phase delay over {used} points",
-        )
-    )
+    checks.append(_limit_check(
+        "oracle-triangle-transmission", worst_t, 1e-9,
+        f"closed form vs direct 2N-barrier product over {used} points",
+    ))
+    checks.append(_limit_check(
+        "oracle-triangle-time", worst_tau, 1e-5,
+        f"analytic tau vs finite-difference phase delay over {used} points",
+    ))
     return LimitsReport(tuple(checks))
 
 
@@ -571,16 +495,18 @@ def _format_cell(value: object) -> str:
 
 def rows_to_csv(rows: Iterable[SweepRow], columns: tuple[str, ...]) -> str:
     """Render rows as CSV: fixed header, ',' delimiter, 17 significant digits, LF."""
+    getters = [_COLUMN_VALUES[c] for c in columns]
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.value_for(c)) for c in columns))
+        lines.append(",".join(_format_cell(get(row)) for get in getters))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: Iterable[SweepRow], columns: tuple[str, ...], mode: str) -> str:
+    getters = [(c, _COLUMN_VALUES[c]) for c in columns]
     payload = {
         "schema": {"mode": mode, "version": SCHEMA_VERSION, "columns": list(columns)},
-        "rows": [{c: row.value_for(c) for c in columns} for row in rows],
+        "rows": [{c: get(row) for c, get in getters} for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -594,11 +520,10 @@ def write_text(text: str, destination: str | TextIO) -> None:
         destination.write(text)
 
 
+_MODE_COLUMNS = {"sweep-b": SWEEP_B_COLUMNS, "sweep-n": SWEEP_N_COLUMNS, "point": POINT_COLUMNS}
+
+
 def columns_for_mode(mode: str) -> tuple[str, ...]:
-    if mode == "sweep-b":
-        return SWEEP_B_COLUMNS
-    if mode == "sweep-n":
-        return SWEEP_N_COLUMNS
-    if mode == "point":
-        return POINT_COLUMNS
-    raise ValueError(f"no tabular columns for mode {mode!r}")
+    if mode not in _MODE_COLUMNS:
+        raise ValueError(f"no tabular columns for mode {mode!r}")
+    return _MODE_COLUMNS[mode]

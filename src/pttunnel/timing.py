@@ -10,7 +10,9 @@ phase plus the free-passage term; in natural units
 
     tau = (1/2k) * d(arctan(q*chi))/dk,   q = U_{N-1}(xi)/T_N(xi),
 
-which this module evaluates analytically.  For thick cells xi grows like
+which this module evaluates analytically.  :func:`closed_form` computes t,
+its phase and tau together from one set of cell scalars; the single-output
+functions are projections of its record.  For thick cells xi grows like
 exp(2*beta), so every (xi^2 - 1) denominator is assembled from bounded
 ratios (chi/s, xi'/s, ... with s = sqrt(xi^2 - 1)) instead of raw polynomial
 values; the exact path refuses beta > BETA_MAX, beyond which the
@@ -26,17 +28,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .chebyshev import (
-    BAND_EDGE_TOL,
-    ZERO_OF_T_TOL,
-    cheb_ratio_q,
-    cheb_T,
-    cheb_T_sign,
-    cheb_U,
-)
+from .chebyshev import ZERO_OF_T_TOL, cheb_ratio_q, cheb_T, cheb_T_sign, cheb_U
 from .errors import (
     DegeneratePotentialError,
     OverflowGuardError,
+    PtTunnelError,
     SpectralSingularityError,
     ZeroOfTError,
 )
@@ -46,14 +42,12 @@ __all__ = [
     "BETA_MAX",
     "ClosedForm",
     "HartmanCoeffs",
-    "TunnelingTimeResult",
     "xi_chi",
     "xi_chi_prime",
     "closed_form",
     "transmission_closed",
     "phase_theta",
     "tunneling_time",
-    "tunneling_time_result",
     "tunneling_time_fd",
     "hartman_coeffs",
     "hartman_limit_time",
@@ -66,8 +60,11 @@ __all__ = [
 # inside double range together with its O(1..b) prefactors.
 BETA_MAX = 350.0
 
-# |G| below this is treated as a spectral singularity of the lattice.
-SINGULARITY_TOL = 1e-12
+# |G| below this absolute bound is treated as a spectral singularity.
+G_SINGULARITY_ABS_TOL = 1e-12
+
+# |xi^2 - 1| below this switches the time to the band-edge endpoint values.
+BAND_EDGE_TOL = 1e-10
 
 # ln of the largest representable double, slightly rounded down.
 _LN_MAX = 709.0
@@ -75,17 +72,27 @@ _LN_MAX = 709.0
 # overflow even though |G| itself is representable; switch to log-domain.
 _LN_DIRECT = 690.0
 
+_NAN = float("nan")
+
 
 def _span(cell: CellSpec, n_cells: int) -> float:
     return 2.0 * n_cells * cell.width
 
 
-def _check_beta(d: Derived) -> None:
+def _wrap_phase(raw: float) -> float:
+    """Principal value of a phase in (-pi, pi]."""
+    wrapped = math.remainder(raw, math.tau)
+    return wrapped if wrapped > -math.pi else math.pi
+
+
+def _guarded(particle: Particle, cell: CellSpec) -> Derived:
+    d = derived_quantities(particle, cell)
     if d.beta > BETA_MAX:
         raise OverflowGuardError(
             f"growth exponent beta = {d.beta:.3f} exceeds {BETA_MAX:.0f}; "
             "exp(2*beta) leaves double range -- use the thick-barrier limit"
         )
+    return d
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,6 @@ class _CellScalars:
 
 
 def _cell_scalars(d: Derived) -> _CellScalars:
-    _check_beta(d)
     sin_a = math.sin(d.alpha)
     cos_a = math.cos(d.alpha)
     sinh_b = math.sinh(d.beta)
@@ -141,11 +147,6 @@ def _cell_scalars(d: Derived) -> _CellScalars:
     )
 
 
-def _xi_chi(d: Derived) -> tuple[float, float]:
-    scalars = _cell_scalars(d)
-    return scalars.xi, scalars.chi
-
-
 def _band_sine_angle(scalars: _CellScalars) -> tuple[float, float]:
     """(sin psi, psi) for |xi| <= 1, with psi = arccos(xi) rebuilt from the
     cancellation-free offsets so that sin psi stays consistent with chi."""
@@ -160,7 +161,6 @@ def _growth_scale(scalars: _CellScalars) -> float:
 
 
 def _xi_chi_prime(d: Derived) -> tuple[float, float]:
-    _check_beta(d)
     sin_phi = math.sin(d.phi)
     cos_phi = math.cos(d.phi)
     sin_2a = math.sin(2.0 * d.alpha)
@@ -192,173 +192,86 @@ def xi_chi(particle: Particle, cell: CellSpec) -> tuple[float, float]:
 
     Raises OverflowGuardError for beta > BETA_MAX.
     """
-    return _xi_chi(derived_quantities(particle, cell))
+    scalars = _cell_scalars(_guarded(particle, cell))
+    return scalars.xi, scalars.chi
 
 
 def xi_chi_prime(particle: Particle, cell: CellSpec) -> tuple[float, float]:
     """Exact k-derivatives (xi', chi') of :func:`xi_chi` at fixed (V, b)."""
-    return _xi_chi_prime(derived_quantities(particle, cell))
+    return _xi_chi_prime(_guarded(particle, cell))
 
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Every scalar of the closed-form pipeline at one (E, V, b, N) point."""
+    """tau, t and theta of the N-cell lattice from one evaluation.
 
-    xi: float
-    chi: float
-    xi_prime: float
-    chi_prime: float
-    q: float
-    theta: float
-    t: complex
+    ``tau`` is nan where ``zero_of_t`` marks a root of T_N (the arctan
+    parameterization jumps by pi there); ``band_edge`` marks the endpoint
+    branch of the time, |xi^2 - 1| < BAND_EDGE_TOL.  ``t`` is None where
+    ``error`` replaces it: SpectralSingularityError when |G| vanishes,
+    OverflowGuardError when |G| leaves double range.  ``theta`` is the phase
+    of t, the bounded-ratio phase where |t| underflows, and nan at a
+    singularity.  ``handoff`` marks beta > BETA_MAX, where nothing is
+    evaluated and ``error`` says why.
+    """
+
     tau: float
+    theta: float
+    t: complex | None
+    error: PtTunnelError | None = None
+    xi: float = _NAN
+    band_edge: bool = False
+    zero_of_t: bool = False
+    handoff: bool = False
 
 
 def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
-    """Bundle (xi, chi, derivatives, q, theta, t, tau) for one parameter point."""
-    xi, chi = xi_chi(particle, cell)
-    xi_p, chi_p = xi_chi_prime(particle, cell)
-    q = cheb_ratio_q(n_cells, xi) if n_cells >= 1 else 0.0
-    return ClosedForm(
-        xi=xi,
-        chi=chi,
-        xi_prime=xi_p,
-        chi_prime=chi_p,
-        q=q,
-        theta=phase_theta(particle, cell, n_cells),
-        t=transmission_closed(particle, cell, n_cells),
-        tau=tunneling_time(particle, cell, n_cells),
-    )
+    """Evaluate tau, t and theta at one (E, V, b, N) point in a single pass.
 
-
-def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> complex:
-    """Closed-form transmission t = exp(-i*k*L)/G of the N-cell lattice.
-
-    N = 0 returns exactly 1.  Inside the band G is formed directly from
-    T_N and U_{N-1}; outside, the magnitude is pre-sized in the log domain
-    so the value is computed without ever materializing an overflowing
-    polynomial.
-
-    Raises
-    ------
-    SpectralSingularityError
-        |G| < SINGULARITY_TOL: the lattice lases at this parameter point.
-    OverflowGuardError
-        beta > BETA_MAX, or |G| itself exceeds double range (the
-        transmission magnitude underflows; the asymptotic path applies).
-    """
-    if n_cells < 0:
-        raise ValueError("n_cells must be >= 0")
-    if n_cells == 0:
-        return 1.0 + 0.0j
-    scalars = _cell_scalars(derived_quantities(particle, cell))
-    xi, chi = scalars.xi, scalars.chi
-    k = particle.k
-    length = _span(cell, n_cells)
-    if abs(xi) <= 1.0:
-        sine, psi = _band_sine_angle(scalars)
-        if sine == 0.0:  # exactly on a band edge
-            g = complex(cheb_T(n_cells, xi), -chi * cheb_U(n_cells - 1, xi))
-        else:
-            g = complex(
-                math.cos(n_cells * psi),
-                -chi * math.sin(n_cells * psi) / sine,
-            )
-        mag = abs(g)
-        if mag < SINGULARITY_TOL:
-            raise SpectralSingularityError(mag)
-        return cmath.exp(-1j * k * length) / g
-    scale = _growth_scale(scalars)
-    u = math.asinh(scale)
-    q = math.copysign(math.tanh(n_cells * u) / scale, xi)
-    nu = n_cells * u
-    ln_t = nu - math.log(2.0) + math.log1p(math.exp(-2.0 * nu))
-    ln_g = ln_t + 0.5 * math.log1p((chi * q) ** 2)
-    if ln_g > _LN_MAX:
-        raise OverflowGuardError(
-            f"|G| ~ exp({ln_g:.1f}) exceeds double range; "
-            "transmission magnitude underflows"
-        )
-    if ln_g < _LN_DIRECT:
-        g = complex(cheb_T(n_cells, xi), -chi * cheb_U(n_cells - 1, xi))
-        return cmath.exp(-1j * k * length) / g
-    sign_t = cheb_T_sign(n_cells, xi)
-    arg_g = math.atan2(-chi * q * sign_t, sign_t)
-    return cmath.rect(math.exp(-ln_g), -k * length - arg_g)
-
-
-def phase_theta(particle: Particle, cell: CellSpec, n_cells: int) -> float:
-    """Transmission phase, principal value in (-pi, pi].
-
-    Equals arctan(q*chi) - k*L up to the branch correction that keeps
-    exp(i*theta) = t/|t| exactly (the bare arctan form is off by pi wherever
-    T_N(xi) < 0).
-
-    Raises ZeroOfTError on roots of T_N, where the arctan parameterization
-    jumps by pi.
-    """
-    if n_cells < 0:
-        raise ValueError("n_cells must be >= 0")
-    if n_cells == 0:
-        return 0.0
-    xi, chi = _xi_chi(derived_quantities(particle, cell))
-    q = cheb_ratio_q(n_cells, xi)
-    sign_t = cheb_T_sign(n_cells, xi)
-    raw = -particle.k * _span(cell, n_cells) - math.atan2(-chi * q * sign_t, sign_t)
-    wrapped = math.remainder(raw, math.tau)
-    return wrapped if wrapped > -math.pi else math.pi
-
-
-@dataclass(frozen=True)
-class TunnelingTimeResult:
-    """Stationary-phase time plus which evaluation path produced it.
-
-    ``band_edge_fallback`` is True when |xi^2 - 1| < BAND_EDGE_TOL and the
-    removable 0/0 in the time expression was replaced by the exact endpoint
-    derivatives of the Chebyshev ratio.
-    """
-
-    tau: float
-    band_edge_fallback: bool
-
-
-def tunneling_time_result(
-    particle: Particle, cell: CellSpec, n_cells: int
-) -> TunnelingTimeResult:
-    """Analytic stationary-phase tunneling time for the N-cell lattice.
-
-    Evaluates
+    The time is
 
         tau = [q*chi' + chi*xi'*(dq/dxi)] / (2k*(1 + (q*chi)^2))
 
-    with dq/dxi = (N - q*xi)/(xi^2 - 1) - N*q^2.  Outside the band every
-    factor is built from the bounded ratios chi/s, xi'/s, chi'/s, |xi|/s and
-    tanh(N*arccosh|xi|) with s = sqrt(xi^2 - 1), so nothing overflows for
-    beta <= BETA_MAX whatever the size of exp(2*beta).
-
-    Raises ZeroOfTError at roots of T_N (use :func:`tunneling_time_fd`
-    there) and OverflowGuardError past BETA_MAX.
+    with dq/dxi = (N - q*xi)/(xi^2 - 1) - N*q^2; its removable 0/0 at
+    xi = +-1 takes the endpoint values q = +-N, dq/dxi = -N(2N^2+1)/3.
+    Outside the band every factor is built from the bounded ratios chi/s,
+    xi'/s, chi'/s, |xi|/s and tanh(N*arccosh|xi|) with s = sqrt(xi^2 - 1),
+    so nothing overflows for beta <= BETA_MAX whatever the size of
+    exp(2*beta).  Inside the band G is formed directly from T_N and
+    U_{N-1}; outside, |G| is pre-sized in the log domain so t is computed
+    without ever materializing an overflowing polynomial.  N = 0 gives
+    t = 1 and tau = theta = 0.
     """
     if n_cells < 0:
         raise ValueError("n_cells must be >= 0")
-    k = particle.k
     if n_cells == 0:
-        return TunnelingTimeResult(0.0, False)
-    d = derived_quantities(particle, cell)
+        return ClosedForm(tau=0.0, theta=0.0, t=1.0 + 0.0j)
+    try:
+        d = _guarded(particle, cell)
+    except OverflowGuardError as error:
+        return ClosedForm(tau=_NAN, theta=_NAN, t=None, error=error, handoff=True)
     scalars = _cell_scalars(d)
     xi, chi = scalars.xi, scalars.chi
     xi_p, chi_p = _xi_chi_prime(d)
     n = n_cells
+    k = particle.k
+    length = _span(cell, n)
     quad = scalars.xi_minus_1 * scalars.xi_plus_1  # inf far outside the band is fine
-    if abs(quad) < BAND_EDGE_TOL:
-        q = math.copysign(float(n), xi)
-        dq_dxi = -n * (2.0 * n * n + 1.0) / 3.0
-        bracket = q * chi_p + chi * xi_p * dq_dxi
-        tau = bracket / (2.0 * k * (1.0 + (q * chi) ** 2))
-        return TunnelingTimeResult(tau, True)
-    if abs(xi) > 1.0:
+    band_edge = abs(quad) < BAND_EDGE_TOL
+    outside = abs(xi) > 1.0
+    if outside:
         scale = _growth_scale(scalars)
-        tt = math.tanh(n * math.asinh(scale))
+        nu = n * math.asinh(scale)
+        tt = math.tanh(nu)
+    else:
+        sine, psi = _band_sine_angle(scalars)
+        cos_n = math.cos(n * psi)
+        sin_n = math.sin(n * psi)
+
+    zero_of_t = not (band_edge or outside) and abs(cos_n) < ZERO_OF_T_TOL
+    if zero_of_t:
+        tau = _NAN
+    elif outside and not band_edge:
         sign = 1.0 if xi > 0.0 else -1.0
         cs = chi / scale
         xs = xi_p / scale
@@ -367,21 +280,96 @@ def tunneling_time_result(
         q_chi = sign * tt * cs
         bracket = sign * tt * cps + cs * xs * (n - tt * rs - n * tt * tt)
         tau = bracket / (2.0 * k * (1.0 + q_chi * q_chi))
-        return TunnelingTimeResult(tau, False)
-    sine, psi = _band_sine_angle(scalars)
-    cos_n = math.cos(n * psi)
-    if abs(cos_n) < ZERO_OF_T_TOL:
-        raise ZeroOfTError(n, xi)
-    q = math.sin(n * psi) / (sine * cos_n)
-    dq_dxi = (n - q * xi) / quad - n * q * q
-    bracket = q * chi_p + chi * xi_p * dq_dxi
-    tau = bracket / (2.0 * k * (1.0 + (q * chi) ** 2))
-    return TunnelingTimeResult(tau, False)
+    else:
+        if band_edge:
+            q = math.copysign(float(n), xi)
+            dq_dxi = -n * (2.0 * n * n + 1.0) / 3.0
+        else:
+            q = sin_n / (sine * cos_n)
+            dq_dxi = (n - q * xi) / quad - n * q * q
+        bracket = q * chi_p + chi * xi_p * dq_dxi
+        tau = bracket / (2.0 * k * (1.0 + (q * chi) ** 2))
+
+    t = error = None
+    theta = _NAN
+    if not outside:
+        if sine == 0.0:  # exactly on a band edge
+            g = complex(cheb_T(n, xi), -chi * cheb_U(n - 1, xi))
+        else:
+            g = complex(cos_n, -chi * sin_n / sine)
+        mag = abs(g)
+        if mag < G_SINGULARITY_ABS_TOL:
+            error = SpectralSingularityError(mag)
+        else:
+            t = cmath.exp(-1j * k * length) / g
+    else:
+        q = math.copysign(tt / scale, xi)
+        ln_t = nu - math.log(2.0) + math.log1p(math.exp(-2.0 * nu))
+        ln_g = ln_t + 0.5 * math.log1p((chi * q) ** 2)
+        if ln_g > _LN_MAX:
+            error = OverflowGuardError(
+                f"|G| ~ exp({ln_g:.1f}) exceeds double range; "
+                "transmission magnitude underflows"
+            )
+            # The phase stays well defined through the bounded ratio q*chi.
+            sign_t = cheb_T_sign(n, xi)
+            q = cheb_ratio_q(n, xi)
+            theta = _wrap_phase(-k * length - math.atan2(-chi * q * sign_t, sign_t))
+        elif ln_g < _LN_DIRECT:
+            g = complex(cheb_T(n, xi), -chi * cheb_U(n - 1, xi))
+            t = cmath.exp(-1j * k * length) / g
+        else:
+            sign_t = cheb_T_sign(n, xi)
+            arg_g = math.atan2(-chi * q * sign_t, sign_t)
+            t = cmath.rect(math.exp(-ln_g), -k * length - arg_g)
+    if t is not None:
+        theta = cmath.phase(t)
+    return ClosedForm(tau, theta, t, error, xi, band_edge, zero_of_t)
+
+
+def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> complex:
+    """Closed-form transmission t = exp(-i*k*L)/G of the N-cell lattice.
+
+    Raises
+    ------
+    SpectralSingularityError
+        |G| < G_SINGULARITY_ABS_TOL: the lattice lases at this point.
+    OverflowGuardError
+        beta > BETA_MAX, or |G| itself exceeds double range (the
+        transmission magnitude underflows; the asymptotic path applies).
+    """
+    record = closed_form(particle, cell, n_cells)
+    if record.error is not None:
+        raise record.error
+    return record.t
+
+
+def _timed(record: ClosedForm, n_cells: int) -> ClosedForm:
+    """The record, unless tau and theta are undefined there: past BETA_MAX
+    (OverflowGuardError) or at a root of T_N (ZeroOfTError)."""
+    if record.handoff:
+        raise record.error
+    if record.zero_of_t:
+        raise ZeroOfTError(n_cells, record.xi)
+    return record
+
+
+def phase_theta(particle: Particle, cell: CellSpec, n_cells: int) -> float:
+    """Transmission phase, principal value in (-pi, pi]; see :class:`ClosedForm`.
+
+    Raises ZeroOfTError on roots of T_N, where the arctan parameterization
+    arctan(q*chi) - k*L jumps by pi, and OverflowGuardError past BETA_MAX.
+    """
+    return _timed(closed_form(particle, cell, n_cells), n_cells).theta
 
 
 def tunneling_time(particle: Particle, cell: CellSpec, n_cells: int) -> float:
-    """Analytic tunneling time; see :func:`tunneling_time_result`."""
-    return tunneling_time_result(particle, cell, n_cells).tau
+    """Analytic stationary-phase tunneling time; see :func:`closed_form`.
+
+    Raises ZeroOfTError at roots of T_N (use :func:`tunneling_time_fd`
+    there) and OverflowGuardError past BETA_MAX.
+    """
+    return _timed(closed_form(particle, cell, n_cells), n_cells).tau
 
 
 def tunneling_time_fd(
@@ -436,7 +424,10 @@ class HartmanCoeffs:
 def hartman_coeffs(
     particle: Particle, strength: float, width: float = 1.0
 ) -> HartmanCoeffs:
-    """Thick-cell expansion coefficients for potential strength V > 0."""
+    """Thick-cell expansion coefficients for potential strength V > 0.
+
+    Raises OverflowGuardError when rho^3 leaves double range.
+    """
     if strength <= 0.0:
         raise DegeneratePotentialError(
             "thick-barrier expansion requires strength > 0"
@@ -447,7 +438,12 @@ def hartman_coeffs(
     sin_phi = math.sin(d.phi)
     cos_phi = math.cos(d.phi)
     sin_2phi = math.sin(2.0 * d.phi)
-    rho3 = d.rho**3
+    try:
+        rho3 = d.rho**3
+    except OverflowError:
+        raise OverflowGuardError(
+            f"rho^3 = {d.rho:.3e}^3 leaves double range; no thick-cell expansion"
+        ) from None
     osc_factor = k * k * cos_phi * cos_phi + 0.5 * v * sin_2phi
     dec_factor = k * k * sin_phi * sin_phi - 0.5 * v * sin_2phi
     return HartmanCoeffs(
@@ -467,9 +463,17 @@ def hartman_limit_time(particle: Particle, strength: float) -> float:
 
     tau_inf = (g3 - gamma*f2) / (2k*(1 + gamma^2)*f1): independent of both
     the cell width and the repetition count by construction.
+
+    Raises OverflowGuardError when the coefficients leave double range.
     """
-    c = hartman_coeffs(particle, strength)
-    return (c.g3 - c.gamma * c.f2) / (2.0 * particle.k * (1.0 + c.gamma**2) * c.f1)
+    return _limit_time(hartman_coeffs(particle, strength), particle.k)
+
+
+def _limit_time(c: HartmanCoeffs, k: float) -> float:
+    tau = (c.g3 - c.gamma * c.f2) / (2.0 * k * (1.0 + c.gamma**2) * c.f1)
+    if not math.isfinite(tau):
+        raise OverflowGuardError("thick-cell limit time leaves double range")
+    return tau
 
 
 def free_propagation_time(particle: Particle, span: float) -> float:

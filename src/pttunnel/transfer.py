@@ -33,8 +33,8 @@ __all__ = [
 # downstream comparisons.
 ELEMENT_GUARD = 1e280
 
-# |m22| below SINGULARITY_TOL * max|element| counts as a spectral singularity.
-SINGULARITY_TOL = 1e-12
+# |m22| below this fraction of max|element| counts as a spectral singularity.
+M22_SINGULARITY_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,12 @@ class BarrierParams:
     p_plus: complex
     p_minus: complex
     s: complex
-    offset_index: int
 
 
-def barrier_params(
-    particle: Particle, potential: complex, width: float, offset_index: int = 0
-) -> BarrierParams:
-    """Couplings for a barrier of complex height `potential` on [j*b, (j+1)*b]."""
+def barrier_params(particle: Particle, potential: complex, width: float) -> BarrierParams:
+    """Couplings for a barrier of complex height `potential` and width `width`."""
     if width <= 0.0:
         raise ValueError("width must be positive")
-    if offset_index < 0:
-        raise ValueError("offset_index must be >= 0")
     kc = cmath.sqrt(particle.energy - potential)
     if kc == 0:
         raise ValueError("potential equals the energy; internal wave number vanishes")
@@ -92,7 +87,6 @@ def barrier_params(
         p_plus=2.0 * cos_cb + 1j * even,
         p_minus=2.0 * cos_cb - 1j * even,
         s=1j * odd,
-        offset_index=offset_index,
     )
 
 
@@ -104,7 +98,9 @@ def barrier_matrix(
     ``offset_index`` places the barrier at x in [j*b, (j+1)*b]; translation
     only multiplies the off-diagonal elements by exp(-+ 2i*k*b*j).
     """
-    bp = barrier_params(particle, potential, width, offset_index)
+    if offset_index < 0:
+        raise ValueError("offset_index must be >= 0")
+    bp = barrier_params(particle, potential, width)
     kb = particle.k * width
     diag = cmath.exp(-1j * kb)
     off = cmath.exp(-1j * kb * (1.0 + 2.0 * offset_index))
@@ -135,8 +131,8 @@ def unit_cell_matrix(particle: Particle, cell: CellSpec) -> TransferMatrix:
     """
     v = cell.strength
     b = cell.width
-    b1 = barrier_params(particle, 1j * v, b, 0)
-    b2 = barrier_params(particle, -1j * v, b, 1)
+    b1 = barrier_params(particle, 1j * v, b)
+    b2 = barrier_params(particle, -1j * v, b)
     phase = cmath.exp(-2j * particle.k * b)
     return TransferMatrix(
         m11=0.25 * phase * (b1.p_plus * b2.p_plus - b1.s * b2.s),
@@ -190,6 +186,6 @@ def transmission_from_matrix(matrix: TransferMatrix) -> complex:
     """
     scale = matrix.max_abs()
     mag = abs(matrix.m22)
-    if mag <= SINGULARITY_TOL * scale:
+    if mag <= M22_SINGULARITY_REL_TOL * scale:
         raise SpectralSingularityError(mag, scale)
     return 1.0 / matrix.m22

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pttunnel import ZeroOfTError, cheb_T, cheb_U, cheb_ratio_q
-from pttunnel.chebyshev import cheb_q_derivative, cheb_T_sign
+from pttunnel.chebyshev import cheb_T_sign
 
 
 def recurrence_T(n: int, x: float) -> float:
@@ -133,30 +133,6 @@ def test_branch_continuity_across_unity():
         q_above = cheb_ratio_q(n, 1.0 + eps)
         q_below = cheb_ratio_q(n, 1.0 - eps)
         assert abs(q_above - q_below) / abs(q_above) < 1e-6
-
-
-def test_ratio_derivative_matches_finite_differences():
-    rng = random.Random(9)
-    for _ in range(100):
-        n = rng.randint(1, 12)
-        x = rng.uniform(-2.5, 2.5)
-        quad = (x - 1.0) * (x + 1.0)
-        if abs(quad) < 1e-4:
-            continue
-        if abs(x) < 1.0 and abs(math.cos(n * math.acos(x))) < 5e-2:
-            continue
-        h = 1e-7 * max(1.0, abs(x))
-        fd = (cheb_ratio_q(n, x + h) - cheb_ratio_q(n, x - h)) / (2.0 * h)
-        assert cheb_q_derivative(n, x) == pytest.approx(fd, rel=1e-5)
-
-
-def test_ratio_derivative_endpoint_fallback():
-    for n in (1, 2, 5, 9):
-        expected = -n * (2.0 * n * n + 1.0) / 3.0
-        assert cheb_q_derivative(n, 1.0) == expected
-        assert cheb_q_derivative(n, -1.0) == expected
-        # just inside the guard band the endpoint value is used verbatim
-        assert cheb_q_derivative(n, 1.0 + 1e-11) == expected
 
 
 def test_sign_helper_agrees_with_values():

@@ -6,7 +6,6 @@ import pytest
 from pttunnel import (
     CellSpec,
     InvalidEnergyError,
-    LatticeSpec,
     Particle,
     derived_quantities,
 )
@@ -86,6 +85,8 @@ def test_energy_validation():
         Particle(-1.0)
     with pytest.raises(InvalidEnergyError):
         Particle(math.nan)
+    with pytest.raises(InvalidEnergyError):
+        Particle(True)  # bool is an int subclass, not an energy
 
 
 def test_cell_validation():
@@ -95,14 +96,8 @@ def test_cell_validation():
         CellSpec(1.0, 0.0)
     with pytest.raises(ValueError):
         CellSpec(1.0, -2.0)
-    CellSpec(0.0, 1.0)  # V = 0 is a legal degenerate cell
-
-
-def test_lattice_span_is_exact():
-    cell = CellSpec(5.0, 0.7)
-    lattice = LatticeSpec.for_cell(cell, 6)
-    assert lattice.span == 2.0 * 6 * 0.7
-    assert lattice.cell_width() == pytest.approx(0.7, rel=1e-15)
-    assert LatticeSpec.for_cell(cell, 0).span == 0.0
     with pytest.raises(ValueError):
-        LatticeSpec(-1, 1.0)
+        CellSpec(True, 1.0)
+    with pytest.raises(ValueError):
+        CellSpec(1.0, True)
+    CellSpec(0.0, 1.0)  # V = 0 is a legal degenerate cell

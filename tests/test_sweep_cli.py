@@ -1,9 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
+
+import pttunnel
 
 from conftest import bisect_width_for_xi
 from pttunnel import (
@@ -114,18 +117,21 @@ def test_run_point_matches_library():
 def test_point_row_spectral_singularity_flagged(monkeypatch):
     # a true lasing point needs two parameters tuned at once, so the row
     # plumbing is exercised by injection
-    from pttunnel.errors import SpectralSingularityError, ZeroOfTError
+    from pttunnel.errors import SpectralSingularityError
+    from pttunnel.timing import ClosedForm
 
-    def raise_zero(particle, cell, n_cells):
-        raise ZeroOfTError(n_cells, 0.5)
+    def singular_root(particle, cell, n_cells):
+        # a root of T_N (time by finite differences) where |G| also vanishes
+        nan = float("nan")
+        return ClosedForm(nan, nan, None, SpectralSingularityError(0.0), 0.5, zero_of_t=True)
 
     def raise_singular(*args, **kwargs):
         raise SpectralSingularityError(0.0)
 
-    monkeypatch.setattr(sweep_mod, "tunneling_time_result", raise_zero)
+    monkeypatch.setattr(sweep_mod, "closed_form", singular_root)
     monkeypatch.setattr(sweep_mod, "tunneling_time_fd", raise_singular)
-    monkeypatch.setattr(sweep_mod, "transmission_closed", raise_singular)
     row = evaluate_point(Particle(1.0), CellSpec(20.0, 0.25), 2)
+    assert row.tau_method == "fd-fallback"
     assert row.flags == ("SpectralSingularity",)
     assert math.isnan(row.tau)
     assert row.t_abs == math.inf  # transmission diverges at a lasing point
@@ -303,10 +309,14 @@ def test_limits_report_catches_sign_mutation(monkeypatch):
 
 
 def run_cli(*args):
+    # the child imports the same pttunnel as this process, installed or not
+    src = os.path.dirname(os.path.dirname(pttunnel.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "pttunnel.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -330,6 +340,55 @@ def test_cli_point_invalid_energy():
 def test_cli_point_missing_width():
     proc = run_cli("point", "--energy", "1", "--potential", "2", "--cells", "1")
     assert proc.returncode == 2
+
+
+def _point_row(*args, capsys):
+    rc = main(["point", *args])
+    out, err = capsys.readouterr()
+    return rc, dict(zip(out.splitlines()[-2].split(","), out.splitlines()[-1].split(","))), err
+
+
+def test_cli_point_huge_potential_flags_overflow(capsys):
+    # rho^3 of the thick-cell expansion leaves double range at V = 1e300
+    rc, row, err = _point_row(
+        "--energy", "1", "--potential", "1e300", "--width", "0.25", "--cells", "2",
+        capsys=capsys,
+    )
+    assert rc == 4
+    assert "error: Overflow:" in err
+    assert (row["tau"], row["tau_method"], row["flags"]) == ("nan", "hartman-limit", "Overflow")
+
+
+def test_cli_point_huge_energy_flags_overflow(capsys):
+    # the k-derivatives are inf/inf at E = 1e300, so the analytic tau is nan
+    rc, row, err = _point_row(
+        "--energy", "1e300", "--potential", "20", "--width", "0.25", "--cells", "2",
+        capsys=capsys,
+    )
+    assert rc == 4
+    assert "error: Overflow:" in err
+    assert (row["tau"], row["tau_method"], row["flags"]) == ("nan", "analytic", "Overflow")
+    assert float(row["t_abs"]) == pytest.approx(1.0)
+
+
+def test_cli_sweep_b_huge_potential_has_nan_limit(tmp_path):
+    out = tmp_path / "rows.csv"
+    rc = main(
+        [
+            "sweep-b",
+            "--energy", "1",
+            "--potential", "1e300",
+            "--cells", "2",
+            "--grid", "0.1:0.5:3",
+            "--output", str(out),
+        ]
+    )
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert (row["tau"], row["tau_inf"], row["flags"]) == ("nan", "nan", "Overflow")
 
 
 def test_cli_sweep_b_writes_deterministic_file(tmp_path):

@@ -24,7 +24,6 @@ from pttunnel import (
     transmission_from_matrix,
     tunneling_time,
     tunneling_time_fd,
-    tunneling_time_result,
     unit_cell_matrix,
     xi_chi,
     xi_chi_prime,
@@ -139,10 +138,13 @@ def test_transmission_log_domain_path():
     t = transmission_closed(p, cell, 1)
     assert 0.0 < abs(t) < 1e-250
     assert math.isfinite(t.real) and math.isfinite(t.imag)
-    # phase agrees with the bounded-ratio expression
-    assert math.remainder(cmath.phase(t) - phase_theta(p, cell, 1), math.tau) == pytest.approx(
-        0.0, abs=1e-9
-    )
+    # phase agrees with the bounded-ratio expression -k*L - arg(1 - i*chi*q)
+    from pttunnel import cheb_ratio_q
+
+    xi, chi = xi_chi(p, cell)
+    bounded = -p.k * 2.0 * cell.width - math.atan(-chi * cheb_ratio_q(1, xi))
+    assert math.remainder(cmath.phase(t) - bounded, math.tau) == pytest.approx(0.0, abs=1e-9)
+    assert phase_theta(p, cell, 1) == cmath.phase(t)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +238,13 @@ def test_finite_difference_rejects_bad_step():
 def test_time_band_edge_fallback():
     p = Particle(1.0)
     width = bisect_width_for_xi(p, 20.0, 1.0, 0.15, 0.2)
-    result = tunneling_time_result(p, CellSpec(20.0, width), 2)
-    assert result.band_edge_fallback
+    result = closed_form(p, CellSpec(20.0, width), 2)
+    assert result.band_edge
     fd = tunneling_time_fd(p, CellSpec(20.0, width), 2)
     assert result.tau == pytest.approx(fd, rel=1e-5)
     # continuity across the edge
-    nearby = tunneling_time_result(p, CellSpec(20.0, width * (1.0 + 1e-7)), 2)
-    assert not nearby.band_edge_fallback
+    nearby = closed_form(p, CellSpec(20.0, width * (1.0 + 1e-7)), 2)
+    assert not nearby.band_edge
     assert nearby.tau == pytest.approx(result.tau, rel=1e-4)
 
 
@@ -264,8 +266,28 @@ def test_closed_form_bundle_is_consistent():
     cf = closed_form(p, cell, 2)
     assert cf.t == transmission_closed(p, cell, 2)
     assert cf.tau == tunneling_time(p, cell, 2)
+    assert cf.theta == phase_theta(p, cell, 2) == cmath.phase(cf.t)
+    assert cf.xi == xi_chi(p, cell)[0]
+    assert cf.error is None
+    assert not (cf.band_edge or cf.zero_of_t or cf.handoff)
+    # the same record marks the root of T_N and the handoff past BETA_MAX
+    width = bisect_width_for_xi(Particle(4.0), 2.0, math.cos(math.pi / 6.0), 0.1, 0.5)
+    root = closed_form(Particle(4.0), CellSpec(2.0, width), 3)
+    assert root.zero_of_t and math.isnan(root.tau) and root.t is not None
+    thick = closed_form(p, CellSpec(20.0, 120.0), 2)
+    assert thick.handoff and thick.t is None
+    assert isinstance(thick.error, OverflowGuardError)
+
+
+def test_closed_form_underflow_keeps_bounded_phase():
+    # |G| beyond double range: t is replaced by its error, theta survives
+    p = Particle(1.0)
+    cell = CellSpec(20.0, 97.0)
+    cf = closed_form(p, cell, 2)
+    assert cf.t is None and isinstance(cf.error, OverflowGuardError)
+    assert -math.pi < cf.theta <= math.pi
     assert cf.theta == phase_theta(p, cell, 2)
-    assert (cf.xi, cf.chi) == xi_chi(p, cell)
+    assert cf.tau == pytest.approx(hartman_limit_time(p, 20.0), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +322,16 @@ def test_hartman_rejects_free_space():
         hartman_coeffs(Particle(1.0), 0.0)
     with pytest.raises(DegeneratePotentialError):
         hartman_limit_time(Particle(1.0), 0.0)
+
+
+@pytest.mark.parametrize("strength", [1e160, 1e300])
+def test_hartman_limit_overflow_is_typed(strength):
+    # rho^4 (V ~ 1e160) or rho^3 (V = 1e300) leaves double range
+    with pytest.raises(OverflowGuardError):
+        hartman_limit_time(Particle(1.0), strength)
+    if strength > 1e200:
+        with pytest.raises(OverflowGuardError):
+            hartman_coeffs(Particle(1.0), strength)
 
 
 def test_hartman_limit_reached_by_thick_cells():
