@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidEnergyError
 
@@ -89,30 +90,80 @@ class Derived:
     u_minus_prime: float
 
 
-def derived_quantities(particle: Particle, cell: CellSpec) -> Derived:
-    """Populate every derived geometric quantity for one (particle, cell) pair."""
+class _Geometry(NamedTuple):
+    """The width-free part of :class:`Derived` at one (k, V).
+
+    Of the derived quantities only alpha, beta and their k-derivatives depend
+    on the barrier width b, each as b times a factor held here
+    (:func:`_scaled`).  A sweep at fixed (E, V) builds this record once and
+    each row only scales it by b.  (A NamedTuple: a frozen dataclass this
+    wide costs milliseconds at import.)
+    """
+
+    k: float
+    rho: float
+    rho3: float
+    phi: float
+    sin_phi: float
+    cos_phi: float
+    sin_2phi: float
+    cos_2phi: float
+    u_plus: float
+    u_minus: float
+    rho_prime: float
+    phi_prime: float
+    u_plus_prime: float
+    u_minus_prime: float
+    alpha_rate: float  # alpha' = b*k*alpha_rate/rho^3
+    beta_rate: float  # beta' = b*k*beta_rate/rho^3
+
+
+def _geometry(particle: Particle, strength: float) -> _Geometry:
     k = particle.k
-    v = cell.strength
-    b = cell.width
+    v = strength
     k2 = k * k
     rho2 = math.hypot(k2, v)
     rho = math.sqrt(rho2)
-    rho3 = rho * rho2
     rho4 = rho2 * rho2
     phi = 0.5 * math.atan2(v, k2)
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
-    return Derived(
+    return _Geometry(
+        k=k,
         rho=rho,
+        rho3=rho * rho2,
         phi=phi,
-        alpha=b * rho * cos_phi,
-        beta=b * rho * sin_phi,
+        sin_phi=sin_phi,
+        cos_phi=cos_phi,
+        sin_2phi=math.sin(2.0 * phi),
+        cos_2phi=math.cos(2.0 * phi),
         u_plus=k / rho + rho / k,
         u_minus=k / rho - rho / k,
         rho_prime=(k / rho) ** 3,
         phi_prime=-k * v / rho4,
-        alpha_prime=b * k * (v * sin_phi + k2 * cos_phi) / rho3,
-        beta_prime=b * k * (k2 * sin_phi - v * cos_phi) / rho3,
         u_plus_prime=v * v / (rho4 * rho) * (1.0 - rho2 / k2),
         u_minus_prime=v * v / (rho4 * rho) * (1.0 + rho2 / k2),
+        alpha_rate=v * sin_phi + k2 * cos_phi,
+        beta_rate=k2 * sin_phi - v * cos_phi,
+    )
+
+
+def _scaled(g: _Geometry, width: float) -> tuple[float, float, float, float]:
+    """(alpha, beta, alpha', beta') at barrier width b."""
+    bk = width * g.k
+    return (
+        width * g.rho * g.cos_phi,
+        width * g.rho * g.sin_phi,
+        bk * g.alpha_rate / g.rho3,
+        bk * g.beta_rate / g.rho3,
+    )
+
+
+def derived_quantities(particle: Particle, cell: CellSpec) -> Derived:
+    """Populate every derived geometric quantity for one (particle, cell) pair."""
+    g = _geometry(particle, cell.strength)
+    alpha, beta, alpha_prime, beta_prime = _scaled(g, cell.width)
+    return Derived(
+        g.rho, g.phi, alpha, beta, g.u_plus, g.u_minus, g.rho_prime, g.phi_prime,
+        alpha_prime, beta_prime, g.u_plus_prime, g.u_minus_prime,
     )

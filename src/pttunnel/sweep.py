@@ -12,20 +12,22 @@ import contextlib
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .chebyshev import cheb_ratio_q
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle, derived_quantities
+from .model import CellSpec, Particle, _Geometry, _geometry, derived_quantities
 from .timing import (
+    HartmanCoeffs,
+    _closed_form,
     _limit_time,
     _wrap_phase,
     closed_form,
     free_propagation_time,
     hartman_coeffs,
-    hartman_limit_time,
     n_infinity_bracket,
     tunneling_time_fd,
     xi_chi,
@@ -162,25 +164,28 @@ class SweepRow:
     rel_gap: float = _NAN
 
 
-# Column name -> value of a row, shared by the CSV and JSON writers.
-_COLUMN_VALUES = {
-    "E": attrgetter("energy"),
-    "V": attrgetter("strength"),
-    "N": attrgetter("n_cells"),
-    "b": attrgetter("width"),
-    "L": attrgetter("span"),
-    "tau": attrgetter("tau"),
-    "tau_method": attrgetter("tau_method"),
-    "tau_inf": attrgetter("tau_inf"),
-    "tau_free": attrgetter("tau_free"),
-    "rel_gap": attrgetter("rel_gap"),
-    "t_abs": attrgetter("t_abs"),
-    "theta": attrgetter("theta"),
-    "flags": lambda row: ";".join(row.flags),
+# Column name -> SweepRow field, shared by the CSV and JSON writers.
+_COLUMN_FIELDS = {
+    "E": "energy", "V": "strength", "N": "n_cells", "b": "width", "L": "span",
+    **{c: c for c in ("tau", "tau_method", "tau_inf", "tau_free", "rel_gap", "t_abs", "theta", "flags")},
 }
 
 
-def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow:
+class _Shared(NamedTuple):
+    """What every row at one (E, V) shares: the width-free cell geometry, and
+    the sweep's reference columns.  ``coeffs`` are the thick-cell
+    coefficients of V > 0 when the sweep has them already (None: a
+    hartman-limit row computes them)."""
+
+    geometry: _Geometry
+    coeffs: HartmanCoeffs | None = None
+    tau_inf: float = _NAN
+    tau_free: float = _NAN
+
+
+def evaluate_point(
+    particle: Particle, cell: CellSpec, n_cells: int, *, _shared: _Shared | None = None
+) -> SweepRow:
     """Evaluate tau, |t| and theta at one point, downgrading failures to flags.
 
     Selection of the time path:
@@ -189,9 +194,12 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
       - root of T_N: finite-difference phase delay (method 'fd-fallback');
       - |xi^2 - 1| < tolerance: analytic endpoint fallback, flagged XiAtUnity;
       - otherwise the plain analytic expression.
-    A tau that is nan for any other reason is flagged Overflow.
+    A tau that is nan for any other reason is flagged Overflow.  The sweeps
+    pass ``_shared``, computed once for all their rows at (E, V =
+    cell.strength); its reference columns fill tau_inf, tau_free and rel_gap.
     """
-    record = closed_form(particle, cell, n_cells)
+    shared = _shared or _Shared(_geometry(particle, cell.strength))
+    record = _closed_form(shared.geometry, cell.width, n_cells)
     span = 2.0 * n_cells * cell.width
     flags: list[str] = []
     method = METHOD_ANALYTIC
@@ -201,7 +209,7 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
         flags.append(FLAG_OVERFLOW)
         t_abs = 0.0
         with contextlib.suppress(OverflowGuardError):
-            coeffs = hartman_coeffs(particle, cell.strength)
+            coeffs = shared.coeffs or hartman_coeffs(particle, cell.strength)
             theta = _wrap_phase(math.atan(coeffs.gamma) - particle.k * span)
             tau = _limit_time(coeffs, particle.k)
     else:
@@ -221,10 +229,12 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
             if FLAG_SINGULARITY not in flags:
                 flags.append(FLAG_SINGULARITY)
             t_abs = math.inf
-        else:  # |t| underflows double range; theta is the bounded-ratio phase
+        else:
             if FLAG_OVERFLOW not in flags:
                 flags.append(FLAG_OVERFLOW)
-            t_abs = 0.0
+            # |t| underflows where the bounded-ratio phase is left; where the
+            # phase itself leaves double range, |t| is unknown.
+            t_abs = 0.0 if math.isfinite(theta) else _NAN
     return SweepRow(
         energy=particle.energy,
         strength=cell.strength,
@@ -236,6 +246,9 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
         t_abs=t_abs,
         theta=theta,
         flags=tuple(flags),
+        tau_inf=shared.tau_inf,
+        tau_free=shared.tau_free,
+        rel_gap=abs(tau - shared.tau_free) / shared.tau_free,
     )
 
 
@@ -268,14 +281,16 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
     widths = sorted(config.grid.values())
     rows: list[SweepRow] = []
     for strength in config.potentials:
-        tau_inf = _NAN
+        coeffs, tau_inf = None, _NAN
         if strength > 0.0:
             with contextlib.suppress(OverflowGuardError):
-                tau_inf = hartman_limit_time(particle, strength)
+                coeffs = hartman_coeffs(particle, strength)
+                tau_inf = _limit_time(coeffs, particle.k)
+        shared = _Shared(_geometry(particle, strength), coeffs, tau_inf=tau_inf)
         for n_cells in config.cells:
             for width in widths:
-                row = evaluate_point(particle, CellSpec(strength, width), n_cells)
-                rows.append(replace(row, tau_inf=tau_inf))
+                cell = CellSpec(strength, width)
+                rows.append(evaluate_point(particle, cell, n_cells, _shared=shared))
     return rows
 
 
@@ -293,11 +308,10 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
     counts = config.grid.integer_values()
     rows: list[SweepRow] = []
     for strength in config.potentials:
+        shared = _Shared(_geometry(particle, strength), tau_free=tau_free)
         for n_cells in counts:
-            width = span / (2.0 * n_cells)
-            row = evaluate_point(particle, CellSpec(strength, width), n_cells)
-            rel_gap = abs(row.tau - tau_free) / tau_free
-            rows.append(replace(row, tau_free=tau_free, rel_gap=rel_gap))
+            cell = CellSpec(strength, span / (2.0 * n_cells))
+            rows.append(evaluate_point(particle, cell, n_cells, _shared=shared))
     return rows
 
 
@@ -480,35 +494,62 @@ def run_limits() -> LimitsReport:
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    x = float(value)  # type: ignore[arg-type]
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+# CSV: the columns the package computes as floats, and those that carry the
+# caller's inputs.
+_CSV_FLOAT_COLUMNS = frozenset(("L", "tau", "tau_inf", "tau_free", "rel_gap", "t_abs", "theta"))
+_INPUT_COLUMNS = frozenset(("E", "V", "N", "b"))
+
+
+def _column(rows: list[SweepRow], column: str) -> Iterator:
+    """One column's values over the rows, flags joined with ';'."""
+    if column == "flags":
+        return map(";".join, map(attrgetter("flags"), rows))
+    return map(attrgetter(_COLUMN_FIELDS[column]), rows)
+
+
+def _csv_column(rows: list[SweepRow], column: str) -> Iterable:
+    values = _column(rows, column)
+    if column in _INPUT_COLUMNS:
+        # A library caller may pass an int E, V or b (N is one); str keeps
+        # every digit where %.17g would round it past 2**53.
+        return [str(v) if isinstance(v, int) else "%.17g" % v for v in values]
+    return values
 
 
 def rows_to_csv(rows: Iterable[SweepRow], columns: tuple[str, ...]) -> str:
-    """Render rows as CSV: fixed header, ',' delimiter, 17 significant digits, LF."""
-    getters = [_COLUMN_VALUES[c] for c in columns]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(get(row)) for get in getters))
-    return "\n".join(lines) + "\n"
+    """Render rows as CSV: fixed header, ',' delimiter, 17 significant digits, LF.
+
+    Each row goes through one template for the column set; ``columns``
+    names one or more columns.
+    """
+    rows = list(rows)
+    template = ",".join("%.17g" if c in _CSV_FLOAT_COLUMNS else "%s" for c in columns)
+    cells = zip(*(_csv_column(rows, c) for c in columns))
+    return "\n".join([",".join(columns), *map(template.__mod__, cells)]) + "\n"
 
 
 def rows_to_json(rows: Iterable[SweepRow], columns: tuple[str, ...], mode: str) -> str:
-    getters = [(c, _COLUMN_VALUES[c]) for c in columns]
-    payload = {
-        "schema": {"mode": mode, "version": SCHEMA_VERSION, "columns": list(columns)},
-        "rows": [{c: get(row) for c, get in getters} for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Render rows as the document ``json.dumps(payload, indent=2)`` gives for
+    {"schema": {mode, version, columns}, "rows": [{column: value}, ...]}.
+
+    json's C encoder turns every value into its JSON text in one pass (an
+    indent would send json to its pure-Python encoder); '\\n' never occurs
+    inside that text, so it separates the values, which a row template for
+    the column set then lays out.  ``columns`` names one or more columns.
+    """
+    rows = list(rows)
+    values = [mode, SCHEMA_VERSION, *columns]
+    values += chain.from_iterable(zip(*(_column(rows, c) for c in columns)))
+    mode_text, version_text, *texts = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+    keys, texts = texts[: len(columns)], texts[len(columns) :]
+    row_template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    row_list = "[]"
+    if rows:
+        row_list = "[\n" + ",\n".join([row_template] * len(rows)) % tuple(texts) + "\n  ]"
+    return (
+        '{\n  "schema": {\n    "mode": %s,\n    "version": %s,\n    "columns": [\n      %s\n    ]\n'
+        '  },\n  "rows": %s\n}\n' % (mode_text, version_text, ",\n      ".join(keys), row_list)
+    )
 
 
 def write_text(text: str, destination: str | TextIO) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chebyshev import ZERO_OF_T_TOL, cheb_ratio_q, cheb_T, cheb_T_sign, cheb_U
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     SpectralSingularityError,
     ZeroOfTError,
 )
-from .model import CellSpec, Derived, Particle, derived_quantities
+from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, derived_quantities
 
 __all__ = [
     "BETA_MAX",
@@ -75,29 +76,31 @@ _LN_DIRECT = 690.0
 _NAN = float("nan")
 
 
-def _span(cell: CellSpec, n_cells: int) -> float:
-    return 2.0 * n_cells * cell.width
-
-
 def _wrap_phase(raw: float) -> float:
-    """Principal value of a phase in (-pi, pi]."""
+    """Principal value of a phase in (-pi, pi]; nan for a phase that overflowed."""
+    if not math.isfinite(raw):
+        return _NAN
     wrapped = math.remainder(raw, math.tau)
     return wrapped if wrapped > -math.pi else math.pi
 
 
-def _guarded(particle: Particle, cell: CellSpec) -> Derived:
-    d = derived_quantities(particle, cell)
-    if d.beta > BETA_MAX:
-        raise OverflowGuardError(
-            f"growth exponent beta = {d.beta:.3f} exceeds {BETA_MAX:.0f}; "
+def _range_error(scaled: tuple[float, float, float, float]) -> OverflowGuardError | None:
+    """Why the exact cell expressions cannot be evaluated at these
+    (alpha, beta, alpha', beta'), or None where they can."""
+    alpha, beta = scaled[0], scaled[1]
+    if beta > BETA_MAX:
+        return OverflowGuardError(
+            f"growth exponent beta = {beta:.3f} exceeds {BETA_MAX:.0f}; "
             "exp(2*beta) leaves double range -- use the thick-barrier limit"
         )
-    return d
+    if not math.isfinite(2.0 * alpha):
+        return OverflowGuardError(f"cell phase 2*alpha = 2*{alpha:.3e} leaves double range")
+    return None
 
 
-@dataclass(frozen=True)
-class _CellScalars:
-    """xi, chi plus the offsets xi -+ 1 in cancellation-free form.
+class _CellScalars(NamedTuple):
+    """xi, chi and their k-derivatives, plus the offsets xi -+ 1 in
+    cancellation-free form.
 
     The time expression divides by xi^2 - 1, and for thin cells xi sits
     within O(b^2) of 1, where forming xi - 1 from the rounded xi would lose
@@ -117,14 +120,23 @@ class _CellScalars:
     xi_minus_1: float
     xi_plus_1: float
     chi: float
+    xi_prime: float
+    chi_prime: float
 
 
-def _cell_scalars(d: Derived) -> _CellScalars:
-    sin_a = math.sin(d.alpha)
-    cos_a = math.cos(d.alpha)
-    sinh_b = math.sinh(d.beta)
-    cosh_b = math.cosh(d.beta)
-    cos_2phi = math.cos(2.0 * d.phi)
+def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> _CellScalars:
+    alpha, beta, alpha_prime, beta_prime = scaled
+    sin_phi = geo.sin_phi
+    cos_phi = geo.cos_phi
+    cos_2phi = geo.cos_2phi
+    sin_a = math.sin(alpha)
+    cos_a = math.cos(alpha)
+    sinh_b = math.sinh(beta)
+    cosh_b = math.cosh(beta)
+    sin_2a = math.sin(2.0 * alpha)
+    cos_2a = math.cos(2.0 * alpha)
+    sinh_2b = math.sinh(2.0 * beta)
+    cosh_2b = math.cosh(2.0 * beta)
     sin_a2 = sin_a * sin_a
     cos_a2 = cos_a * cos_a
     sinh_b2 = sinh_b * sinh_b
@@ -135,15 +147,22 @@ def _cell_scalars(d: Derived) -> _CellScalars:
     xi_plus_1 = cos_a2 * (1.0 - cos_2phi * sinh_b2) + cosh_b2 * (
         1.0 - cos_2phi * sin_a2
     )
-    chi = 0.5 * (
-        d.u_plus * math.cos(d.phi) * math.sin(2.0 * d.alpha)
-        + d.u_minus * math.sin(d.phi) * math.sinh(2.0 * d.beta)
+    chi = 0.5 * (geo.u_plus * cos_phi * sin_2a + geo.u_minus * sin_phi * sinh_2b)
+    xi_prime = (
+        2.0 * beta_prime * sin_phi * sin_phi * sinh_2b
+        - 2.0 * alpha_prime * cos_phi * cos_phi * sin_2a
+        + geo.phi_prime * geo.sin_2phi * (cosh_2b - cos_2a)
+    )
+    chi_prime = (
+        geo.u_plus
+        * (alpha_prime * cos_2a * cos_phi - 0.5 * geo.phi_prime * sin_phi * sin_2a)
+        + geo.u_minus
+        * (beta_prime * cosh_2b * sin_phi + 0.5 * geo.phi_prime * cos_phi * sinh_2b)
+        + 0.5 * geo.u_plus_prime * cos_phi * sin_2a
+        + 0.5 * geo.u_minus_prime * sin_phi * sinh_2b
     )
     return _CellScalars(
-        xi=0.5 * (xi_minus_1 + xi_plus_1),
-        xi_minus_1=xi_minus_1,
-        xi_plus_1=xi_plus_1,
-        chi=chi,
+        0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime
     )
 
 
@@ -160,27 +179,13 @@ def _growth_scale(scalars: _CellScalars) -> float:
     return math.sqrt(abs(scalars.xi_minus_1)) * math.sqrt(abs(scalars.xi_plus_1))
 
 
-def _xi_chi_prime(d: Derived) -> tuple[float, float]:
-    sin_phi = math.sin(d.phi)
-    cos_phi = math.cos(d.phi)
-    sin_2a = math.sin(2.0 * d.alpha)
-    cos_2a = math.cos(2.0 * d.alpha)
-    sinh_2b = math.sinh(2.0 * d.beta)
-    cosh_2b = math.cosh(2.0 * d.beta)
-    xi_p = (
-        2.0 * d.beta_prime * sin_phi * sin_phi * sinh_2b
-        - 2.0 * d.alpha_prime * cos_phi * cos_phi * sin_2a
-        + d.phi_prime * math.sin(2.0 * d.phi) * (cosh_2b - cos_2a)
-    )
-    chi_p = (
-        d.u_plus
-        * (d.alpha_prime * cos_2a * cos_phi - 0.5 * d.phi_prime * sin_phi * sin_2a)
-        + d.u_minus
-        * (d.beta_prime * cosh_2b * sin_phi + 0.5 * d.phi_prime * cos_phi * sinh_2b)
-        + 0.5 * d.u_plus_prime * cos_phi * sin_2a
-        + 0.5 * d.u_minus_prime * sin_phi * sinh_2b
-    )
-    return xi_p, chi_p
+def _guarded(particle: Particle, cell: CellSpec) -> _CellScalars:
+    geo = _geometry(particle, cell.strength)
+    scaled = _scaled(geo, cell.width)
+    error = _range_error(scaled)
+    if error is not None:
+        raise error
+    return _cell_scalars(geo, scaled)
 
 
 def xi_chi(particle: Particle, cell: CellSpec) -> tuple[float, float]:
@@ -190,15 +195,17 @@ def xi_chi(particle: Particle, cell: CellSpec) -> tuple[float, float]:
     N-cell Chebyshev composition; chi is the matching imaginary part, so that
     the single-cell transmission is exp(-2i*k*b)/(xi - i*chi).
 
-    Raises OverflowGuardError for beta > BETA_MAX.
+    Raises OverflowGuardError for beta > BETA_MAX, or where the cell phase
+    2*alpha leaves double range.
     """
-    scalars = _cell_scalars(_guarded(particle, cell))
+    scalars = _guarded(particle, cell)
     return scalars.xi, scalars.chi
 
 
 def xi_chi_prime(particle: Particle, cell: CellSpec) -> tuple[float, float]:
     """Exact k-derivatives (xi', chi') of :func:`xi_chi` at fixed (V, b)."""
-    return _xi_chi_prime(_guarded(particle, cell))
+    scalars = _guarded(particle, cell)
+    return scalars.xi_prime, scalars.chi_prime
 
 
 @dataclass(frozen=True)
@@ -211,8 +218,9 @@ class ClosedForm:
     ``error`` replaces it: SpectralSingularityError when |G| vanishes,
     OverflowGuardError when |G| leaves double range.  ``theta`` is the phase
     of t, the bounded-ratio phase where |t| underflows, and nan at a
-    singularity.  ``handoff`` marks beta > BETA_MAX, where nothing is
-    evaluated and ``error`` says why.
+    singularity.  Where nothing is evaluated, tau and theta are nan and
+    ``error`` (an OverflowGuardError) says why: ``handoff`` marks
+    beta > BETA_MAX, otherwise the phase 2*alpha or k*L leaves double range.
     """
 
     tau: float
@@ -242,20 +250,27 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     without ever materializing an overflowing polynomial.  N = 0 gives
     t = 1 and tau = theta = 0.
     """
+    return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
+
+
+def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
+    """:func:`closed_form` on a (k, V) geometry that many widths share."""
     if n_cells < 0:
         raise ValueError("n_cells must be >= 0")
     if n_cells == 0:
         return ClosedForm(tau=0.0, theta=0.0, t=1.0 + 0.0j)
-    try:
-        d = _guarded(particle, cell)
-    except OverflowGuardError as error:
-        return ClosedForm(tau=_NAN, theta=_NAN, t=None, error=error, handoff=True)
-    scalars = _cell_scalars(d)
-    xi, chi = scalars.xi, scalars.chi
-    xi_p, chi_p = _xi_chi_prime(d)
+    scaled = _scaled(geo, width)
     n = n_cells
-    k = particle.k
-    length = _span(cell, n)
+    k = geo.k
+    length = 2.0 * n * width
+    error = _range_error(scaled)
+    if error is None and not math.isfinite(k * length):
+        error = OverflowGuardError(f"lattice phase k*L = {k:.3e}*{length:.3e} leaves double range")
+    if error is not None:
+        return ClosedForm(_NAN, _NAN, None, error, handoff=scaled[1] > BETA_MAX)
+    scalars = _cell_scalars(geo, scaled)
+    xi, chi = scalars.xi, scalars.chi
+    xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
     quad = scalars.xi_minus_1 * scalars.xi_plus_1  # inf far outside the band is fine
     band_edge = abs(quad) < BAND_EDGE_TOL
     outside = abs(xi) > 1.0
@@ -345,9 +360,10 @@ def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> com
 
 
 def _timed(record: ClosedForm, n_cells: int) -> ClosedForm:
-    """The record, unless tau and theta are undefined there: past BETA_MAX
-    (OverflowGuardError) or at a root of T_N (ZeroOfTError)."""
-    if record.handoff:
+    """The record, unless tau and theta are undefined there: where the cell
+    was not evaluated (OverflowGuardError: past BETA_MAX, or a phase out of
+    double range) or at a root of T_N (ZeroOfTError)."""
+    if record.error is not None and math.isnan(record.xi):
         raise record.error
     if record.zero_of_t:
         raise ZeroOfTError(n_cells, record.xi)
@@ -358,7 +374,8 @@ def phase_theta(particle: Particle, cell: CellSpec, n_cells: int) -> float:
     """Transmission phase, principal value in (-pi, pi]; see :class:`ClosedForm`.
 
     Raises ZeroOfTError on roots of T_N, where the arctan parameterization
-    arctan(q*chi) - k*L jumps by pi, and OverflowGuardError past BETA_MAX.
+    arctan(q*chi) - k*L jumps by pi, and OverflowGuardError past BETA_MAX
+    or where the phase 2*alpha or k*L leaves double range.
     """
     return _timed(closed_form(particle, cell, n_cells), n_cells).theta
 
@@ -367,9 +384,13 @@ def tunneling_time(particle: Particle, cell: CellSpec, n_cells: int) -> float:
     """Analytic stationary-phase tunneling time; see :func:`closed_form`.
 
     Raises ZeroOfTError at roots of T_N (use :func:`tunneling_time_fd`
-    there) and OverflowGuardError past BETA_MAX.
+    there), and OverflowGuardError past BETA_MAX or wherever else the time
+    is not finite (its k-derivatives leave double range, as at E = 1e300).
     """
-    return _timed(closed_form(particle, cell, n_cells), n_cells).tau
+    record = _timed(closed_form(particle, cell, n_cells), n_cells)
+    if not math.isfinite(record.tau):
+        raise OverflowGuardError(f"tunneling time is {record.tau!r}: its terms leave double range")
+    return record.tau
 
 
 def tunneling_time_fd(
@@ -396,7 +417,7 @@ def tunneling_time_fd(
     t_hi = transmission_closed(Particle((k + dk) ** 2), cell, n_cells)
     t_lo = transmission_closed(Particle((k - dk) ** 2), cell, n_cells)
     dtheta = math.remainder(cmath.phase(t_hi) - cmath.phase(t_lo), math.tau)
-    length = _span(cell, n_cells)
+    length = 2.0 * n_cells * cell.width
     return (dtheta / (2.0 * dk) + length) / (2.0 * k)
 
 
@@ -438,12 +459,7 @@ def hartman_coeffs(
     sin_phi = math.sin(d.phi)
     cos_phi = math.cos(d.phi)
     sin_2phi = math.sin(2.0 * d.phi)
-    try:
-        rho3 = d.rho**3
-    except OverflowError:
-        raise OverflowGuardError(
-            f"rho^3 = {d.rho:.3e}^3 leaves double range; no thick-cell expansion"
-        ) from None
+    rho3 = _power(d.rho, 3)
     osc_factor = k * k * cos_phi * cos_phi + 0.5 * v * sin_2phi
     dec_factor = k * k * sin_phi * sin_phi - 0.5 * v * sin_2phi
     return HartmanCoeffs(
@@ -476,6 +492,14 @@ def _limit_time(c: HartmanCoeffs, k: float) -> float:
     return tau
 
 
+def _power(x: float, exponent: int) -> float:
+    """x**exponent, or OverflowGuardError where it leaves double range."""
+    try:
+        return x**exponent
+    except OverflowError:
+        raise OverflowGuardError(f"{x:.3e}**{exponent} leaves double range") from None
+
+
 def free_propagation_time(particle: Particle, span: float) -> float:
     """Time L/(2k) for a free particle to traverse a length L."""
     if not (math.isfinite(span) and span >= 0.0):
@@ -490,6 +514,8 @@ def n_infinity_bracket(particle: Particle, strength: float, span: float) -> floa
     + 2V*rho*sin(2phi)] literally; the bracket collapses to 2*rho^3, so the
     value equals the free-propagation time L/(2k) identically.  Keeping the
     unsimplified form makes the cancellation itself testable.
+
+    Raises OverflowGuardError where a term of the bracket leaves double range.
     """
     if strength < 0.0:
         raise ValueError("strength must be >= 0")
@@ -497,13 +523,16 @@ def n_infinity_bracket(particle: Particle, strength: float, span: float) -> floa
         raise ValueError(f"span must be finite and > 0, got {span!r}")
     d = derived_quantities(particle, CellSpec(strength, 1.0))
     k = particle.k
-    rho3 = d.rho**3
+    rho3 = _power(d.rho, 3)
     bracket = (
         rho3
-        + (k**4 - strength * strength) / (k * k) * d.rho * math.cos(2.0 * d.phi)
+        + (_power(k, 4) - strength * strength) / (k * k) * d.rho * math.cos(2.0 * d.phi)
         + 2.0 * strength * d.rho * math.sin(2.0 * d.phi)
     )
-    return span / (4.0 * k * rho3) * bracket
+    value = span / (4.0 * k * rho3) * bracket
+    if not math.isfinite(value):
+        raise OverflowGuardError(f"thin-cell bracket {bracket!r} leaves double range")
+    return value
 
 
 def square_barrier_time(particle: Particle, barrier_height: float, span: float) -> float:

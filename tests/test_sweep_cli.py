@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,11 @@ from pttunnel import (
     GridSpec,
     Particle,
     SweepConfig,
+    SweepRow,
+    closed_form,
     evaluate_point,
+    free_propagation_time,
+    hartman_limit_time,
     run_limits,
     run_point,
     run_sweep_b,
@@ -24,6 +29,7 @@ from pttunnel import (
 from pttunnel import sweep as sweep_mod
 from pttunnel.cli import main
 from pttunnel.sweep import (
+    POINT_COLUMNS,
     SWEEP_B_COLUMNS,
     SWEEP_N_COLUMNS,
     rows_to_csv,
@@ -97,6 +103,16 @@ def test_point_row_fd_fallback_at_phase_jump():
     assert math.isfinite(row.t_abs)  # transmission itself is regular there
 
 
+def test_point_row_limit_survives_an_infinite_span():
+    # L = 2*10*1e308 is inf: the phase k*L is undefined, the thick-cell
+    # time does not depend on L
+    row = evaluate_point(Particle(1.0), CellSpec(1.0, 1e308), 10)
+    assert row.span == math.inf
+    assert (row.tau_method, row.flags) == ("hartman-limit", ("Overflow",))
+    assert row.tau == hartman_limit_time(Particle(1.0), 1.0)
+    assert math.isnan(row.theta)
+
+
 def test_point_row_empty_lattice():
     row = evaluate_point(Particle(2.0), CellSpec(30.0, 0.5), 0)
     assert row.tau == 0.0
@@ -120,7 +136,7 @@ def test_point_row_spectral_singularity_flagged(monkeypatch):
     from pttunnel.errors import SpectralSingularityError
     from pttunnel.timing import ClosedForm
 
-    def singular_root(particle, cell, n_cells):
+    def singular_root(geometry, width, n_cells):
         # a root of T_N (time by finite differences) where |G| also vanishes
         nan = float("nan")
         return ClosedForm(nan, nan, None, SpectralSingularityError(0.0), 0.5, zero_of_t=True)
@@ -128,7 +144,7 @@ def test_point_row_spectral_singularity_flagged(monkeypatch):
     def raise_singular(*args, **kwargs):
         raise SpectralSingularityError(0.0)
 
-    monkeypatch.setattr(sweep_mod, "closed_form", singular_root)
+    monkeypatch.setattr(sweep_mod, "_closed_form", singular_root)
     monkeypatch.setattr(sweep_mod, "tunneling_time_fd", raise_singular)
     row = evaluate_point(Particle(1.0), CellSpec(20.0, 0.25), 2)
     assert row.tau_method == "fd-fallback"
@@ -224,6 +240,66 @@ def test_sweep_n_free_space_control_exact():
         assert row.rel_gap < 1e-12
 
 
+def _same(a, b):
+    return a == b or (a != a and b != b)  # nan equals nan here
+
+
+# One sweep-b and two sweep-n runs whose rows take every path of
+# evaluate_point: V = 0, in band and out of band, log-domain |t|, the
+# XiAtUnity band edge and the hartman-limit handoff.
+_PATH_CONFIGS = (
+    _sweep_b_config(
+        energy=1.0, potentials=(20.0, 0.0, 3.0), cells=(3, 12),
+        grid=GridSpec(1e-3, 300.0, 40, log=True),
+    ),
+    SweepConfig(
+        mode="sweep-n", energy=1.0, potentials=(0.0, 0.5, 5.0), span=1.0,
+        grid=GridSpec(1, 1e6, 25, log=True),
+    ),
+    SweepConfig(
+        mode="sweep-n", energy=1.0, potentials=(20.0,), span=3000.0,
+        grid=GridSpec(1, 64, 7, log=True),
+    ),
+)
+
+
+def test_sweep_rows_equal_point_rows():
+    # the sweeps compute the (E, V) work once; every row must still be the
+    # row evaluate_point gives at its own point, plus the reference columns
+    paths = set()
+    for config in _PATH_CONFIGS:
+        particle = Particle(config.energy)
+        run = run_sweep_b if config.mode == "sweep-b" else run_sweep_n
+        rows = run(config)
+        assert rows
+        for row in rows:
+            cell = CellSpec(row.strength, row.width)
+            expected = evaluate_point(particle, cell, row.n_cells)
+            if config.mode == "sweep-b":
+                tau_inf = hartman_limit_time(particle, row.strength) if row.strength else math.nan
+                expected = dataclasses.replace(expected, tau_inf=tau_inf)
+            else:
+                tau_free = free_propagation_time(particle, config.span)
+                rel_gap = abs(expected.tau - tau_free) / tau_free
+                expected = dataclasses.replace(expected, tau_free=tau_free, rel_gap=rel_gap)
+            for field in dataclasses.fields(SweepRow):
+                assert _same(getattr(row, field.name), getattr(expected, field.name)), (
+                    field.name, row, expected,
+                )
+            xi = closed_form(particle, cell, row.n_cells).xi
+            paths.add(row.tau_method)
+            paths.update(row.flags)
+            if row.strength == 0.0:
+                paths.add("free")
+            if row.tau_method == "analytic":
+                paths.add("in-band" if abs(xi) < 1.0 else "out-of-band")
+                if row.t_abs == 0.0:
+                    paths.add("log-domain")
+    assert paths >= {
+        "free", "in-band", "out-of-band", "log-domain", "XiAtUnity", "hartman-limit",
+    }
+
+
 def test_sweep_validation_errors():
     with pytest.raises(ValueError):
         run_sweep_b(_sweep_b_config(cells=()))
@@ -245,6 +321,92 @@ def test_csv_round_trip_precision(tmp_path):
     assert lines[0] == ",".join(SWEEP_B_COLUMNS)
     cells = lines[1].split(",")
     assert float(cells[5]) == rows[0].tau  # 17 significant digits round-trip
+
+
+# The writers as they were before the per-column-set templates: one
+# formatting call per cell, and json.dumps with an indent.
+_FIELDS = {"E": "energy", "V": "strength", "N": "n_cells", "b": "width", "L": "span"}
+
+
+def _reference_value(row, column):
+    if column == "flags":
+        return ";".join(row.flags)
+    return getattr(row, _FIELDS.get(column, column))
+
+
+def _reference_cell(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    x = float(value)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(x, ".17g")
+
+
+def _reference_csv(rows, columns):
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_reference_cell(_reference_value(row, c)) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(rows, columns, mode):
+    payload = {
+        "schema": {"mode": mode, "version": "1", "columns": list(columns)},
+        "rows": [{c: _reference_value(row, c) for c in columns} for row in rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class _Float(float):
+    """A float subclass, as a numpy scalar is, that renders itself wrongly."""
+
+    def __repr__(self):
+        return "_Float()"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "_Float()"
+
+
+def _writer_rows():
+    odd = SweepRow(
+        energy=_Float(1.5), strength=_Float(-0.0), n_cells=7, width=_Float(0.1),
+        span=-0.0, tau=math.nan, tau_method="fd-fallback", t_abs=math.inf,
+        theta=-math.inf, flags=("XiAtUnity", "Overflow"), tau_inf=-0.0,
+        tau_free=_Float(math.inf), rel_gap=_Float(-math.inf),
+    )
+    # int E, V and b from a library caller; 2**60 + 1 is past what %.17g keeps
+    exact = evaluate_point(Particle(2**60 + 1), CellSpec(20, 1), 2)
+    ints = evaluate_point(Particle(1), CellSpec(20, 1), 2)
+    swept = run_sweep_b(_PATH_CONFIGS[0])[::7] + run_sweep_n(_PATH_CONFIGS[1])[::5]
+    floats = run_sweep_n(
+        SweepConfig(
+            mode="sweep-n", energy=_Float(1.5), potentials=(_Float(3.0),),
+            span=_Float(2.0), grid=GridSpec(1, 9, 3),
+        )
+    )
+    return [odd, exact, ints, *swept, *floats]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [SWEEP_B_COLUMNS, SWEEP_N_COLUMNS, POINT_COLUMNS, ("flags", "N", "theta"), ("E",)],
+)
+def test_writers_match_reference_bytes(columns):
+    rows = _writer_rows()
+    assert isinstance(rows[-1].energy, _Float)
+    empty = run_sweep_n(dataclasses.replace(_PATH_CONFIGS[1], grid=GridSpec.parse("0.1:0.2:3")))
+    assert empty == []
+    for sample in (rows, rows[:1], empty):
+        assert rows_to_csv(sample, columns) == _reference_csv(sample, columns)
+        for mode in ("sweep-b", "sweep-n", "point"):
+            assert rows_to_json(sample, columns, mode) == _reference_json(sample, columns, mode)
 
 
 def test_sweep_output_is_byte_identical(tmp_path):
@@ -369,6 +531,20 @@ def test_cli_point_huge_energy_flags_overflow(capsys):
     assert "error: Overflow:" in err
     assert (row["tau"], row["tau_method"], row["flags"]) == ("nan", "analytic", "Overflow")
     assert float(row["t_abs"]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("energy, width, cells", [("100", "1e307", "1"), ("1", "1e307", "100")])
+def test_cli_point_huge_width_flags_overflow(energy, width, cells, capsys):
+    # the cell phase 2*b*k (b = 1e307, k = 10) or the lattice phase k*L
+    # (L = 2e309) leaves double range; every input is finite and valid
+    rc, row, err = _point_row(
+        "--energy", energy, "--potential", "0", "--width", width, "--cells", cells,
+        capsys=capsys,
+    )
+    assert rc == 4
+    assert "error: Overflow:" in err
+    assert (row["tau"], row["tau_method"], row["flags"]) == ("nan", "analytic", "Overflow")
+    assert (row["t_abs"], row["theta"]) == ("nan", "nan")
 
 
 def test_cli_sweep_b_huge_potential_has_nan_limit(tmp_path):

@@ -290,6 +290,35 @@ def test_closed_form_underflow_keeps_bounded_phase():
     assert cf.tau == pytest.approx(hartman_limit_time(p, 20.0), rel=1e-10)
 
 
+def test_time_that_is_not_finite_is_typed():
+    # alpha' is inf/inf at E = 1e300, so the record's tau is nan away from
+    # any root of T_N; the transmission itself is still fine there
+    p = Particle(1e300)
+    cell = CellSpec(20.0, 0.25)
+    cf = closed_form(p, cell, 2)
+    assert math.isnan(cf.tau) and not cf.zero_of_t and cf.error is None
+    with pytest.raises(OverflowGuardError):
+        tunneling_time(p, cell, 2)
+    assert abs(transmission_closed(p, cell, 2)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("width, n_cells", [(1e307, 1), (1e306, 100)])
+def test_closed_form_huge_width_is_typed(width, n_cells):
+    # the cell phase 2*alpha = 2*b*k (b = 1e307) or the lattice phase k*L
+    # (L = 2e308) leaves double range at k = 10, V = 0
+    p = Particle(100.0)
+    cell = CellSpec(0.0, width)
+    cf = closed_form(p, cell, n_cells)
+    assert isinstance(cf.error, OverflowGuardError) and not cf.handoff
+    assert cf.t is None and math.isnan(cf.tau) and math.isnan(cf.theta)
+    for project in (transmission_closed, phase_theta, tunneling_time):
+        with pytest.raises(OverflowGuardError):
+            project(p, cell, n_cells)
+    if n_cells == 1:
+        with pytest.raises(OverflowGuardError):
+            xi_chi(p, cell)
+
+
 # ---------------------------------------------------------------------------
 # thick-cell (Hartman) limit
 # ---------------------------------------------------------------------------
@@ -370,6 +399,14 @@ def test_free_propagation_trivials():
 def test_thin_cell_bracket_identities():
     assert n_infinity_bracket(Particle(1.0), 20.0, 1.0) == pytest.approx(0.5, rel=1e-12)
     assert n_infinity_bracket(Particle(4.0), 7.0, 3.0) == pytest.approx(0.75, rel=1e-12)
+
+
+@pytest.mark.parametrize("energy, strength", [(1.0, 1e300), (1e160, 1.0), (1.0, 1e200)])
+def test_thin_cell_bracket_overflow_is_typed(energy, strength):
+    # rho^3 (V = 1e300), k^4 (E = 1e160) or V^2 inside the bracket
+    # (V = 1e200) leaves double range
+    with pytest.raises(OverflowGuardError):
+        n_infinity_bracket(Particle(energy), strength, 1.0)
 
 
 def test_thin_cell_bracket_random():
