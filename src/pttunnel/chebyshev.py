@@ -2,10 +2,11 @@
 
 Everything here is evaluated through the trigonometric/hyperbolic closed
 forms rather than the three-term recurrence, so values and ratios stay
-well-conditioned for arguments far outside [-1, 1].  Downstream code never
-needs a raw polynomial value at a huge argument: it consumes the bounded
-ratio ``q = U_{N-1}(x)/T_N(x)``, which this module keeps finite for |x| up
-to ~1e300 and N up to 1e6.
+well-conditioned for arguments far outside [-1, 1].  The closed-form kernel
+in :mod:`timing` takes T_N and U_{N-1} from here where both fit in a double
+and forms U_{N-1}/T_N itself; :func:`cheb_ratio_q`, finite for |x| up to
+~1e300 and N up to 1e6 and singular at the roots of T_N, serves the limit
+report and the tests.
 
 Index conventions: ``U_{-1} = 0`` and ``U_{-2} = -1`` (the standard backward
 extension of the recurrence), so that N = 0 and N = 1 lattice formulas reduce
@@ -22,7 +23,6 @@ __all__ = [
     "cheb_T",
     "cheb_U",
     "cheb_ratio_q",
-    "cheb_T_sign",
 ]
 
 # |T_N| below this (trig regime) counts as a root of T_N.
@@ -110,17 +110,3 @@ def cheb_ratio_q(n_cells: int, x: float) -> float:
         raise ZeroOfTError(n, x)
     return math.sin(n * psi) / (math.sin(psi) * t_val)
 
-
-def cheb_T_sign(n: int, x: float) -> float:
-    """Sign of T_n(x) as +-1.0, computed without forming T_n itself."""
-    if n < 0:
-        raise ValueError("cheb_T_sign requires n >= 0")
-    x = _require_finite(x)
-    if x >= 1.0:
-        return 1.0
-    if x <= -1.0:
-        return -1.0 if n % 2 else 1.0
-    t_val = math.cos(n * math.acos(x))
-    if abs(t_val) < ZERO_OF_T_TOL:
-        raise ZeroOfTError(n, x)
-    return math.copysign(1.0, t_val)

@@ -39,9 +39,8 @@ class DegeneratePotentialError(PtTunnelError, ValueError):
 class ZeroOfTError(PtTunnelError, ArithmeticError):
     """The Chebyshev ratio U_{N-1}/T_N was requested at a root of T_N.
 
-    The transmission phase crosses +-pi/2 there; callers that only need the
-    time or the transmission itself can fall back to a finite-difference or
-    complex-argument path.
+    Only :func:`pttunnel.chebyshev.cheb_ratio_q` raises it; the time, the
+    transmission and its phase are regular there.
     """
 
     code = "ZeroOfT"

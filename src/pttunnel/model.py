@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidEnergyError
+from .errors import InvalidEnergyError, OverflowGuardError
 
 __all__ = [
     "Particle",
@@ -125,6 +125,14 @@ def _geometry(particle: Particle, strength: float) -> _Geometry:
     rho2 = math.hypot(k2, v)
     rho = math.sqrt(rho2)
     rho4 = rho2 * rho2
+    rho5 = rho4 * rho
+    rho2_k2 = rho2 / k2
+    # phi' and u+-' below divide by rho^4 and rho^5, and u+-' scale with
+    # rho^2/E: past either end of double range no time is finite.
+    if rho5 == 0.0 or rho2_k2 == math.inf:
+        raise OverflowGuardError(
+            f"the cell's k-derivatives leave double range at E = {particle.energy!r}, V = {v!r}"
+        )
     phi = 0.5 * math.atan2(v, k2)
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
@@ -141,8 +149,8 @@ def _geometry(particle: Particle, strength: float) -> _Geometry:
         u_minus=k / rho - rho / k,
         rho_prime=(k / rho) ** 3,
         phi_prime=-k * v / rho4,
-        u_plus_prime=v * v / (rho4 * rho) * (1.0 - rho2 / k2),
-        u_minus_prime=v * v / (rho4 * rho) * (1.0 + rho2 / k2),
+        u_plus_prime=v * v / rho5 * (1.0 - rho2_k2),
+        u_minus_prime=v * v / rho5 * (1.0 + rho2_k2),
         alpha_rate=v * sin_phi + k2 * cos_phi,
         beta_rate=k2 * sin_phi - v * cos_phi,
     )
@@ -160,7 +168,10 @@ def _scaled(g: _Geometry, width: float) -> tuple[float, float, float, float]:
 
 
 def derived_quantities(particle: Particle, cell: CellSpec) -> Derived:
-    """Populate every derived geometric quantity for one (particle, cell) pair."""
+    """Populate every derived geometric quantity for one (particle, cell) pair.
+
+    Raises OverflowGuardError where rho^5 underflows to 0 or rho^2/E overflows.
+    """
     g = _geometry(particle, cell.strength)
     alpha, beta, alpha_prime, beta_prime = _scaled(g, cell.width)
     return Derived(

@@ -64,7 +64,6 @@ POINT_COLUMNS = ("E", "V", "N", "b", "L", "tau", "tau_method", "t_abs", "theta",
 
 METHOD_ANALYTIC = "analytic"
 METHOD_HARTMAN = "hartman-limit"
-METHOD_FD = "fd-fallback"
 
 FLAG_SINGULARITY = "SpectralSingularity"
 FLAG_BAND_EDGE = "XiAtUnity"
@@ -191,21 +190,19 @@ def evaluate_point(
     Selection of the time path:
       - beta > BETA_MAX: thick-barrier limit (method 'hartman-limit', flagged
         Overflow) -- the exact expressions leave double range there;
-      - root of T_N: finite-difference phase delay (method 'fd-fallback');
       - |xi^2 - 1| < tolerance: analytic endpoint fallback, flagged XiAtUnity;
       - otherwise the plain analytic expression.
-    A tau that is nan for any other reason is flagged Overflow.  The sweeps
-    pass ``_shared``, computed once for all their rows at (E, V =
+    A row at a spectral singularity is flagged SpectralSingularity, with
+    |t| = inf; any other row without a finite tau or t is flagged Overflow.
+    The sweeps pass ``_shared``, computed once for all their rows at (E, V =
     cell.strength); its reference columns fill tau_inf, tau_free and rel_gap.
     """
     shared = _shared or _Shared(_geometry(particle, cell.strength))
     record = _closed_form(shared.geometry, cell.width, n_cells)
     span = 2.0 * n_cells * cell.width
     flags: list[str] = []
-    method = METHOD_ANALYTIC
     tau, theta = record.tau, record.theta
     if record.handoff:
-        method = METHOD_HARTMAN
         flags.append(FLAG_OVERFLOW)
         t_abs = 0.0
         with contextlib.suppress(OverflowGuardError):
@@ -215,23 +212,16 @@ def evaluate_point(
     else:
         if record.band_edge:
             flags.append(FLAG_BAND_EDGE)
-        if record.zero_of_t:
-            method = METHOD_FD
-            try:
-                tau = tunneling_time_fd(particle, cell, n_cells)
-            except SpectralSingularityError:
-                flags.append(FLAG_SINGULARITY)
-        elif not math.isfinite(tau):
+        singular = isinstance(record.error, SpectralSingularityError)
+        if singular:
+            flags.append(FLAG_SINGULARITY)
+        elif record.error is not None or not math.isfinite(tau):
             flags.append(FLAG_OVERFLOW)
         if record.t is not None:
             t_abs = abs(record.t)
-        elif isinstance(record.error, SpectralSingularityError):
-            if FLAG_SINGULARITY not in flags:
-                flags.append(FLAG_SINGULARITY)
+        elif singular:
             t_abs = math.inf
         else:
-            if FLAG_OVERFLOW not in flags:
-                flags.append(FLAG_OVERFLOW)
             # |t| underflows where the bounded-ratio phase is left; where the
             # phase itself leaves double range, |t| is unknown.
             t_abs = 0.0 if math.isfinite(theta) else _NAN
@@ -242,7 +232,7 @@ def evaluate_point(
         width=cell.width,
         span=span,
         tau=tau,
-        tau_method=method,
+        tau_method=METHOD_HARTMAN if record.handoff else METHOD_ANALYTIC,
         t_abs=t_abs,
         theta=theta,
         flags=tuple(flags),
@@ -368,10 +358,10 @@ def draw_regular_point(
     """Draw a random (particle, cell, N) away from singular sets.
 
     Rejects points whose direct 2N-barrier product would overflow
-    (beta*N > max_beta_n), points within 1e-6 of a band edge, and in-band
-    points within 1e-2 of a root of T_N: on those sets the comparison
-    between the analytic and finite-difference paths is ill-posed by
-    construction.
+    (beta*N > max_beta_n), points within 1e-6 of a band edge, where the
+    analytic and finite-difference times cannot be compared, and in-band
+    points within 1e-2 of a root of T_N, a margin kept only so that the
+    drawn points, and so the ``limits`` report, do not move.
     """
     while True:
         particle = Particle(rng.uniform(0.1, 50.0))
@@ -407,7 +397,7 @@ def oracle_triangle_residuals(
     while used < count:
         particle, cell, n_cells = draw_regular_point(rng)
         record = closed_form(particle, cell, n_cells)
-        if record.t is None or record.zero_of_t:
+        if record.t is None:
             continue
         try:
             t_direct = transmission_from_matrix(

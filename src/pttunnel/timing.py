@@ -29,13 +29,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chebyshev import ZERO_OF_T_TOL, cheb_ratio_q, cheb_T, cheb_T_sign, cheb_U
+from .chebyshev import cheb_T, cheb_U
 from .errors import (
     DegeneratePotentialError,
     OverflowGuardError,
     PtTunnelError,
     SpectralSingularityError,
-    ZeroOfTError,
 )
 from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, derived_quantities
 
@@ -212,15 +211,14 @@ def xi_chi_prime(particle: Particle, cell: CellSpec) -> tuple[float, float]:
 class ClosedForm:
     """tau, t and theta of the N-cell lattice from one evaluation.
 
-    ``tau`` is nan where ``zero_of_t`` marks a root of T_N (the arctan
-    parameterization jumps by pi there); ``band_edge`` marks the endpoint
-    branch of the time, |xi^2 - 1| < BAND_EDGE_TOL.  ``t`` is None where
-    ``error`` replaces it: SpectralSingularityError when |G| vanishes,
-    OverflowGuardError when |G| leaves double range.  ``theta`` is the phase
-    of t, the bounded-ratio phase where |t| underflows, and nan at a
-    singularity.  Where nothing is evaluated, tau and theta are nan and
-    ``error`` (an OverflowGuardError) says why: ``handoff`` marks
-    beta > BETA_MAX, otherwise the phase 2*alpha or k*L leaves double range.
+    ``band_edge`` marks the endpoint branch of the time, |xi^2 - 1| <
+    BAND_EDGE_TOL.  ``t`` is None where ``error`` replaces it:
+    SpectralSingularityError when |G| vanishes, OverflowGuardError when |G|
+    leaves double range.  ``theta`` is the phase of t, the bounded-ratio
+    phase where |t| underflows, and nan at a singularity.  Where nothing is
+    evaluated, tau and theta are nan and ``error`` (an OverflowGuardError)
+    says why: ``handoff`` marks beta > BETA_MAX, otherwise the phase 2*alpha
+    or k*L leaves double range.
     """
 
     tau: float
@@ -229,7 +227,6 @@ class ClosedForm:
     error: PtTunnelError | None = None
     xi: float = _NAN
     band_edge: bool = False
-    zero_of_t: bool = False
     handoff: bool = False
 
 
@@ -242,13 +239,16 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
 
     with dq/dxi = (N - q*xi)/(xi^2 - 1) - N*q^2; its removable 0/0 at
     xi = +-1 takes the endpoint values q = +-N, dq/dxi = -N(2N^2+1)/3.
-    Outside the band every factor is built from the bounded ratios chi/s,
-    xi'/s, chi'/s, |xi|/s and tanh(N*arccosh|xi|) with s = sqrt(xi^2 - 1),
+    Inside the band q = sin(N*psi)/(sin(psi)*cos(N*psi)) with psi =
+    arccos(xi), finite at every double, roots of T_N included.  Outside the
+    band (xi > 1) every factor is built from the bounded ratios chi/s, xi'/s,
+    chi'/s, xi/s and tanh(N*arccosh(xi)) with s = sqrt(xi^2 - 1),
     so nothing overflows for beta <= BETA_MAX whatever the size of
     exp(2*beta).  Inside the band G is formed directly from T_N and
     U_{N-1}; outside, |G| is pre-sized in the log domain so t is computed
     without ever materializing an overflowing polynomial.  N = 0 gives
-    t = 1 and tau = theta = 0.
+    t = 1 and tau = theta = 0.  Raises OverflowGuardError where the cell
+    geometry itself leaves double range (see :func:`derived_quantities`).
     """
     return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
 
@@ -273,7 +273,9 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
     xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
     quad = scalars.xi_minus_1 * scalars.xi_plus_1  # inf far outside the band is fine
     band_edge = abs(quad) < BAND_EDGE_TOL
-    outside = abs(xi) > 1.0
+    # xi + 1 >= 2 cos^2(alpha) >= 0 for every cell (0 < cos 2phi <= 1), so
+    # outside the band xi > 1 and T_N > 0.
+    outside = xi > 1.0
     if outside:
         scale = _growth_scale(scalars)
         nu = n * math.asinh(scale)
@@ -283,23 +285,21 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
         cos_n = math.cos(n * psi)
         sin_n = math.sin(n * psi)
 
-    zero_of_t = not (band_edge or outside) and abs(cos_n) < ZERO_OF_T_TOL
-    if zero_of_t:
-        tau = _NAN
-    elif outside and not band_edge:
-        sign = 1.0 if xi > 0.0 else -1.0
+    if outside and not band_edge:
         cs = chi / scale
         xs = xi_p / scale
         cps = chi_p / scale
-        rs = abs(xi) / scale
-        q_chi = sign * tt * cs
-        bracket = sign * tt * cps + cs * xs * (n - tt * rs - n * tt * tt)
+        rs = xi / scale
+        q_chi = tt * cs
+        bracket = tt * cps + cs * xs * (n - tt * rs - n * tt * tt)
         tau = bracket / (2.0 * k * (1.0 + q_chi * q_chi))
     else:
         if band_edge:
             q = math.copysign(float(n), xi)
             dq_dxi = -n * (2.0 * n * n + 1.0) / 3.0
         else:
+            # math.cos never returns 0 for a finite double and sine >= 1e-5
+            # here, so q stays finite at the roots of T_N.
             q = sin_n / (sine * cos_n)
             dq_dxi = (n - q * xi) / quad - n * q * q
         bracket = q * chi_p + chi * xi_p * dq_dxi
@@ -318,28 +318,25 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
         else:
             t = cmath.exp(-1j * k * length) / g
     else:
-        q = math.copysign(tt / scale, xi)
+        q_chi = chi * (tt / scale)
         ln_t = nu - math.log(2.0) + math.log1p(math.exp(-2.0 * nu))
-        ln_g = ln_t + 0.5 * math.log1p((chi * q) ** 2)
+        ln_g = ln_t + 0.5 * math.log1p(q_chi**2)
+        arg_g = math.atan2(-q_chi, 1.0)
         if ln_g > _LN_MAX:
             error = OverflowGuardError(
                 f"|G| ~ exp({ln_g:.1f}) exceeds double range; "
                 "transmission magnitude underflows"
             )
             # The phase stays well defined through the bounded ratio q*chi.
-            sign_t = cheb_T_sign(n, xi)
-            q = cheb_ratio_q(n, xi)
-            theta = _wrap_phase(-k * length - math.atan2(-chi * q * sign_t, sign_t))
+            theta = _wrap_phase(-k * length - arg_g)
         elif ln_g < _LN_DIRECT:
             g = complex(cheb_T(n, xi), -chi * cheb_U(n - 1, xi))
             t = cmath.exp(-1j * k * length) / g
         else:
-            sign_t = cheb_T_sign(n, xi)
-            arg_g = math.atan2(-chi * q * sign_t, sign_t)
             t = cmath.rect(math.exp(-ln_g), -k * length - arg_g)
     if t is not None:
         theta = cmath.phase(t)
-    return ClosedForm(tau, theta, t, error, xi, band_edge, zero_of_t)
+    return ClosedForm(tau, theta, t, error, xi, band_edge)
 
 
 def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> complex:
@@ -359,35 +356,31 @@ def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> com
     return record.t
 
 
-def _timed(record: ClosedForm, n_cells: int) -> ClosedForm:
+def _timed(record: ClosedForm) -> ClosedForm:
     """The record, unless tau and theta are undefined there: where the cell
     was not evaluated (OverflowGuardError: past BETA_MAX, or a phase out of
-    double range) or at a root of T_N (ZeroOfTError)."""
+    double range)."""
     if record.error is not None and math.isnan(record.xi):
         raise record.error
-    if record.zero_of_t:
-        raise ZeroOfTError(n_cells, record.xi)
     return record
 
 
 def phase_theta(particle: Particle, cell: CellSpec, n_cells: int) -> float:
     """Transmission phase, principal value in (-pi, pi]; see :class:`ClosedForm`.
 
-    Raises ZeroOfTError on roots of T_N, where the arctan parameterization
-    arctan(q*chi) - k*L jumps by pi, and OverflowGuardError past BETA_MAX
-    or where the phase 2*alpha or k*L leaves double range.
+    Raises OverflowGuardError past BETA_MAX or where the phase 2*alpha or
+    k*L leaves double range.
     """
-    return _timed(closed_form(particle, cell, n_cells), n_cells).theta
+    return _timed(closed_form(particle, cell, n_cells)).theta
 
 
 def tunneling_time(particle: Particle, cell: CellSpec, n_cells: int) -> float:
     """Analytic stationary-phase tunneling time; see :func:`closed_form`.
 
-    Raises ZeroOfTError at roots of T_N (use :func:`tunneling_time_fd`
-    there), and OverflowGuardError past BETA_MAX or wherever else the time
-    is not finite (its k-derivatives leave double range, as at E = 1e300).
+    Raises OverflowGuardError past BETA_MAX or wherever else the time is not
+    finite (its k-derivatives leave double range, as at E = 1e300).
     """
-    record = _timed(closed_form(particle, cell, n_cells), n_cells)
+    record = _timed(closed_form(particle, cell, n_cells))
     if not math.isfinite(record.tau):
         raise OverflowGuardError(f"tunneling time is {record.tau!r}: its terms leave double range")
     return record.tau

@@ -1,6 +1,25 @@
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
 from pttunnel import CellSpec, Particle, xi_chi
+
+_REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "ptbench" / "reference.py"
+
+
+@pytest.fixture(scope="session")
+def lattice_reference():
+    """``lattice_reference(E, V, b, N, dps)`` of ``ptbench/reference.py``: an
+    mpmath slab-matrix product that shares no code or formula with pttunnel."""
+    spec = importlib.util.spec_from_file_location("ptbench_reference", _REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up there
+    spec.loader.exec_module(module)
+    return module.lattice_reference
 
 
 def bisect_width_for_xi(

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from pttunnel import ZeroOfTError, cheb_T, cheb_U, cheb_ratio_q
-from pttunnel.chebyshev import cheb_T_sign
 
 
 def recurrence_T(n: int, x: float) -> float:
@@ -92,8 +91,6 @@ def test_ratio_raises_on_root_of_first_kind():
     x = math.cos(math.pi / (2 * n))  # largest root of T_5
     with pytest.raises(ZeroOfTError):
         cheb_ratio_q(n, x)
-    with pytest.raises(ZeroOfTError):
-        cheb_T_sign(n, x)
 
 
 def test_pearl_identity_splits_first_kind():
@@ -133,17 +130,6 @@ def test_branch_continuity_across_unity():
         q_above = cheb_ratio_q(n, 1.0 + eps)
         q_below = cheb_ratio_q(n, 1.0 - eps)
         assert abs(q_above - q_below) / abs(q_above) < 1e-6
-
-
-def test_sign_helper_agrees_with_values():
-    rng = random.Random(55)
-    for _ in range(200):
-        n = rng.randint(0, 25)
-        x = rng.uniform(-4.0, 4.0)
-        t_val = cheb_T(n, x)
-        if abs(t_val) < 1e-6:
-            continue
-        assert cheb_T_sign(n, x) == math.copysign(1.0, t_val)
 
 
 def test_rejects_bad_arguments():

@@ -13,6 +13,7 @@ from conftest import bisect_width_for_xi
 from pttunnel import (
     CellSpec,
     GridSpec,
+    OverflowGuardError,
     Particle,
     SweepConfig,
     SweepRow,
@@ -94,12 +95,15 @@ def test_point_row_band_edge_flag():
     assert math.isfinite(row.tau)
 
 
-def test_point_row_fd_fallback_at_phase_jump():
+def test_point_row_analytic_at_root_of_t(lattice_reference):
+    # the arctan parameterization jumps by pi at a root of T_N; its
+    # k-derivative, the time, does not
     p = Particle(4.0)
     width = bisect_width_for_xi(p, 2.0, math.cos(math.pi / 6.0), 0.1, 0.5)
     row = evaluate_point(p, CellSpec(2.0, width), 3)
-    assert row.tau_method == "fd-fallback"
-    assert math.isfinite(row.tau)
+    assert (row.tau_method, row.flags) == ("analytic", ())
+    reference = float(lattice_reference(4.0, 2.0, width, 3, dps=60).tau)
+    assert row.tau == pytest.approx(reference, rel=1e-13)
     assert math.isfinite(row.t_abs)  # transmission itself is regular there
 
 
@@ -136,18 +140,13 @@ def test_point_row_spectral_singularity_flagged(monkeypatch):
     from pttunnel.errors import SpectralSingularityError
     from pttunnel.timing import ClosedForm
 
-    def singular_root(geometry, width, n_cells):
-        # a root of T_N (time by finite differences) where |G| also vanishes
+    def singular(geometry, width, n_cells):
         nan = float("nan")
-        return ClosedForm(nan, nan, None, SpectralSingularityError(0.0), 0.5, zero_of_t=True)
+        return ClosedForm(nan, nan, None, SpectralSingularityError(0.0), 0.5)
 
-    def raise_singular(*args, **kwargs):
-        raise SpectralSingularityError(0.0)
-
-    monkeypatch.setattr(sweep_mod, "_closed_form", singular_root)
-    monkeypatch.setattr(sweep_mod, "tunneling_time_fd", raise_singular)
+    monkeypatch.setattr(sweep_mod, "_closed_form", singular)
     row = evaluate_point(Particle(1.0), CellSpec(20.0, 0.25), 2)
-    assert row.tau_method == "fd-fallback"
+    assert row.tau_method == "analytic"
     assert row.flags == ("SpectralSingularity",)
     assert math.isnan(row.tau)
     assert row.t_abs == math.inf  # transmission diverges at a lasing point
@@ -377,7 +376,7 @@ class _Float(float):
 def _writer_rows():
     odd = SweepRow(
         energy=_Float(1.5), strength=_Float(-0.0), n_cells=7, width=_Float(0.1),
-        span=-0.0, tau=math.nan, tau_method="fd-fallback", t_abs=math.inf,
+        span=-0.0, tau=math.nan, tau_method="hartman-limit", t_abs=math.inf,
         theta=-math.inf, flags=("XiAtUnity", "Overflow"), tau_inf=-0.0,
         tau_free=_Float(math.inf), rel_gap=_Float(-math.inf),
     )
@@ -545,6 +544,29 @@ def test_cli_point_huge_width_flags_overflow(energy, width, cells, capsys):
     assert "error: Overflow:" in err
     assert (row["tau"], row["tau_method"], row["flags"]) == ("nan", "analytic", "Overflow")
     assert (row["t_abs"], row["theta"]) == ("nan", "nan")
+
+
+@pytest.mark.parametrize("strength", [0.0, 1e-300, 1.0])
+@pytest.mark.parametrize("energy", [1e-300, 1e-200, 5e-324])
+def test_tiny_energy_ends_in_a_row_or_a_typed_error(energy, strength, capsys):
+    # rho^5 = (E^2 + V^2)^(5/4) underflows to 0 unless V = 1, and at
+    # E = 5e-324 rho^2/E overflows; every input is finite and valid
+    argv = ["point", "--energy", repr(energy), "--potential", repr(strength)]
+    argv += ["--width", "1", "--cells", "1"]
+    if strength == 1.0 and energy > 5e-324:
+        row = evaluate_point(Particle(energy), CellSpec(strength, 1.0), 1)
+        assert (row.tau_method, row.flags) == ("analytic", ())
+        # tau*k settles as k -> 0; ptbench/reference.py gives 1.74229460681128
+        # at E = 1e-20 and 1e-60
+        assert row.tau * math.sqrt(energy) == pytest.approx(1.74229460681128, rel=1e-13)
+        assert main(argv) == 0
+    else:
+        with pytest.raises(OverflowGuardError):
+            evaluate_point(Particle(energy), CellSpec(strength, 1.0), 1)
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Overflow: the cell's k-derivatives leave double range")
 
 
 def test_cli_sweep_b_huge_potential_has_nan_limit(tmp_path):
