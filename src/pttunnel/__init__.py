@@ -49,7 +49,6 @@ from .transfer import (
     compose,
     lattice_matrix_direct,
     transmission_from_matrix,
-    unit_cell_matrix,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +96,6 @@ __all__ = [
     "transmission_from_matrix",
     "tunneling_time",
     "tunneling_time_fd",
-    "unit_cell_matrix",
     "xi_chi",
     "xi_chi_prime",
 ]

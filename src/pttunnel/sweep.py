@@ -19,8 +19,10 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .chebyshev import cheb_ratio_q
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle, _Geometry, _geometry, derived_quantities
+from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, derived_quantities
 from .timing import (
+    BETA_MAX,
+    ClosedForm,
     HartmanCoeffs,
     _closed_form,
     _limit_time,
@@ -171,15 +173,25 @@ _COLUMN_FIELDS = {
 
 
 class _Shared(NamedTuple):
-    """What every row at one (E, V) shares: the width-free cell geometry, and
-    the sweep's reference columns.  ``coeffs`` are the thick-cell
-    coefficients of V > 0 when the sweep has them already (None: a
-    hartman-limit row computes them)."""
+    """What every row at one (E, V) shares: the width-free cell geometry, the
+    thick-cell coefficients of V > 0 (each None where it leaves double range;
+    coeffs also where no row hands off) and the sweep's reference columns."""
 
-    geometry: _Geometry
+    geometry: _Geometry | None
     coeffs: HartmanCoeffs | None = None
     tau_inf: float = _NAN
     tau_free: float = _NAN
+
+
+# The record of a point whose (E, V) geometry leaves double range.
+_NO_GEOMETRY = ClosedForm(_NAN, _NAN, None)
+
+
+def _or_none(function, *args):
+    """function(*args), or None where that leaves double range."""
+    with contextlib.suppress(OverflowGuardError):
+        return function(*args)
+    return None
 
 
 def evaluate_point(
@@ -196,19 +208,22 @@ def evaluate_point(
     |t| = inf; any other row without a finite tau or t is flagged Overflow.
     The sweeps pass ``_shared``, computed once for all their rows at (E, V =
     cell.strength); its reference columns fill tau_inf, tau_free and rel_gap.
+    Its geometry is None where (E, V) leaves double range: an Overflow row.
     """
     shared = _shared or _Shared(_geometry(particle, cell.strength))
-    record = _closed_form(shared.geometry, cell.width, n_cells)
+    geometry = shared.geometry
+    record = _closed_form(geometry, cell.width, n_cells) if geometry else _NO_GEOMETRY
     span = 2.0 * n_cells * cell.width
     flags: list[str] = []
     tau, theta = record.tau, record.theta
     if record.handoff:
         flags.append(FLAG_OVERFLOW)
         t_abs = 0.0
-        with contextlib.suppress(OverflowGuardError):
-            coeffs = shared.coeffs or hartman_coeffs(particle, cell.strength)
+        coeffs = shared.coeffs if _shared else _or_none(hartman_coeffs, particle, cell.strength)
+        if coeffs is not None:
             theta = _wrap_phase(math.atan(coeffs.gamma) - particle.k * span)
-            tau = _limit_time(coeffs, particle.k)
+            with contextlib.suppress(OverflowGuardError):
+                tau = _limit_time(coeffs, particle.k)
     else:
         if record.band_edge:
             flags.append(FLAG_BAND_EDGE)
@@ -276,7 +291,7 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
             with contextlib.suppress(OverflowGuardError):
                 coeffs = hartman_coeffs(particle, strength)
                 tau_inf = _limit_time(coeffs, particle.k)
-        shared = _Shared(_geometry(particle, strength), coeffs, tau_inf=tau_inf)
+        shared = _Shared(_or_none(_geometry, particle, strength), coeffs, tau_inf=tau_inf)
         for n_cells in config.cells:
             for width in widths:
                 cell = CellSpec(strength, width)
@@ -285,7 +300,10 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
 
 
 def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
-    """Repetition sweep at fixed total span: b = L/(2N) for each grid N."""
+    """Repetition sweep at fixed total span: b = L/(2N) for each grid N.
+
+    Thick-cell coefficients are computed once per V, if the widest cell
+    (smallest N) hands off to the limit."""
     if config.grid is None:
         raise ValueError("sweep-n requires a repetition grid")
     if config.span is None or config.span <= 0.0:
@@ -298,7 +316,11 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
     counts = config.grid.integer_values()
     rows: list[SweepRow] = []
     for strength in config.potentials:
-        shared = _Shared(_geometry(particle, strength), tau_free=tau_free)
+        geometry = _or_none(_geometry, particle, strength)
+        coeffs = None
+        if geometry and counts and _scaled(geometry, span / (2.0 * counts[0]))[1] > BETA_MAX:
+            coeffs = _or_none(hartman_coeffs, particle, strength)
+        shared = _Shared(geometry, coeffs, tau_free=tau_free)
         for n_cells in counts:
             cell = CellSpec(strength, span / (2.0 * n_cells))
             rows.append(evaluate_point(particle, cell, n_cells, _shared=shared))

@@ -23,7 +23,6 @@ __all__ = [
     "barrier_params",
     "barrier_matrix",
     "compose",
-    "unit_cell_matrix",
     "lattice_matrix_direct",
     "transmission_from_matrix",
 ]
@@ -81,13 +80,17 @@ def barrier_params(particle: Particle, potential: complex, width: float) -> Barr
     sin_cb = cmath.sin(kc * width)
     even = (mu + 1.0 / mu) * sin_cb
     odd = (mu - 1.0 / mu) * sin_cb
-    return BarrierParams(
-        kc=kc,
-        mu=mu,
-        p_plus=2.0 * cos_cb + 1j * even,
-        p_minus=2.0 * cos_cb - 1j * even,
-        s=1j * odd,
-    )
+    return BarrierParams(kc, mu, 2.0 * cos_cb + 1j * even, 2.0 * cos_cb - 1j * even, 1j * odd)
+
+
+def _barrier_elements(particle: Particle, potential: complex, width: float) -> tuple:
+    """(-i*k*b, m11, m22, s, -0.5*s) of a barrier, whose offset phase
+    off = exp(-i*k*b*(1 + 2j)) at x = j*b gives m12 = 0.5*off*s and
+    m21 = -0.5*s/off (off*(0.5*s) rounds otherwise at zero or subnormal s)."""
+    bp = barrier_params(particle, potential, width)
+    kb = particle.k * width
+    diag = cmath.exp(-1j * kb)
+    return -1j * kb, 0.5 * diag * bp.p_plus, 0.5 * bp.p_minus / diag, bp.s, -0.5 * bp.s
 
 
 def barrier_matrix(
@@ -100,16 +103,9 @@ def barrier_matrix(
     """
     if offset_index < 0:
         raise ValueError("offset_index must be >= 0")
-    bp = barrier_params(particle, potential, width)
-    kb = particle.k * width
-    diag = cmath.exp(-1j * kb)
-    off = cmath.exp(-1j * kb * (1.0 + 2.0 * offset_index))
-    return TransferMatrix(
-        m11=0.5 * diag * bp.p_plus,
-        m12=0.5 * off * bp.s,
-        m21=-0.5 * bp.s / off,
-        m22=0.5 * bp.p_minus / diag,
-    )
+    ikb, m11, m22, s, neg_half_s = _barrier_elements(particle, potential, width)
+    off = cmath.exp(ikb * (1.0 + 2.0 * offset_index))
+    return TransferMatrix(m11, 0.5 * off * s, neg_half_s / off, m22)
 
 
 def compose(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:
@@ -122,33 +118,15 @@ def compose(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:
     )
 
 
-def unit_cell_matrix(particle: Particle, cell: CellSpec) -> TransferMatrix:
-    """Net matrix of one +iV/-iV pair, from the explicit composed expression.
-
-    Evaluates the product of the two barrier matrices in closed form; it must
-    (and, in the tests, does) agree elementwise with
-    compose(barrier_matrix(-iV, j=1), barrier_matrix(+iV, j=0)).
-    """
-    v = cell.strength
-    b = cell.width
-    b1 = barrier_params(particle, 1j * v, b)
-    b2 = barrier_params(particle, -1j * v, b)
-    phase = cmath.exp(-2j * particle.k * b)
-    return TransferMatrix(
-        m11=0.25 * phase * (b1.p_plus * b2.p_plus - b1.s * b2.s),
-        m12=0.25 * phase * (b2.p_plus * b1.s + b1.p_minus * b2.s),
-        m21=-0.25 * (b2.p_minus * b1.s + b1.p_plus * b2.s) / phase,
-        m22=0.25 * (b1.p_minus * b2.p_minus - b1.s * b2.s) / phase,
-    )
-
-
 def lattice_matrix_direct(
     particle: Particle, cell: CellSpec, n_cells: int
 ) -> TransferMatrix:
     """Brute-force product of all 2*N barrier matrices of the lattice.
 
     Cell m occupies [2m*b, (2m+2)*b], i.e. barrier offsets 2m and 2m+1, so
-    the lattice starts at x = 0 and spans L = 2*N*b.
+    the lattice starts at x = 0 and spans L = 2*N*b.  Only the offset phases
+    are formed per barrier; the product is compose(compose(loss, gain), acc)'s,
+    expression for expression.
 
     Raises
     ------
@@ -159,20 +137,27 @@ def lattice_matrix_direct(
     """
     if n_cells < 0:
         raise ValueError("n_cells must be >= 0")
-    v = cell.strength
-    b = cell.width
-    acc = IDENTITY
+    if n_cells == 0:
+        return IDENTITY
+    ikb, g11, g22, g_s, g_neg_half_s = _barrier_elements(particle, 1j * cell.strength, cell.width)
+    _, l11, l22, l_s, l_neg_half_s = _barrier_elements(particle, -1j * cell.strength, cell.width)
+    a11, a12, a21, a22 = IDENTITY.m11, IDENTITY.m12, IDENTITY.m21, IDENTITY.m22
     for m in range(n_cells):
-        gain = barrier_matrix(particle, 1j * v, b, 2 * m)
-        loss = barrier_matrix(particle, -1j * v, b, 2 * m + 1)
-        acc = compose(compose(loss, gain), acc)
-        peak = acc.max_abs()
+        off_gain = cmath.exp(ikb * (1.0 + 2.0 * (2 * m)))
+        off_loss = cmath.exp(ikb * (1.0 + 2.0 * (2 * m + 1)))
+        g12, g21 = 0.5 * off_gain * g_s, g_neg_half_s / off_gain
+        l12, l21 = 0.5 * off_loss * l_s, l_neg_half_s / off_loss
+        c11, c12 = l11 * g11 + l12 * g21, l11 * g12 + l12 * g22
+        c21, c22 = l21 * g11 + l22 * g21, l21 * g12 + l22 * g22
+        a11, a12, a21, a22 = (c11 * a11 + c12 * a21, c11 * a12 + c12 * a22,
+                              c21 * a11 + c22 * a21, c21 * a12 + c22 * a22)
+        peak = max(abs(a11), abs(a12), abs(a21), abs(a22))
         if peak > ELEMENT_GUARD:
             raise OverflowGuardError(
                 f"direct lattice product exceeds {ELEMENT_GUARD:.0e} "
                 f"after {m + 1} of {n_cells} cells (peak {peak:.3e})"
             )
-    return acc
+    return TransferMatrix(a11, a12, a21, a22)
 
 
 def transmission_from_matrix(matrix: TransferMatrix) -> complex:

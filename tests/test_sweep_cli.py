@@ -589,6 +589,65 @@ def test_cli_sweep_b_huge_potential_has_nan_limit(tmp_path):
         assert (row["tau"], row["tau_inf"], row["flags"]) == ("nan", "nan", "Overflow")
 
 
+def _read_csv(path):
+    lines = path.read_text().splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("mode", ["sweep-b", "sweep-n"])
+def test_cli_sweep_out_of_range_potential_gives_overflow_rows(mode, tmp_path, capsys):
+    # at E = 1e-300, V = 0 the cell's k-derivatives leave double range, but
+    # V = 1 is computable: the sweep writes both, and exits 0
+    out = tmp_path / "rows.csv"
+    argv = [mode, "--energy", "1e-300", "--potential", "0", "--potential", "1"]
+    if mode == "sweep-b":
+        argv += ["--cells", "1", "--cells", "3", "--grid", "0.1:2:4"]
+        reference = "tau_inf"
+    else:
+        argv += ["--span", "1", "--grid", "1:8:4"]
+        reference = "rel_gap"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _read_csv(out)
+    bad = [row for row in rows if row["V"] == "0"]
+    good = [row for row in rows if row["V"] == "1"]
+    assert len(bad) == len(good) == len(rows) // 2 > 0
+    for row in bad:
+        assert row["flags"] == "Overflow"
+        assert [row[c] for c in ("tau", "t_abs", "theta", reference)] == ["nan"] * 4
+        if mode == "sweep-n":
+            assert float(row["tau_free"]) == free_propagation_time(Particle(1e-300), 1.0)
+    for row in good:
+        expected = evaluate_point(Particle(1e-300), CellSpec(1.0, float(row["b"])), int(row["N"]))
+        assert row["flags"] == ""
+        assert row["tau"] == "%.17g" % expected.tau
+        assert row["theta"] == "%.17g" % expected.theta
+
+
+def test_sweep_n_computes_thick_cell_coefficients_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(particle, strength, width=1.0):
+        calls.append(strength)
+        return real_hartman_coeffs(particle, strength, width)
+
+    monkeypatch.setattr(sweep_mod, "hartman_coeffs", counted)
+    # span 3000: the four widest cells hand off to the thick-cell limit
+    config = _PATH_CONFIGS[2]
+    methods = [row.tau_method for row in run_sweep_n(config)]
+    assert methods.count("hartman-limit") == 4
+    assert calls == [20.0]
+    calls.clear()
+    argv = ["sweep-n", "--energy", "1", "--potential", "20", "--grid", "1:64:7:log"]
+    out = tmp_path / "rows.csv"
+    assert main([*argv, "--span", "3000", "--output", str(out)]) == 0
+    assert calls == [20.0]
+    # span 1: no row hands off, so no coefficients
+    calls.clear()
+    assert main([*argv, "--span", "1", "--output", str(out)]) == 0
+    assert calls == []
+
+
 def test_cli_sweep_b_writes_deterministic_file(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

@@ -25,7 +25,6 @@ from pttunnel import (
     transmission_from_matrix,
     tunneling_time,
     tunneling_time_fd,
-    unit_cell_matrix,
     xi_chi,
     xi_chi_prime,
 )
@@ -47,12 +46,13 @@ def test_xi_chi_consistent_with_unit_cell_matrix():
     # single-cell closed form must invert m22 exactly
     p = Particle(1.0)
     cell = CellSpec(20.0, 0.3)
-    t_matrix = transmission_from_matrix(unit_cell_matrix(p, cell))
+    unit_cell = lattice_matrix_direct(p, cell, 1)
+    t_matrix = transmission_from_matrix(unit_cell)
     t_closed = transmission_closed(p, cell, 1)
     assert abs(t_closed - t_matrix) / abs(t_matrix) < 1e-12
     # and xi - i*chi is m22 stripped of its free phase
     xi, chi = xi_chi(p, cell)
-    reduced = unit_cell_matrix(p, cell).m22 * cmath.exp(-2j * p.k * cell.width)
+    reduced = unit_cell.m22 * cmath.exp(-2j * p.k * cell.width)
     assert xi == pytest.approx(reduced.real, rel=1e-12)
     assert -chi == pytest.approx(reduced.imag, rel=1e-12)
 

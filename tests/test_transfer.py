@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 
 import pytest
@@ -15,9 +16,8 @@ from pttunnel import (
     lattice_matrix_direct,
     transmission_closed,
     transmission_from_matrix,
-    unit_cell_matrix,
 )
-from pttunnel.transfer import IDENTITY
+from pttunnel.transfer import ELEMENT_GUARD, IDENTITY
 
 
 def elementwise_close(a: TransferMatrix, b: TransferMatrix, tol=1e-12):
@@ -86,20 +86,8 @@ def test_compose_associativity():
         elementwise_close(compose(compose(a, b), c), compose(a, compose(b, c)))
 
 
-def test_unit_cell_equals_two_barrier_composition():
-    for energy, strength, width in [(1.0, 20.0, 0.3), (4.0, 5.0, 0.7), (0.5, 60.0, 0.2)]:
-        p = Particle(energy)
-        cell = unit_cell_matrix(p, CellSpec(strength, width))
-        composed = compose(
-            barrier_matrix(p, -1j * strength, width, 1),
-            barrier_matrix(p, 1j * strength, width, 0),
-        )
-        elementwise_close(cell, composed)
-        assert cell.determinant() == pytest.approx(1.0, rel=1e-12)
-
-
 def test_unit_cell_free_space():
-    m = unit_cell_matrix(Particle(1.0), CellSpec(0.0, 1.0))
+    m = lattice_matrix_direct(Particle(1.0), CellSpec(0.0, 1.0), 1)
     assert abs(transmission_from_matrix(m) - 1.0) < 1e-13
 
 
@@ -141,7 +129,17 @@ def test_lattice_base_cases():
     p = Particle(1.0)
     cell = CellSpec(20.0, 0.3)
     elementwise_close(lattice_matrix_direct(p, cell, 0), IDENTITY)
-    elementwise_close(lattice_matrix_direct(p, cell, 1), unit_cell_matrix(p, cell))
+    # one cell against the product of its two barriers, multiplied out
+    gain = barrier_params(p, 1j * cell.strength, cell.width)
+    loss = barrier_params(p, -1j * cell.strength, cell.width)
+    phase = cmath.exp(-2j * p.k * cell.width)
+    unit_cell = TransferMatrix(
+        m11=0.25 * phase * (gain.p_plus * loss.p_plus - gain.s * loss.s),
+        m12=0.25 * phase * (loss.p_plus * gain.s + gain.p_minus * loss.s),
+        m21=-0.25 * (loss.p_minus * gain.s + gain.p_plus * loss.s) / phase,
+        m22=0.25 * (gain.p_minus * loss.p_minus - gain.s * loss.s) / phase,
+    )
+    elementwise_close(lattice_matrix_direct(p, cell, 1), unit_cell)
 
 
 def test_lattice_matches_closed_form_transmission():
@@ -152,9 +150,62 @@ def test_lattice_matches_closed_form_transmission():
     assert abs(t_direct - t_closed) / abs(t_closed) < 1e-9
 
 
+def _product_by_composition(particle, cell, n_cells):
+    """The direct product as one barrier_matrix and compose call per barrier."""
+    v, b = cell.strength, cell.width
+    acc = IDENTITY
+    for m in range(n_cells):
+        gain = barrier_matrix(particle, 1j * v, b, 2 * m)
+        loss = barrier_matrix(particle, -1j * v, b, 2 * m + 1)
+        acc = compose(compose(loss, gain), acc)
+        peak = acc.max_abs()
+        if peak > ELEMENT_GUARD:
+            raise OverflowGuardError(
+                f"direct lattice product exceeds {ELEMENT_GUARD:.0e} "
+                f"after {m + 1} of {n_cells} cells (peak {peak:.3e})"
+            )
+    return acc
+
+
+def _elements(matrix):
+    return (matrix.m11, matrix.m12, matrix.m21, matrix.m22)
+
+
+def test_direct_product_is_bitwise_the_composed_product():
+    # the shared barrier elements must not change a single bit: == on every
+    # element (signed zeros included, through repr), guard messages too
+    rng = random.Random(2024)
+    guarded = 0
+    cases = [(1.0, 0.0, 1e-4, 0), (1.0, 0.0, 3.0, 1), (2.5, 40.0, 0.3, 1), (7.0, 0.0, 0.5, 60)]
+    for _ in range(600):
+        strength = rng.choice((0.0, rng.uniform(0.0, 100.0)))
+        width = 10.0 ** rng.uniform(-4.0, math.log10(3.0))
+        n_cells = rng.choice((0, 1, rng.randint(0, 120)))
+        cases.append((rng.uniform(0.01, 80.0), strength, width, n_cells))
+    for energy, strength, width, n_cells in cases:
+        p, cell = Particle(energy), CellSpec(strength, width)
+        try:
+            expected = _product_by_composition(p, cell, n_cells)
+        except OverflowGuardError as exc:
+            guarded += 1
+            with pytest.raises(OverflowGuardError) as caught:
+                lattice_matrix_direct(p, cell, n_cells)
+            assert str(caught.value) == str(exc)
+            continue
+        got = lattice_matrix_direct(p, cell, n_cells)
+        assert _elements(got) == _elements(expected)
+        assert repr(got) == repr(expected)
+    assert guarded > 0
+
+
 def test_lattice_overflow_guard():
-    with pytest.raises(OverflowGuardError):
-        lattice_matrix_direct(Particle(1.0), CellSpec(100.0, 3.0), 20)
+    p, cell = Particle(1.0), CellSpec(100.0, 3.0)
+    with pytest.raises(OverflowGuardError) as caught:
+        lattice_matrix_direct(p, cell, 20)
+    message = "direct lattice product exceeds 1e+280 after 16 of 20 cells (peak 1.160e+289)"
+    assert str(caught.value) == message
+    with pytest.raises(OverflowGuardError, match=r"after 16 of 20 cells \(peak 1\.160e\+289\)$"):
+        _product_by_composition(p, cell, 20)
 
 
 def test_left_right_transmission_reciprocity():
