@@ -3,14 +3,13 @@
 transfer-matrix oracles, and both analytic limits (thick cells and many thin
 cells)."""
 
-from .chebyshev import cheb_ratio_q, cheb_T, cheb_U
+from .chebyshev import cheb_T, cheb_U
 from .errors import (
     DegeneratePotentialError,
     InvalidEnergyError,
     OverflowGuardError,
     PtTunnelError,
     SpectralSingularityError,
-    ZeroOfTError,
 )
 from .model import CellSpec, Derived, Particle, derived_quantities
 from .sweep import (
@@ -39,13 +38,10 @@ from .timing import (
     tunneling_time,
     tunneling_time_fd,
     xi_chi,
-    xi_chi_prime,
 )
 from .transfer import (
-    BarrierParams,
     TransferMatrix,
     barrier_matrix,
-    barrier_params,
     compose,
     lattice_matrix_direct,
     transmission_from_matrix,
@@ -55,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BETA_MAX",
-    "BarrierParams",
     "CellSpec",
     "ClosedForm",
     "DegeneratePotentialError",
@@ -71,12 +66,9 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "TransferMatrix",
-    "ZeroOfTError",
     "barrier_matrix",
-    "barrier_params",
     "cheb_T",
     "cheb_U",
-    "cheb_ratio_q",
     "closed_form",
     "compose",
     "derived_quantities",
@@ -97,5 +89,4 @@ __all__ = [
     "tunneling_time",
     "tunneling_time_fd",
     "xi_chi",
-    "xi_chi_prime",
 ]

@@ -1,12 +1,10 @@
 """Chebyshev polynomials of both kinds on the whole real line.
 
 Everything here is evaluated through the trigonometric/hyperbolic closed
-forms rather than the three-term recurrence, so values and ratios stay
-well-conditioned for arguments far outside [-1, 1].  The closed-form kernel
-in :mod:`timing` takes T_N and U_{N-1} from here where both fit in a double
-and forms U_{N-1}/T_N itself; :func:`cheb_ratio_q`, finite for |x| up to
-~1e300 and N up to 1e6 and singular at the roots of T_N, serves the limit
-report and the tests.
+forms rather than the three-term recurrence, so values stay well-conditioned
+for arguments far outside [-1, 1].  The closed-form kernel in :mod:`timing`
+takes T_N and U_{N-1} from here where both fit in a double and forms the
+ratio U_{N-1}/T_N itself.
 
 Index conventions: ``U_{-1} = 0`` and ``U_{-2} = -1`` (the standard backward
 extension of the recurrence), so that N = 0 and N = 1 lattice formulas reduce
@@ -17,16 +15,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import ZeroOfTError
-
 __all__ = [
     "cheb_T",
     "cheb_U",
-    "cheb_ratio_q",
 ]
-
-# |T_N| below this (trig regime) counts as a root of T_N.
-ZERO_OF_T_TOL = 1e-12
 
 
 def _require_finite(x: float) -> float:
@@ -78,35 +70,4 @@ def cheb_U(n: int, x: float) -> float:
         return -value if n % 2 else value
     psi = math.acos(x)
     return math.sin(m * psi) / math.sin(psi)
-
-
-def cheb_ratio_q(n_cells: int, x: float) -> float:
-    """Bounded ratio U_{N-1}(x)/T_N(x).
-
-    Outside the band (|x| > 1) this is tanh(N*arccosh|x|)/sqrt(x^2-1) up to
-    parity, which never overflows; inside the band it is tan(N*psi)/sin(psi)
-    with psi = arccos(x).
-
-    Raises
-    ------
-    ZeroOfTError
-        If x sits on a root of T_N (only possible for |x| < 1).
-    """
-    if n_cells < 1:
-        raise ValueError("cheb_ratio_q requires n_cells >= 1")
-    x = _require_finite(x)
-    n = n_cells
-    if x >= 1.0:
-        if x == 1.0:
-            return float(n)
-        return math.tanh(n * math.acosh(x)) / _sqrt_x2_minus_1(x)
-    if x <= -1.0:
-        if x == -1.0:
-            return float(-n)
-        return -math.tanh(n * math.acosh(-x)) / _sqrt_x2_minus_1(-x)
-    psi = math.acos(x)
-    t_val = math.cos(n * psi)
-    if abs(t_val) < ZERO_OF_T_TOL:
-        raise ZeroOfTError(n, x)
-    return math.sin(n * psi) / (math.sin(psi) * t_val)
 

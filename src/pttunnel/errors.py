@@ -11,7 +11,6 @@ __all__ = [
     "PtTunnelError",
     "InvalidEnergyError",
     "DegeneratePotentialError",
-    "ZeroOfTError",
     "SpectralSingularityError",
     "OverflowGuardError",
 ]
@@ -34,21 +33,6 @@ class DegeneratePotentialError(PtTunnelError, ValueError):
     thick-barrier saturation regime)."""
 
     code = "DegenerateV"
-
-
-class ZeroOfTError(PtTunnelError, ArithmeticError):
-    """The Chebyshev ratio U_{N-1}/T_N was requested at a root of T_N.
-
-    Only :func:`pttunnel.chebyshev.cheb_ratio_q` raises it; the time, the
-    transmission and its phase are regular there.
-    """
-
-    code = "ZeroOfT"
-
-    def __init__(self, n: int, x: float) -> None:
-        super().__init__(f"T_{n}({x!r}) vanishes; U_{n - 1}/T_{n} is singular")
-        self.n = n
-        self.x = x
 
 
 class SpectralSingularityError(PtTunnelError, ArithmeticError):

@@ -17,7 +17,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .chebyshev import cheb_ratio_q
+from .chebyshev import cheb_T, cheb_U
 from .errors import OverflowGuardError, SpectralSingularityError
 from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, derived_quantities
 from .timing import (
@@ -334,10 +334,12 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class LimitCheck:
+    """One record of the report; the fields are its JSON keys, in order."""
+
     name: str
+    passed: bool
     residual: float
     tolerance: float
-    passed: bool
     detail: str
 
 
@@ -353,34 +355,20 @@ class LimitsReport:
         payload = {
             "version": SCHEMA_VERSION,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [vars(check) for check in self.checks],
         }
         return json.dumps(payload, indent=2)
 
 
 def _limit_check(name: str, residual: float, tolerance: float, detail: str) -> LimitCheck:
-    return LimitCheck(name, residual, tolerance, residual < tolerance, detail)
+    return LimitCheck(name, residual < tolerance, residual, tolerance, detail)
 
 
-def draw_regular_point(
-    rng: random.Random,
-    *,
-    max_beta_n: float = 200.0,
-    max_cells: int = 20,
-) -> tuple[Particle, CellSpec, int]:
-    """Draw a random (particle, cell, N) away from singular sets.
+def draw_regular_point(rng: random.Random) -> tuple[Particle, CellSpec, int]:
+    """Draw a random (particle, cell, N <= 20) away from singular sets.
 
     Rejects points whose direct 2N-barrier product would overflow
-    (beta*N > max_beta_n), points within 1e-6 of a band edge, where the
+    (beta*N > 200), points within 1e-6 of a band edge, where the
     analytic and finite-difference times cannot be compared, and in-band
     points within 1e-2 of a root of T_N, a margin kept only so that the
     drawn points, and so the ``limits`` report, do not move.
@@ -388,9 +376,9 @@ def draw_regular_point(
     while True:
         particle = Particle(rng.uniform(0.1, 50.0))
         cell = CellSpec(rng.uniform(0.0, 100.0), rng.uniform(1e-3, 3.0))
-        n_cells = rng.randint(1, max_cells)
+        n_cells = rng.randint(1, 20)
         d = derived_quantities(particle, cell)
-        if d.beta * n_cells > max_beta_n:
+        if d.beta * n_cells > 200.0:
             continue
         try:
             xi, _chi = xi_chi(particle, cell)
@@ -476,14 +464,14 @@ def run_limits() -> LimitsReport:
         width = 15.0 / (d.rho * math.sin(d.phi))
         cell = CellSpec(strength, width)
         dd = derived_quantities(particle, cell)
-        coeffs = hartman_coeffs(particle, strength, width)
+        coeffs = hartman_coeffs(particle, strength)
         xi, chi = xi_chi(particle, cell)
         growth = math.exp(2.0 * dd.beta)
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
         worst = max(worst, abs(chi / growth / (0.25 * dd.u_minus * math.sin(dd.phi)) - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
         for n_cells in (1, 2, 3, 4):
-            worst = max(worst, abs(cheb_ratio_q(n_cells, xi) * xi - 1.0))
+            worst = max(worst, abs(cheb_U(n_cells - 1, xi) / cheb_T(n_cells, xi) * xi - 1.0))
     checks.append(_limit_check(
         "thick-cell-asymptotic-ratios", worst, 1e-4,
         "xi*e^-2beta/f1, chi*e^-2beta/(U-/4 sin phi), chi/(xi*gamma), q*xi at beta=15",

@@ -43,7 +43,6 @@ __all__ = [
     "ClosedForm",
     "HartmanCoeffs",
     "xi_chi",
-    "xi_chi_prime",
     "closed_form",
     "transmission_closed",
     "phase_theta",
@@ -199,12 +198,6 @@ def xi_chi(particle: Particle, cell: CellSpec) -> tuple[float, float]:
     """
     scalars = _guarded(particle, cell)
     return scalars.xi, scalars.chi
-
-
-def xi_chi_prime(particle: Particle, cell: CellSpec) -> tuple[float, float]:
-    """Exact k-derivatives (xi', chi') of :func:`xi_chi` at fixed (V, b)."""
-    scalars = _guarded(particle, cell)
-    return scalars.xi_prime, scalars.chi_prime
 
 
 @dataclass(frozen=True)
@@ -418,26 +411,20 @@ def tunneling_time_fd(
 class HartmanCoeffs:
     """Coefficients of the thick-cell (b -> infinity) expansions.
 
-    xi ~ f1*exp(2*beta), xi' ~ (f2 + b*f4)*exp(..) + b*f3,
-    chi' ~ b*g1 + (b*g2 + g3)*exp(..), chi/xi -> gamma.  f3 and g1 keep an
-    oscillatory dependence on b through sin/cos(2*alpha); they are evaluated
-    at the supplied width and only feed expansion diagnostics, never the
-    final limit.  Satisfies g2 - gamma*f4 = 0 identically.
+    xi ~ f1*exp(2*beta), xi' ~ (f2 + b*f4)*exp(..), chi' ~ (b*g2 + g3)*exp(..)
+    and chi/xi -> gamma, each up to terms that do not grow with exp(2*beta).
+    None depends on b.  Satisfies g2 - gamma*f4 = 0 identically.
     """
 
     f1: float
     f2: float
-    f3: float
     f4: float
-    g1: float
     g2: float
     g3: float
     gamma: float
 
 
-def hartman_coeffs(
-    particle: Particle, strength: float, width: float = 1.0
-) -> HartmanCoeffs:
+def hartman_coeffs(particle: Particle, strength: float) -> HartmanCoeffs:
     """Thick-cell expansion coefficients for potential strength V > 0.
 
     Raises OverflowGuardError when rho^3 leaves double range.
@@ -446,21 +433,18 @@ def hartman_coeffs(
         raise DegeneratePotentialError(
             "thick-barrier expansion requires strength > 0"
         )
-    d = derived_quantities(particle, CellSpec(strength, width))
+    d = derived_quantities(particle, CellSpec(strength, 1.0))
     k = particle.k
     v = strength
     sin_phi = math.sin(d.phi)
     cos_phi = math.cos(d.phi)
     sin_2phi = math.sin(2.0 * d.phi)
     rho3 = _power(d.rho, 3)
-    osc_factor = k * k * cos_phi * cos_phi + 0.5 * v * sin_2phi
     dec_factor = k * k * sin_phi * sin_phi - 0.5 * v * sin_2phi
     return HartmanCoeffs(
         f1=0.5 * sin_phi * sin_phi,
         f2=0.5 * d.phi_prime * sin_2phi,
-        f3=-2.0 * k / rho3 * math.sin(2.0 * d.alpha) * cos_phi * osc_factor,
         f4=k * sin_phi / rho3 * dec_factor,
-        g1=k * d.u_plus * math.cos(2.0 * d.alpha) / rho3 * osc_factor,
         g2=k * d.u_minus / (2.0 * rho3) * dec_factor,
         g3=0.25 * (d.phi_prime * d.u_minus * cos_phi + d.u_minus_prime * sin_phi),
         gamma=0.5 * d.u_minus / sin_phi,

@@ -18,9 +18,7 @@ from .model import CellSpec, Particle
 
 __all__ = [
     "TransferMatrix",
-    "BarrierParams",
     "IDENTITY",
-    "barrier_params",
     "barrier_matrix",
     "compose",
     "lattice_matrix_direct",
@@ -53,44 +51,36 @@ class TransferMatrix:
 IDENTITY = TransferMatrix(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
-@dataclass(frozen=True)
-class BarrierParams:
-    """Internal wave number and amplitude couplings of one rectangular barrier.
+def _barrier_elements(particle: Particle, potential: complex, width: float) -> tuple:
+    """(-i*k*b, m11, m22, s, -0.5*s) of one barrier of complex height
+    `potential` and width `width`.
 
-    Satisfies p_plus*p_minus + s*s == 4 identically, which is the determinant
-    condition of the matrix assembled from them.
+    m11 = 0.5*exp(-i*k*b)*p+ and m22 = 0.5*exp(i*k*b)*p-, with
+    p+- = 2 cos(kc*b) +- i(mu + 1/mu) sin(kc*b), s = i(mu - 1/mu) sin(kc*b),
+    kc = sqrt(E - potential) and mu = kc/k, so p+*p- + s*s = 4 (det = 1).
+    The offset phase off = exp(-i*k*b*(1 + 2j)) at x = j*b gives
+    m12 = 0.5*off*s and m21 = -0.5*s/off (off*(0.5*s) rounds otherwise at
+    zero or subnormal s).
     """
-
-    kc: complex
-    mu: complex
-    p_plus: complex
-    p_minus: complex
-    s: complex
-
-
-def barrier_params(particle: Particle, potential: complex, width: float) -> BarrierParams:
-    """Couplings for a barrier of complex height `potential` and width `width`."""
     if width <= 0.0:
         raise ValueError("width must be positive")
     kc = cmath.sqrt(particle.energy - potential)
     if kc == 0:
         raise ValueError("potential equals the energy; internal wave number vanishes")
     mu = kc / particle.k
-    cos_cb = cmath.cos(kc * width)
-    sin_cb = cmath.sin(kc * width)
+    try:
+        cos_cb = cmath.cos(kc * width)
+        sin_cb = cmath.sin(kc * width)
+    except OverflowError:
+        raise OverflowGuardError(
+            f"barrier growth |Im(kc)|*b = {abs((kc * width).imag):.3e} leaves double range"
+        ) from None
     even = (mu + 1.0 / mu) * sin_cb
-    odd = (mu - 1.0 / mu) * sin_cb
-    return BarrierParams(kc, mu, 2.0 * cos_cb + 1j * even, 2.0 * cos_cb - 1j * even, 1j * odd)
-
-
-def _barrier_elements(particle: Particle, potential: complex, width: float) -> tuple:
-    """(-i*k*b, m11, m22, s, -0.5*s) of a barrier, whose offset phase
-    off = exp(-i*k*b*(1 + 2j)) at x = j*b gives m12 = 0.5*off*s and
-    m21 = -0.5*s/off (off*(0.5*s) rounds otherwise at zero or subnormal s)."""
-    bp = barrier_params(particle, potential, width)
+    s = 1j * ((mu - 1.0 / mu) * sin_cb)
     kb = particle.k * width
     diag = cmath.exp(-1j * kb)
-    return -1j * kb, 0.5 * diag * bp.p_plus, 0.5 * bp.p_minus / diag, bp.s, -0.5 * bp.s
+    p_plus, p_minus = 2.0 * cos_cb + 1j * even, 2.0 * cos_cb - 1j * even
+    return -1j * kb, 0.5 * diag * p_plus, 0.5 * p_minus / diag, s, -0.5 * s
 
 
 def barrier_matrix(
@@ -99,7 +89,9 @@ def barrier_matrix(
     """Transfer matrix of a single rectangular barrier.
 
     ``offset_index`` places the barrier at x in [j*b, (j+1)*b]; translation
-    only multiplies the off-diagonal elements by exp(-+ 2i*k*b*j).
+    only multiplies the off-diagonal elements by exp(-+ 2i*k*b*j).  Raises
+    OverflowGuardError where the barrier's growth factor exp(|Im(kc)|*b)
+    leaves double range.
     """
     if offset_index < 0:
         raise ValueError("offset_index must be >= 0")
@@ -131,9 +123,10 @@ def lattice_matrix_direct(
     Raises
     ------
     OverflowGuardError
-        If any element magnitude exceeds ELEMENT_GUARD; in that regime the
-        direct product is no longer a valid oracle and the asymptotic
-        (thick-barrier) path must be used instead.
+        If any element magnitude exceeds ELEMENT_GUARD, or a barrier's growth
+        factor leaves double range; in that regime the direct product is no
+        longer a valid oracle and the asymptotic (thick-barrier) path must be
+        used instead.
     """
     if n_cells < 0:
         raise ValueError("n_cells must be >= 0")

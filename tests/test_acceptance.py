@@ -13,7 +13,8 @@ from pttunnel import (
     GridSpec,
     Particle,
     SweepConfig,
-    cheb_ratio_q,
+    cheb_T,
+    cheb_U,
     derived_quantities,
     free_propagation_time,
     hartman_coeffs,
@@ -136,12 +137,12 @@ def test_criterion_5_asymptotic_expansions():
         cell = CellSpec(strength, width)
         d = derived_quantities(p, cell)
         growth = math.exp(2.0 * d.beta)
-        coeffs = hartman_coeffs(p, strength, width)
+        coeffs = hartman_coeffs(p, strength)
         xi, chi = xi_chi(p, cell)
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
         for n in (1, 2, 3, 4):
-            worst = max(worst, abs(cheb_ratio_q(n, xi) * xi - 1.0))
+            worst = max(worst, abs(cheb_U(n - 1, xi) / cheb_T(n, xi) * xi - 1.0))
     ok = worst < 1e-4
     assert _report(
         "criterion 5 (asymptotic expansions)",

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pttunnel import ZeroOfTError, cheb_T, cheb_U, cheb_ratio_q
+from pttunnel import cheb_T, cheb_U
 
 
 def recurrence_T(n: int, x: float) -> float:
@@ -59,40 +59,6 @@ def test_recurrence_equivalence_both_kinds():
         assert cheb_U(n, x) == pytest.approx(recurrence_U(n, x), rel=1e-12, abs=1e-12)
 
 
-def test_ratio_trivial_and_small_n():
-    assert cheb_ratio_q(1, 2.0) == pytest.approx(0.5, rel=1e-14)
-    # direct polynomial oracle at small N
-    x = 0.9
-    expected = recurrence_U(2, x) / recurrence_T(3, x)
-    assert cheb_ratio_q(3, x) == pytest.approx(expected, rel=1e-12)
-
-
-def test_ratio_huge_argument_stays_finite():
-    x = 1e12
-    u = math.acosh(x)
-    expected = math.tanh(50 * u) / math.sinh(u)
-    q = cheb_ratio_q(50, x)
-    assert math.isfinite(q)
-    assert q == pytest.approx(expected, rel=1e-12)
-    # extreme corner: no overflow anywhere on the evaluation path
-    assert math.isfinite(cheb_ratio_q(10**6, 1e300))
-    assert cheb_ratio_q(10**6, 1e300) == pytest.approx(1e-300, rel=1e-10)
-    assert cheb_ratio_q(3, -1e300) == pytest.approx(-1e-300, rel=1e-10)
-
-
-def test_ratio_endpoint_values():
-    for n in (1, 2, 7, 30):
-        assert cheb_ratio_q(n, 1.0) == float(n)
-        assert cheb_ratio_q(n, -1.0) == float(-n)
-
-
-def test_ratio_raises_on_root_of_first_kind():
-    n = 5
-    x = math.cos(math.pi / (2 * n))  # largest root of T_5
-    with pytest.raises(ZeroOfTError):
-        cheb_ratio_q(n, x)
-
-
 def test_pearl_identity_splits_first_kind():
     # x*U_{n-1} - U_{n-2} = T_n; sampled away from roots of T_n so the
     # relative comparison is well posed.
@@ -127,9 +93,6 @@ def test_branch_continuity_across_unity():
             above = fn(n, 1.0 + eps)
             below = fn(n, 1.0 - eps)
             assert abs(above - below) / abs(above) < 1e-6
-        q_above = cheb_ratio_q(n, 1.0 + eps)
-        q_below = cheb_ratio_q(n, 1.0 - eps)
-        assert abs(q_above - q_below) / abs(q_above) < 1e-6
 
 
 def test_rejects_bad_arguments():
@@ -137,8 +100,6 @@ def test_rejects_bad_arguments():
         cheb_T(-1, 0.5)
     with pytest.raises(ValueError):
         cheb_U(-3, 0.5)
-    with pytest.raises(ValueError):
-        cheb_ratio_q(0, 0.5)
     with pytest.raises(ValueError):
         cheb_T(2, math.inf)
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ import pytest
 from pttunnel import (
     CellSpec,
     Particle,
-    cheb_ratio_q,
+    cheb_T,
+    cheb_U,
     derived_quantities,
     free_propagation_time,
     hartman_coeffs,
@@ -75,10 +76,10 @@ def test_thick_cell_asymptotic_ratios(energy, strength):
     cell = CellSpec(strength, width)
     d = derived_quantities(p, cell)
     growth = math.exp(2.0 * d.beta)
-    coeffs = hartman_coeffs(p, strength, width)
+    coeffs = hartman_coeffs(p, strength)
     xi, chi = xi_chi(p, cell)
     assert xi / growth == pytest.approx(coeffs.f1, rel=1e-4)
     assert chi / growth == pytest.approx(0.25 * d.u_minus * math.sin(d.phi), rel=1e-4)
     assert chi / xi == pytest.approx(coeffs.gamma, rel=1e-4)
     for n in (1, 2, 3, 4):
-        assert cheb_ratio_q(n, xi) * xi == pytest.approx(1.0, rel=1e-4)
+        assert cheb_U(n - 1, xi) / cheb_T(n, xi) * xi == pytest.approx(1.0, rel=1e-4)

@@ -451,11 +451,9 @@ def test_limits_report_passes_and_carries_residuals():
 
 
 def test_limits_report_catches_sign_mutation(monkeypatch):
-    def flipped(particle, strength, width=1.0):
-        c = real_hartman_coeffs(particle, strength, width)
-        return type(c)(
-            f1=c.f1, f2=c.f2, f3=c.f3, f4=-c.f4, g1=c.g1, g2=c.g2, g3=c.g3, gamma=c.gamma
-        )
+    def flipped(particle, strength):
+        c = real_hartman_coeffs(particle, strength)
+        return type(c)(f1=c.f1, f2=c.f2, f4=-c.f4, g2=c.g2, g3=c.g3, gamma=c.gamma)
 
     monkeypatch.setattr(sweep_mod, "hartman_coeffs", flipped)
     report = run_limits()
@@ -627,9 +625,9 @@ def test_cli_sweep_out_of_range_potential_gives_overflow_rows(mode, tmp_path, ca
 def test_sweep_n_computes_thick_cell_coefficients_once(monkeypatch, tmp_path):
     calls = []
 
-    def counted(particle, strength, width=1.0):
+    def counted(particle, strength):
         calls.append(strength)
-        return real_hartman_coeffs(particle, strength, width)
+        return real_hartman_coeffs(particle, strength)
 
     monkeypatch.setattr(sweep_mod, "hartman_coeffs", counted)
     # span 3000: the four widest cells hand off to the thick-cell limit

@@ -13,6 +13,8 @@ from pttunnel import (
     OverflowGuardError,
     Particle,
     barrier_matrix,
+    cheb_T,
+    cheb_U,
     derived_quantities,
     free_propagation_time,
     hartman_coeffs,
@@ -26,9 +28,8 @@ from pttunnel import (
     tunneling_time,
     tunneling_time_fd,
     xi_chi,
-    xi_chi_prime,
 )
-from pttunnel.timing import closed_form
+from pttunnel.timing import _guarded, closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +79,7 @@ def test_xi_growth_matches_thick_cell_coefficient():
     cell = CellSpec(20.0, 3.0)
     xi, _ = xi_chi(p, cell)
     d = derived_quantities(p, cell)
-    f1 = hartman_coeffs(p, 20.0, cell.width).f1
+    f1 = hartman_coeffs(p, 20.0).f1
     assert xi * math.exp(-2.0 * d.beta) == pytest.approx(f1, rel=1e-4)
 
 
@@ -88,7 +89,8 @@ def test_xi_chi_overflow_guard():
 
 
 def test_xi_chi_prime_free_space():
-    xi_p, chi_p = xi_chi_prime(Particle(1.0), CellSpec(0.0, 1.0))
+    scalars = _guarded(Particle(1.0), CellSpec(0.0, 1.0))
+    xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
     assert xi_p == pytest.approx(-2.0 * math.sin(2.0), rel=1e-12)
     assert chi_p == pytest.approx(2.0 * math.cos(2.0), rel=1e-12)
 
@@ -103,7 +105,8 @@ def test_xi_chi_prime_match_finite_differences(energy, strength, width):
     cell = CellSpec(strength, width)
     hi = xi_chi(Particle((k + h) ** 2), cell)
     lo = xi_chi(Particle((k - h) ** 2), cell)
-    xi_p, chi_p = xi_chi_prime(Particle(energy), cell)
+    scalars = _guarded(Particle(energy), cell)
+    xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
     assert (hi[0] - lo[0]) / (2.0 * h) == pytest.approx(xi_p, rel=1e-6)
     assert (hi[1] - lo[1]) / (2.0 * h) == pytest.approx(chi_p, rel=1e-6)
 
@@ -131,8 +134,6 @@ def test_transmission_matches_direct_product():
 
 def test_transmission_magnitude_identity():
     # |t| * |G| = 1 with G rebuilt from the published split
-    from pttunnel import cheb_T, cheb_U
-
     p = Particle(2.0)
     cell = CellSpec(7.0, 0.6)
     n = 3
@@ -156,10 +157,8 @@ def test_transmission_log_domain_path():
     assert 0.0 < abs(t) < 1e-250
     assert math.isfinite(t.real) and math.isfinite(t.imag)
     # phase agrees with the bounded-ratio expression -k*L - arg(1 - i*chi*q)
-    from pttunnel import cheb_ratio_q
-
     xi, chi = xi_chi(p, cell)
-    bounded = -p.k * 2.0 * cell.width - math.atan(-chi * cheb_ratio_q(1, xi))
+    bounded = -p.k * 2.0 * cell.width - math.atan(-chi * cheb_U(0, xi) / cheb_T(1, xi))
     assert math.remainder(cmath.phase(t) - bounded, math.tau) == pytest.approx(0.0, abs=1e-9)
     assert phase_theta(p, cell, 1) == cmath.phase(t)
 

@@ -11,7 +11,6 @@ from pttunnel import (
     SpectralSingularityError,
     TransferMatrix,
     barrier_matrix,
-    barrier_params,
     compose,
     lattice_matrix_direct,
     transmission_closed,
@@ -40,17 +39,24 @@ def test_single_barrier_determinant():
 
 
 def test_coupling_identity():
-    # p+*p- and s^2 individually grow like exp(2*beta), so the identity is
-    # checked relative to the size of the cancelling terms
+    # det = (p+*p- + s^2)/4 = 1, and m11*m22 and m12*m21 individually grow
+    # like exp(2*beta), so the identity is checked relative to the size of
+    # the cancelling terms
     rng = random.Random(11)
     for _ in range(200):
         p = Particle(rng.uniform(0.1, 50.0))
         v = rng.uniform(0.0, 100.0)
         sign = rng.choice((1.0, -1.0))
-        bp = barrier_params(p, sign * 1j * v, rng.uniform(0.01, 3.0))
-        value = bp.p_plus * bp.p_minus + bp.s * bp.s
-        scale = max(4.0, abs(bp.p_plus * bp.p_minus), abs(bp.s * bp.s))
-        assert abs(value - 4.0) < 1e-12 * scale
+        m = barrier_matrix(p, sign * 1j * v, rng.uniform(0.01, 3.0))
+        scale = max(1.0, abs(m.m11 * m.m22), abs(m.m12 * m.m21))
+        assert abs(m.determinant() - 1.0) < 1e-12 * scale
+
+
+def _couplings(particle, potential, width):
+    """(p+, p-, s) of one barrier, read off its matrix at offset 0."""
+    m = barrier_matrix(particle, potential, width)
+    phase = cmath.exp(1j * particle.k * width)
+    return 2.0 * m.m11 * phase, 2.0 * m.m22 / phase, 2.0 * m.m12 * phase
 
 
 def test_translation_phase_on_off_diagonals():
@@ -116,13 +122,13 @@ def test_internal_wave_number_branch_is_irrelevant():
         p = Particle(rng.uniform(0.2, 20.0))
         v = rng.uniform(0.1, 80.0)
         width = rng.uniform(0.05, 2.0)
-        bp = barrier_params(p, 1j * v, width)
-        kc = -bp.kc  # other branch
+        p_plus, _p_minus, s = _couplings(p, 1j * v, width)
+        kc = -cmath.sqrt(p.energy - 1j * v)  # other branch
         mu = kc / p.k
         even = (mu + 1.0 / mu) * cmath.sin(kc * width)
         odd = (mu - 1.0 / mu) * cmath.sin(kc * width)
-        assert 2.0 * cmath.cos(kc * width) + 1j * even == pytest.approx(bp.p_plus, rel=1e-12)
-        assert 1j * odd == pytest.approx(bp.s, rel=1e-12)
+        assert 2.0 * cmath.cos(kc * width) + 1j * even == pytest.approx(p_plus, rel=1e-12)
+        assert 1j * odd == pytest.approx(s, rel=1e-12)
 
 
 def test_lattice_base_cases():
@@ -130,14 +136,14 @@ def test_lattice_base_cases():
     cell = CellSpec(20.0, 0.3)
     elementwise_close(lattice_matrix_direct(p, cell, 0), IDENTITY)
     # one cell against the product of its two barriers, multiplied out
-    gain = barrier_params(p, 1j * cell.strength, cell.width)
-    loss = barrier_params(p, -1j * cell.strength, cell.width)
+    g_plus, g_minus, g_s = _couplings(p, 1j * cell.strength, cell.width)
+    l_plus, l_minus, l_s = _couplings(p, -1j * cell.strength, cell.width)
     phase = cmath.exp(-2j * p.k * cell.width)
     unit_cell = TransferMatrix(
-        m11=0.25 * phase * (gain.p_plus * loss.p_plus - gain.s * loss.s),
-        m12=0.25 * phase * (loss.p_plus * gain.s + gain.p_minus * loss.s),
-        m21=-0.25 * (loss.p_minus * gain.s + gain.p_plus * loss.s) / phase,
-        m22=0.25 * (gain.p_minus * loss.p_minus - gain.s * loss.s) / phase,
+        m11=0.25 * phase * (g_plus * l_plus - g_s * l_s),
+        m12=0.25 * phase * (l_plus * g_s + g_minus * l_s),
+        m21=-0.25 * (l_minus * g_s + g_plus * l_s) / phase,
+        m22=0.25 * (g_minus * l_minus - g_s * l_s) / phase,
     )
     elementwise_close(lattice_matrix_direct(p, cell, 1), unit_cell)
 
@@ -206,6 +212,15 @@ def test_lattice_overflow_guard():
     assert str(caught.value) == message
     with pytest.raises(OverflowGuardError, match=r"after 16 of 20 cells \(peak 1\.160e\+289\)$"):
         _product_by_composition(p, cell, 20)
+
+
+def test_barrier_growth_overflow_is_typed():
+    # |Im(kc)|*b ~ 2,800: cos(kc*b) and sin(kc*b) leave double range
+    p = Particle(1.0)
+    with pytest.raises(OverflowGuardError, match="barrier growth"):
+        barrier_matrix(p, 100j, 400.0)
+    with pytest.raises(OverflowGuardError, match="barrier growth"):
+        lattice_matrix_direct(p, CellSpec(100.0, 400.0), 1)
 
 
 def test_left_right_transmission_reciprocity():
