@@ -11,7 +11,7 @@ from .errors import (
     PtTunnelError,
     SpectralSingularityError,
 )
-from .model import CellSpec, Derived, Particle, derived_quantities
+from .model import CellSpec, Particle
 from .sweep import (
     GridSpec,
     LimitsReport,
@@ -54,7 +54,6 @@ __all__ = [
     "CellSpec",
     "ClosedForm",
     "DegeneratePotentialError",
-    "Derived",
     "GridSpec",
     "HartmanCoeffs",
     "InvalidEnergyError",
@@ -71,7 +70,6 @@ __all__ = [
     "cheb_U",
     "closed_form",
     "compose",
-    "derived_quantities",
     "evaluate_point",
     "free_propagation_time",
     "hartman_coeffs",

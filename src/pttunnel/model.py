@@ -1,4 +1,4 @@
-"""Physical parameter types and the derived cell geometry quantities.
+"""Physical parameter types and the cell geometry they determine.
 
 Natural units throughout: 2m = 1, hbar = 1, c = 1, so the wave vector is
 k = sqrt(E) and a free particle crosses a length L in time L/(2k).
@@ -15,8 +15,6 @@ from .errors import InvalidEnergyError, OverflowGuardError
 __all__ = [
     "Particle",
     "CellSpec",
-    "Derived",
-    "derived_quantities",
 ]
 
 
@@ -64,37 +62,16 @@ class CellSpec:
             raise ValueError(f"width must be finite and > 0, got {self.width!r}")
 
 
-@dataclass(frozen=True)
-class Derived:
-    """Geometry of the complex wave number inside one cell, plus k-derivatives.
-
-    rho and phi are modulus and phase of k2 = sqrt(k^2 + iV), so
-    rho = (k^4 + V^2)^(1/4) and phi = arctan(V/k^2)/2 in [0, pi/4).
-    alpha = b*rho*cos(phi) and beta = b*rho*sin(phi) are the oscillatory and
-    growing phase accumulations across one barrier; u_plus/u_minus are the
-    impedance combinations k/rho +- rho/k.  The *_prime fields are exact
-    derivatives with respect to k at fixed (V, b).
-    """
-
-    rho: float
-    phi: float
-    alpha: float
-    beta: float
-    u_plus: float
-    u_minus: float
-    rho_prime: float
-    phi_prime: float
-    alpha_prime: float
-    beta_prime: float
-    u_plus_prime: float
-    u_minus_prime: float
-
-
 class _Geometry(NamedTuple):
-    """The width-free part of :class:`Derived` at one (k, V).
+    """Geometry of the complex wave number k2 = sqrt(k^2 + iV) in one cell at
+    (k, V), and its exact k-derivatives (*_prime) at fixed (V, b).
 
-    Of the derived quantities only alpha, beta and their k-derivatives depend
-    on the barrier width b, each as b times a factor held here
+    rho = (k^4 + V^2)^(1/4) and phi = arctan(V/k^2)/2 in [0, pi/4) are the
+    modulus and phase of k2, phi held through its sines and cosines;
+    u_plus/u_minus are the impedance combinations k/rho +- rho/k.  Only
+    alpha = b*rho*cos(phi) and beta = b*rho*sin(phi), the oscillatory and
+    growing phase accumulations across one barrier, and their k-derivatives
+    depend on the barrier width b, each as b times a factor held here
     (:func:`_scaled`).  A sweep at fixed (E, V) builds this record once and
     each row only scales it by b.  (A NamedTuple: a frozen dataclass this
     wide costs milliseconds at import.)
@@ -103,14 +80,12 @@ class _Geometry(NamedTuple):
     k: float
     rho: float
     rho3: float
-    phi: float
     sin_phi: float
     cos_phi: float
     sin_2phi: float
     cos_2phi: float
     u_plus: float
     u_minus: float
-    rho_prime: float
     phi_prime: float
     u_plus_prime: float
     u_minus_prime: float
@@ -119,6 +94,8 @@ class _Geometry(NamedTuple):
 
 
 def _geometry(particle: Particle, strength: float) -> _Geometry:
+    """The cell geometry at (E, V); OverflowGuardError where rho^5
+    underflows to 0 or rho^2/E overflows."""
     k = particle.k
     v = strength
     k2 = k * k
@@ -140,14 +117,12 @@ def _geometry(particle: Particle, strength: float) -> _Geometry:
         k=k,
         rho=rho,
         rho3=rho * rho2,
-        phi=phi,
         sin_phi=sin_phi,
         cos_phi=cos_phi,
         sin_2phi=math.sin(2.0 * phi),
         cos_2phi=math.cos(2.0 * phi),
         u_plus=k / rho + rho / k,
         u_minus=k / rho - rho / k,
-        rho_prime=(k / rho) ** 3,
         phi_prime=-k * v / rho4,
         u_plus_prime=v * v / rho5 * (1.0 - rho2_k2),
         u_minus_prime=v * v / rho5 * (1.0 + rho2_k2),
@@ -166,15 +141,3 @@ def _scaled(g: _Geometry, width: float) -> tuple[float, float, float, float]:
         bk * g.beta_rate / g.rho3,
     )
 
-
-def derived_quantities(particle: Particle, cell: CellSpec) -> Derived:
-    """Populate every derived geometric quantity for one (particle, cell) pair.
-
-    Raises OverflowGuardError where rho^5 underflows to 0 or rho^2/E overflows.
-    """
-    g = _geometry(particle, cell.strength)
-    alpha, beta, alpha_prime, beta_prime = _scaled(g, cell.width)
-    return Derived(
-        g.rho, g.phi, alpha, beta, g.u_plus, g.u_minus, g.rho_prime, g.phi_prime,
-        alpha_prime, beta_prime, g.u_plus_prime, g.u_minus_prime,
-    )

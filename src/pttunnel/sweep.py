@@ -19,11 +19,12 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .chebyshev import cheb_T, cheb_U
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, derived_quantities
+from .model import CellSpec, Particle, _Geometry, _geometry, _scaled
 from .timing import (
     BETA_MAX,
     ClosedForm,
     HartmanCoeffs,
+    _cell_scalars,
     _closed_form,
     _limit_time,
     _wrap_phase,
@@ -377,13 +378,11 @@ def draw_regular_point(rng: random.Random) -> tuple[Particle, CellSpec, int]:
         particle = Particle(rng.uniform(0.1, 50.0))
         cell = CellSpec(rng.uniform(0.0, 100.0), rng.uniform(1e-3, 3.0))
         n_cells = rng.randint(1, 20)
-        d = derived_quantities(particle, cell)
-        if d.beta * n_cells > 200.0:
+        geo = _geometry(particle, cell.strength)
+        scaled = _scaled(geo, cell.width)
+        if scaled[1] * n_cells > 200.0:
             continue
-        try:
-            xi, _chi = xi_chi(particle, cell)
-        except OverflowGuardError:
-            continue
+        xi = _cell_scalars(geo, scaled).xi
         if abs((xi - 1.0) * (xi + 1.0)) < 1e-6:
             continue
         if abs(xi) < 1.0:
@@ -460,15 +459,14 @@ def run_limits() -> LimitsReport:
     worst = 0.0
     for energy, strength in ((1.0, 20.0), (4.0, 10.0), (0.5, 7.0), (2.0, 50.0)):
         particle = Particle(energy)
-        d = derived_quantities(particle, CellSpec(strength, 1.0))
-        width = 15.0 / (d.rho * math.sin(d.phi))
+        geo = _geometry(particle, strength)
+        width = 15.0 / (geo.rho * geo.sin_phi)
         cell = CellSpec(strength, width)
-        dd = derived_quantities(particle, cell)
         coeffs = hartman_coeffs(particle, strength)
         xi, chi = xi_chi(particle, cell)
-        growth = math.exp(2.0 * dd.beta)
+        growth = math.exp(2.0 * _scaled(geo, width)[1])
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
-        worst = max(worst, abs(chi / growth / (0.25 * dd.u_minus * math.sin(dd.phi)) - 1.0))
+        worst = max(worst, abs(chi / growth / (0.25 * geo.u_minus * geo.sin_phi) - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
         for n_cells in (1, 2, 3, 4):
             worst = max(worst, abs(cheb_U(n_cells - 1, xi) / cheb_T(n_cells, xi) * xi - 1.0))

@@ -36,7 +36,7 @@ from .errors import (
     PtTunnelError,
     SpectralSingularityError,
 )
-from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, derived_quantities
+from .model import CellSpec, Particle, _Geometry, _geometry, _scaled
 
 __all__ = [
     "BETA_MAX",
@@ -241,7 +241,7 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     U_{N-1}; outside, |G| is pre-sized in the log domain so t is computed
     without ever materializing an overflowing polynomial.  N = 0 gives
     t = 1 and tau = theta = 0.  Raises OverflowGuardError where the cell
-    geometry itself leaves double range (see :func:`derived_quantities`).
+    geometry itself leaves double range (see :func:`model._geometry`).
     """
     return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
 
@@ -430,24 +430,20 @@ def hartman_coeffs(particle: Particle, strength: float) -> HartmanCoeffs:
     Raises OverflowGuardError when rho^3 leaves double range.
     """
     if strength <= 0.0:
-        raise DegeneratePotentialError(
-            "thick-barrier expansion requires strength > 0"
-        )
-    d = derived_quantities(particle, CellSpec(strength, 1.0))
+        raise DegeneratePotentialError("thick-barrier expansion requires strength > 0")
+    geo = _geometry(particle, _finite_strength(strength))
     k = particle.k
     v = strength
-    sin_phi = math.sin(d.phi)
-    cos_phi = math.cos(d.phi)
-    sin_2phi = math.sin(2.0 * d.phi)
-    rho3 = _power(d.rho, 3)
-    dec_factor = k * k * sin_phi * sin_phi - 0.5 * v * sin_2phi
+    sin_phi = geo.sin_phi
+    rho3 = _power(geo.rho, 3)
+    dec_factor = k * k * sin_phi * sin_phi - 0.5 * v * geo.sin_2phi
     return HartmanCoeffs(
         f1=0.5 * sin_phi * sin_phi,
-        f2=0.5 * d.phi_prime * sin_2phi,
+        f2=0.5 * geo.phi_prime * geo.sin_2phi,
         f4=k * sin_phi / rho3 * dec_factor,
-        g2=k * d.u_minus / (2.0 * rho3) * dec_factor,
-        g3=0.25 * (d.phi_prime * d.u_minus * cos_phi + d.u_minus_prime * sin_phi),
-        gamma=0.5 * d.u_minus / sin_phi,
+        g2=k * geo.u_minus / (2.0 * rho3) * dec_factor,
+        g3=0.25 * (geo.phi_prime * geo.u_minus * geo.cos_phi + geo.u_minus_prime * sin_phi),
+        gamma=0.5 * geo.u_minus / sin_phi,
     )
 
 
@@ -467,6 +463,14 @@ def _limit_time(c: HartmanCoeffs, k: float) -> float:
     if not math.isfinite(tau):
         raise OverflowGuardError("thick-cell limit time leaves double range")
     return tau
+
+
+def _finite_strength(strength: float) -> float:
+    """strength, or the ValueError of CellSpec where it is not a finite
+    number; each (E, V) entry point rejects negatives its own way first."""
+    if isinstance(strength, bool) or not math.isfinite(strength):
+        raise ValueError(f"strength must be finite and >= 0, got {strength!r}")
+    return strength
 
 
 def _power(x: float, exponent: int) -> float:
@@ -498,13 +502,13 @@ def n_infinity_bracket(particle: Particle, strength: float, span: float) -> floa
         raise ValueError("strength must be >= 0")
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and > 0, got {span!r}")
-    d = derived_quantities(particle, CellSpec(strength, 1.0))
+    geo = _geometry(particle, _finite_strength(strength))
     k = particle.k
-    rho3 = _power(d.rho, 3)
+    rho3 = _power(geo.rho, 3)
     bracket = (
         rho3
-        + (_power(k, 4) - strength * strength) / (k * k) * d.rho * math.cos(2.0 * d.phi)
-        + 2.0 * strength * d.rho * math.sin(2.0 * d.phi)
+        + (_power(k, 4) - strength * strength) / (k * k) * geo.rho * geo.cos_2phi
+        + 2.0 * strength * geo.rho * geo.sin_2phi
     )
     value = span / (4.0 * k * rho3) * bracket
     if not math.isfinite(value):

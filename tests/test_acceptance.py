@@ -15,7 +15,6 @@ from pttunnel import (
     SweepConfig,
     cheb_T,
     cheb_U,
-    derived_quantities,
     free_propagation_time,
     hartman_coeffs,
     hartman_limit_time,
@@ -26,6 +25,7 @@ from pttunnel import (
     tunneling_time,
     xi_chi,
 )
+from pttunnel.model import _geometry, _scaled
 from pttunnel.sweep import SWEEP_B_COLUMNS, oracle_triangle_residuals, rows_to_csv
 
 
@@ -132,11 +132,10 @@ def test_criterion_5_asymptotic_expansions():
     worst = 0.0
     for energy, strength in ((1.0, 20.0), (4.0, 10.0), (0.5, 7.0)):
         p = Particle(energy)
-        probe = derived_quantities(p, CellSpec(strength, 1.0))
-        width = 15.0 / (probe.rho * math.sin(probe.phi))
+        geo = _geometry(p, strength)
+        width = 15.0 / (geo.rho * geo.sin_phi)
         cell = CellSpec(strength, width)
-        d = derived_quantities(p, cell)
-        growth = math.exp(2.0 * d.beta)
+        growth = math.exp(2.0 * _scaled(geo, width)[1])
         coeffs = hartman_coeffs(p, strength)
         xi, chi = xi_chi(p, cell)
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))

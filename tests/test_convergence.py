@@ -9,7 +9,6 @@ from pttunnel import (
     Particle,
     cheb_T,
     cheb_U,
-    derived_quantities,
     free_propagation_time,
     hartman_coeffs,
     hartman_limit_time,
@@ -17,6 +16,7 @@ from pttunnel import (
     tunneling_time,
     xi_chi,
 )
+from pttunnel.model import _geometry, _scaled
 
 
 def test_thick_cell_distance_strictly_decreases():
@@ -71,15 +71,14 @@ def test_free_space_exact_through_the_full_pipeline():
 def test_thick_cell_asymptotic_ratios(energy, strength):
     # at beta = 15 every expansion ratio is inside 1e-4 of its limit
     p = Particle(energy)
-    probe = derived_quantities(p, CellSpec(strength, 1.0))
-    width = 15.0 / (probe.rho * math.sin(probe.phi))
+    d = _geometry(p, strength)
+    width = 15.0 / (d.rho * d.sin_phi)
     cell = CellSpec(strength, width)
-    d = derived_quantities(p, cell)
-    growth = math.exp(2.0 * d.beta)
+    growth = math.exp(2.0 * _scaled(d, width)[1])
     coeffs = hartman_coeffs(p, strength)
     xi, chi = xi_chi(p, cell)
     assert xi / growth == pytest.approx(coeffs.f1, rel=1e-4)
-    assert chi / growth == pytest.approx(0.25 * d.u_minus * math.sin(d.phi), rel=1e-4)
+    assert chi / growth == pytest.approx(0.25 * d.u_minus * d.sin_phi, rel=1e-4)
     assert chi / xi == pytest.approx(coeffs.gamma, rel=1e-4)
     for n in (1, 2, 3, 4):
         assert cheb_U(n - 1, xi) / cheb_T(n, xi) * xi == pytest.approx(1.0, rel=1e-4)

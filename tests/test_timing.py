@@ -15,7 +15,6 @@ from pttunnel import (
     barrier_matrix,
     cheb_T,
     cheb_U,
-    derived_quantities,
     free_propagation_time,
     hartman_coeffs,
     hartman_limit_time,
@@ -29,6 +28,7 @@ from pttunnel import (
     tunneling_time_fd,
     xi_chi,
 )
+from pttunnel.model import _geometry, _scaled
 from pttunnel.timing import _guarded, closed_form
 
 
@@ -78,9 +78,9 @@ def test_xi_growth_matches_thick_cell_coefficient():
     p = Particle(1.0)
     cell = CellSpec(20.0, 3.0)
     xi, _ = xi_chi(p, cell)
-    d = derived_quantities(p, cell)
+    beta = _scaled(_geometry(p, 20.0), cell.width)[1]
     f1 = hartman_coeffs(p, 20.0).f1
-    assert xi * math.exp(-2.0 * d.beta) == pytest.approx(f1, rel=1e-4)
+    assert xi * math.exp(-2.0 * beta) == pytest.approx(f1, rel=1e-4)
 
 
 def test_xi_chi_overflow_guard():
@@ -336,10 +336,10 @@ def test_closed_form_huge_width_is_typed(width, n_cells):
 
 def test_hartman_coefficient_values():
     p = Particle(1.0)
-    d = derived_quantities(p, CellSpec(20.0, 1.0))
+    d = _geometry(p, 20.0)
     c = hartman_coeffs(p, 20.0)
-    assert c.gamma == pytest.approx(0.5 * d.u_minus / math.sin(d.phi), rel=1e-14)
-    assert c.f1 == pytest.approx(0.5 * math.sin(d.phi) ** 2, rel=1e-14)
+    assert c.gamma == pytest.approx(0.5 * d.u_minus / d.sin_phi, rel=1e-14)
+    assert c.f1 == pytest.approx(0.5 * d.sin_phi**2, rel=1e-14)
 
 
 def test_hartman_f1_range():
@@ -361,6 +361,34 @@ def test_hartman_rejects_free_space():
         hartman_coeffs(Particle(1.0), 0.0)
     with pytest.raises(DegeneratePotentialError):
         hartman_limit_time(Particle(1.0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "strength, thick_error, thin_error",
+    [
+        (math.nan, ValueError, ValueError),
+        (math.inf, ValueError, ValueError),
+        (-1.0, DegeneratePotentialError, ValueError),
+        (0.0, DegeneratePotentialError, None),
+        (True, ValueError, ValueError),  # bool is an int subclass, not a strength
+    ],
+)
+def test_strength_validation_of_ev_entry_points(strength, thick_error, thin_error):
+    # the (E, V) entry points reject what CellSpec rejects, each with its own type
+    p = Particle(2.0)
+    for function, args, error in (
+        (hartman_coeffs, (), thick_error),
+        (hartman_limit_time, (), thick_error),
+        (n_infinity_bracket, (3.0,), thin_error),
+    ):
+        if error is None:
+            assert function(p, strength, *args) == pytest.approx(
+                free_propagation_time(p, 3.0), rel=1e-15
+            )
+            continue
+        with pytest.raises(error) as raised:
+            function(p, strength, *args)
+        assert type(raised.value) is error
 
 
 @pytest.mark.parametrize("strength", [1e160, 1e300])
