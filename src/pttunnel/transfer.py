@@ -71,16 +71,21 @@ def _barrier_elements(particle: Particle, potential: complex, width: float) -> t
     try:
         cos_cb = cmath.cos(kc * width)
         sin_cb = cmath.sin(kc * width)
-    except OverflowError:
-        raise OverflowGuardError(
-            f"barrier growth |Im(kc)|*b = {abs((kc * width).imag):.3e} leaves double range"
-        ) from None
+    except OverflowError:  # the elements come out non-finite and raise below
+        cos_cb = sin_cb = cmath.inf
     even = (mu + 1.0 / mu) * sin_cb
     s = 1j * ((mu - 1.0 / mu) * sin_cb)
     kb = particle.k * width
     diag = cmath.exp(-1j * kb)
     p_plus, p_minus = 2.0 * cos_cb + 1j * even, 2.0 * cos_cb - 1j * even
-    return -1j * kb, 0.5 * diag * p_plus, 0.5 * p_minus / diag, s, -0.5 * s
+    m11, m22 = 0.5 * diag * p_plus, 0.5 * p_minus / diag
+    # Just below |Im(kc)|*b ~ 710, where cos and sin overflow, the couplings
+    # overflow instead and the elements come out nan.
+    if not (cmath.isfinite(m11) and cmath.isfinite(m22) and cmath.isfinite(s)):
+        raise OverflowGuardError(
+            f"barrier growth |Im(kc)|*b = {abs((kc * width).imag):.3e} leaves double range"
+        )
+    return -1j * kb, m11, m22, s, -0.5 * s
 
 
 def barrier_matrix(
@@ -145,7 +150,7 @@ def lattice_matrix_direct(
         a11, a12, a21, a22 = (c11 * a11 + c12 * a21, c11 * a12 + c12 * a22,
                               c21 * a11 + c22 * a21, c21 * a12 + c22 * a22)
         peak = max(abs(a11), abs(a12), abs(a21), abs(a22))
-        if peak > ELEMENT_GUARD:
+        if not peak <= ELEMENT_GUARD:  # a nan peak trips it too
             raise OverflowGuardError(
                 f"direct lattice product exceeds {ELEMENT_GUARD:.0e} "
                 f"after {m + 1} of {n_cells} cells (peak {peak:.3e})"

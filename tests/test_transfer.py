@@ -165,7 +165,7 @@ def _product_by_composition(particle, cell, n_cells):
         loss = barrier_matrix(particle, -1j * v, b, 2 * m + 1)
         acc = compose(compose(loss, gain), acc)
         peak = acc.max_abs()
-        if peak > ELEMENT_GUARD:
+        if not peak <= ELEMENT_GUARD:
             raise OverflowGuardError(
                 f"direct lattice product exceeds {ELEMENT_GUARD:.0e} "
                 f"after {m + 1} of {n_cells} cells (peak {peak:.3e})"
@@ -221,6 +221,16 @@ def test_barrier_growth_overflow_is_typed():
         barrier_matrix(p, 100j, 400.0)
     with pytest.raises(OverflowGuardError, match="barrier growth"):
         lattice_matrix_direct(p, CellSpec(100.0, 400.0), 1)
+
+
+def test_barrier_elements_just_below_growth_range_are_typed():
+    # |Im(kc)|*b = 707: cos and sin of kc*b are finite, but the couplings
+    # (mu +- 1/mu)*sin(kc*b) overflow and the elements would be nan
+    p = Particle(1.0)
+    with pytest.raises(OverflowGuardError, match="barrier growth"):
+        barrier_matrix(p, 10000j, 10.0)
+    with pytest.raises(OverflowGuardError, match="barrier growth"):
+        lattice_matrix_direct(p, CellSpec(1e4, 10.0), 1)
 
 
 def test_left_right_transmission_reciprocity():
