@@ -203,7 +203,7 @@ def evaluate_point(
     Selection of the time path:
       - beta > BETA_MAX: thick-barrier limit (method 'hartman-limit', flagged
         Overflow) -- the exact expressions leave double range there;
-      - |xi^2 - 1| < tolerance: analytic endpoint fallback, flagged XiAtUnity;
+      - N^2 |xi^2 - 1| < tolerance: analytic endpoint fallback, flagged XiAtUnity;
       - otherwise the plain analytic expression.
     A row at a spectral singularity is flagged SpectralSingularity, with
     |t| = inf; any other row without a finite tau or t is flagged Overflow.

@@ -62,7 +62,7 @@ BETA_MAX = 350.0
 # |G| below this absolute bound is treated as a spectral singularity.
 G_SINGULARITY_ABS_TOL = 1e-12
 
-# |xi^2 - 1| below this switches the time to the band-edge endpoint values.
+# N^2 |xi^2 - 1| below this switches the time to the band-edge endpoint values.
 BAND_EDGE_TOL = 1e-10
 
 # ln of the largest representable double, slightly rounded down.
@@ -112,6 +112,8 @@ class _CellScalars(NamedTuple):
 
     and every downstream (xi^2 - 1) factor is built from these, which keeps
     the free-space (V = 0) reduction of the time exact to rounding at any N.
+    For the same reason xi' carries cosh 2beta - cos 2alpha, O(b^2) in a thin
+    cell, as 2 (sinh^2 beta + sin^2 alpha).
     """
 
     xi: float
@@ -149,7 +151,7 @@ def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> 
     xi_prime = (
         2.0 * beta_prime * sin_phi * sin_phi * sinh_2b
         - 2.0 * alpha_prime * cos_phi * cos_phi * sin_2a
-        + geo.phi_prime * geo.sin_2phi * (cosh_2b - cos_2a)
+        + 2.0 * geo.phi_prime * geo.sin_2phi * (sinh_b2 + sin_a2)
     )
     chi_prime = (
         geo.u_plus
@@ -204,7 +206,7 @@ def xi_chi(particle: Particle, cell: CellSpec) -> tuple[float, float]:
 class ClosedForm:
     """tau, t and theta of the N-cell lattice from one evaluation.
 
-    ``band_edge`` marks the endpoint branch of the time, |xi^2 - 1| <
+    ``band_edge`` marks the endpoint branch of the time, N^2 |xi^2 - 1| <
     BAND_EDGE_TOL.  ``t`` is None where ``error`` replaces it:
     SpectralSingularityError when |G| vanishes, OverflowGuardError when |G|
     leaves double range.  ``theta`` is the phase of t, the bounded-ratio
@@ -231,7 +233,8 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
         tau = [q*chi' + chi*xi'*(dq/dxi)] / (2k*(1 + (q*chi)^2))
 
     with dq/dxi = (N - q*xi)/(xi^2 - 1) - N*q^2; its removable 0/0 at
-    xi = +-1 takes the endpoint values q = +-N, dq/dxi = -N(2N^2+1)/3.
+    xi = +-1 takes the endpoint values q = +-N, dq/dxi = -N(2N^2+1)/3,
+    which hold while N^2 |xi^2 - 1| < BAND_EDGE_TOL.
     Inside the band q = sin(N*psi)/(sin(psi)*cos(N*psi)) with psi =
     arccos(xi), finite at every double, roots of T_N included.  Outside the
     band (xi > 1) every factor is built from the bounded ratios chi/s, xi'/s,
@@ -265,7 +268,7 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
     xi, chi = scalars.xi, scalars.chi
     xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
     quad = scalars.xi_minus_1 * scalars.xi_plus_1  # inf far outside the band is fine
-    band_edge = abs(quad) < BAND_EDGE_TOL
+    band_edge = n * n * abs(quad) < BAND_EDGE_TOL
     # xi + 1 >= 2 cos^2(alpha) >= 0 for every cell (0 < cos 2phi <= 1), so
     # outside the band xi > 1 and T_N > 0.
     outside = xi > 1.0
@@ -291,7 +294,7 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
             q = math.copysign(float(n), xi)
             dq_dxi = -n * (2.0 * n * n + 1.0) / 3.0
         else:
-            # math.cos never returns 0 for a finite double and sine >= 1e-5
+            # math.cos never returns 0 for a finite double and sine >= 1e-5/N
             # here, so q stays finite at the roots of T_N.
             q = sin_n / (sine * cos_n)
             dq_dxi = (n - q * xi) / quad - n * q * q

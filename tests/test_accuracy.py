@@ -3,11 +3,20 @@
 double-precision oracles cannot judge to 1e-13."""
 
 import math
+import sys
 
 import pytest
 
 from conftest import bisect_width_for_xi
-from pttunnel import CellSpec, OverflowGuardError, Particle, cheb_T, evaluate_point, xi_chi
+from pttunnel import (
+    CellSpec,
+    OverflowGuardError,
+    Particle,
+    cheb_T,
+    evaluate_point,
+    free_propagation_time,
+    xi_chi,
+)
 from pttunnel.timing import closed_form
 
 # (E, V, N, j, lo, hi): the width in (lo, hi) puts xi on the j-th root
@@ -52,3 +61,22 @@ def test_log_domain_phase_matches_reference(lattice_reference, energy, strength,
     assert record.t is None and isinstance(record.error, OverflowGuardError)
     reference = lattice_reference(energy, strength, width, n, dps=80).theta
     assert abs(math.remainder(record.theta - reference, math.tau)) < 5e-14
+
+
+# (V, N) at E = 1, L = 1, b = L/2N: thin cells, where xi sits within
+# (kL/N)^2 of the band edge and tau - L/2k is a small offset; the last four
+# reach the band-edge branch or lie just past its switch.
+THIN_CELLS = [(5.0, 4096), (20.0, 4096), (5.0, 26929), (5.0, 200000), (0.5, 1000000), (2.0, 30000)]
+
+
+@pytest.mark.parametrize("strength, n", THIN_CELLS)
+def test_thin_cell_time_matches_reference(lattice_reference, strength, n):
+    p, span = Particle(1.0), 1.0
+    width = span / (2 * n)
+    tau = closed_form(p, CellSpec(strength, width), n).tau
+    reference = lattice_reference(1.0, strength, width, n, dps=60).tau
+    assert abs(tau - reference) <= 1e-13 * abs(reference)
+    # the offset tau - L/2k to two digits, down to 64 ulp of L/2k
+    free = free_propagation_time(p, span)
+    offset = reference - free
+    assert abs(tau - reference) <= max(1e-2 * abs(offset), 64 * sys.float_info.epsilon * free)

@@ -259,6 +259,11 @@ _PATH_CONFIGS = (
         mode="sweep-n", energy=1.0, potentials=(20.0,), span=3000.0,
         grid=GridSpec(1, 64, 7, log=True),
     ),
+    # kL = 1e-6: N^2 |xi^2 - 1| ~ (kL)^2 puts every row on the band-edge branch
+    SweepConfig(
+        mode="sweep-n", energy=1.0, potentials=(5.0,), span=1e-6,
+        grid=GridSpec(1, 4096, 13, log=True),
+    ),
 )
 
 
