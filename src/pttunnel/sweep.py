@@ -33,7 +33,6 @@ from .timing import (
     hartman_coeffs,
     n_infinity_bracket,
     tunneling_time_fd,
-    xi_chi,
 )
 from .transfer import lattice_matrix_direct, transmission_from_matrix
 
@@ -460,11 +459,11 @@ def run_limits() -> LimitsReport:
     for energy, strength in ((1.0, 20.0), (4.0, 10.0), (0.5, 7.0), (2.0, 50.0)):
         particle = Particle(energy)
         geo = _geometry(particle, strength)
-        width = 15.0 / (geo.rho * geo.sin_phi)
-        cell = CellSpec(strength, width)
+        scaled = _scaled(geo, 15.0 / (geo.rho * geo.sin_phi))
         coeffs = hartman_coeffs(particle, strength)
-        xi, chi = xi_chi(particle, cell)
-        growth = math.exp(2.0 * _scaled(geo, width)[1])
+        scalars = _cell_scalars(geo, scaled)
+        xi, chi = scalars.xi, scalars.chi
+        growth = math.exp(2.0 * scaled[1])
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
         worst = max(worst, abs(chi / growth / (0.25 * geo.u_minus * geo.sin_phi) - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
