@@ -270,8 +270,9 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
     quad = scalars.xi_minus_1 * scalars.xi_plus_1  # inf far outside the band is fine
     band_edge = n * n * abs(quad) < BAND_EDGE_TOL
     # xi + 1 >= 2 cos^2(alpha) >= 0 for every cell (0 < cos 2phi <= 1), so
-    # outside the band xi > 1 and T_N > 0.
-    outside = xi > 1.0
+    # outside the band xi > 1 and T_N > 0.  The side is read off xi - 1, whose
+    # sign quad shares: just outside the band xi itself can round to 1.0.
+    outside = scalars.xi_minus_1 > 0.0
     if outside:
         scale = _growth_scale(scalars)
         nu = n * math.asinh(scale)

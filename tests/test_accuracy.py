@@ -80,3 +80,13 @@ def test_thin_cell_time_matches_reference(lattice_reference, strength, n):
     free = free_propagation_time(p, span)
     offset = reference - free
     assert abs(tau - reference) <= max(1e-2 * abs(offset), 64 * sys.float_info.epsilon * free)
+
+
+def test_time_where_xi_rounds_to_one_outside_the_band(lattice_reference):
+    # xi - 1 = 2.8e-17 > 0 but xi itself rounds to 1.0: the side of the band
+    # must come from xi - 1, or sin(psi) = 0 divides the in-band q
+    energy, strength, width, n = 1.6033331678902918, 42.44796997839302, 0.10325041054420955, 100000
+    record = closed_form(Particle(energy), CellSpec(strength, width), n)
+    assert record.xi == 1.0 and not record.band_edge
+    reference = lattice_reference(energy, strength, width, n, dps=60).tau
+    assert abs(record.tau - reference) <= 1e-6 * abs(reference)
