@@ -11,6 +11,7 @@ failure on a point query.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -63,42 +64,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     def add_common(p: argparse.ArgumentParser, *, grid_help: str | None = None) -> None:
-        p.add_argument("--energy", type=float, default=None, help="incident energy E > 0")
+        p.add_argument("--energy", type=float, help="incident energy E > 0")
         p.add_argument(
-            "--potential",
-            type=float,
-            action="append",
-            default=None,
-            help="potential strength V >= 0 (repeatable)",
+            "--potential", type=float, action="append", help="potential strength V >= 0 (repeatable)"
         )
-        p.add_argument(
-            "--cells",
-            type=int,
-            action="append",
-            default=None,
-            help="repetition count N >= 0 (repeatable)",
-        )
+        p.add_argument("--cells", type=int, action="append", help="repetition count N >= 0 (repeatable)")
         if grid_help is not None:
-            p.add_argument("--grid", default=None, help=grid_help)
-        p.add_argument("--output", default=None, help="output file path (default: stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"), help="output format")
-        p.add_argument("--config", default=None, help="flat key=value config file")
+            p.add_argument("--grid", help=grid_help)
+        p.add_argument("--output", help="output file path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--config", help="flat key=value config file")
 
     p_point = sub.add_parser("point", help="evaluate a single (E, V, b, N) point")
     add_common(p_point)
-    p_point.add_argument("--width", type=float, default=None, help="barrier width b > 0")
+    p_point.add_argument("--width", type=float, help="barrier width b > 0")
 
     p_b = sub.add_parser("sweep-b", help="sweep the cell width at fixed repetitions")
     add_common(p_b, grid_help="width grid start:stop:count[:log]")
 
     p_n = sub.add_parser("sweep-n", help="sweep repetitions at fixed total span")
     add_common(p_n, grid_help="repetition grid start:stop:count[:log]")
-    p_n.add_argument("--span", type=float, default=None, help="fixed total span L > 0")
+    p_n.add_argument("--span", type=float, help="fixed total span L > 0")
 
     p_l = sub.add_parser("limits", help="run the analytic limit validation report")
-    p_l.add_argument("--output", default=None, help="output file path (default: stdout)")
-    p_l.add_argument("--config", default=None, help="flat key=value config file")
+    p_l.add_argument("--output", help="output file path (default: stdout)")
+    p_l.add_argument("--config", help="flat key=value config file")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call, built on the first; parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -202,9 +199,8 @@ def _run_point(config: SweepConfig) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -7,7 +7,6 @@ k = sqrt(E) and a free particle crosses a length L in time L/(2k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidEnergyError, OverflowGuardError
@@ -18,31 +17,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Particle:
+class _Validated:
+    """Base of the records that validate in ``__new__``; ``_make`` and ``_replace`` go through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _ParticleFields(NamedTuple):
+    energy: float
+
+
+class Particle(_Validated, _ParticleFields):
     """Incident particle, parameterized by its energy only.
 
     The wave vector is always derived (k = sqrt(E)); it is never stored, so
     inconsistent (E, k) pairs cannot exist.
     """
 
-    energy: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.energy, bool) or not (
-            isinstance(self.energy, (int, float)) and math.isfinite(self.energy)
+    def __new__(cls, energy: float) -> Particle:
+        if isinstance(energy, bool) or not (
+            isinstance(energy, (int, float)) and math.isfinite(energy)
         ):
-            raise InvalidEnergyError(f"energy must be a finite number, got {self.energy!r}")
-        if self.energy <= 0.0:
-            raise InvalidEnergyError(f"energy must be positive, got {self.energy!r}")
+            raise InvalidEnergyError(f"energy must be a finite number, got {energy!r}")
+        if energy <= 0.0:
+            raise InvalidEnergyError(f"energy must be positive, got {energy!r}")
+        return super().__new__(cls, energy)
 
     @property
     def k(self) -> float:
         return math.sqrt(self.energy)
 
 
-@dataclass(frozen=True)
-class CellSpec:
+class _CellSpecFields(NamedTuple):
+    strength: float
+    width: float
+
+
+class CellSpec(_Validated, _CellSpecFields):
     """One gain/loss pair: +iV over a width `width`, then -iV over the same width.
 
     ``strength`` is the magnitude V >= 0 of the imaginary potential;
@@ -50,16 +67,17 @@ class CellSpec:
     cell spans 2*width.
     """
 
-    strength: float
-    width: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.strength, bool) or isinstance(self.width, bool):
+    def __new__(cls, strength: float, width: float) -> CellSpec:
+        self = super().__new__(cls, strength, width)
+        if isinstance(strength, bool) or isinstance(width, bool):
             raise ValueError(f"strength and width must be numbers, got {self!r}")
-        if not (math.isfinite(self.strength) and self.strength >= 0.0):
-            raise ValueError(f"strength must be finite and >= 0, got {self.strength!r}")
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ValueError(f"width must be finite and > 0, got {self.width!r}")
+        if not (math.isfinite(strength) and strength >= 0.0):
+            raise ValueError(f"strength must be finite and >= 0, got {strength!r}")
+        if not (math.isfinite(width) and width > 0.0):
+            raise ValueError(f"width must be finite and > 0, got {width!r}")
+        return self
 
 
 class _Geometry(NamedTuple):
@@ -73,8 +91,7 @@ class _Geometry(NamedTuple):
     growing phase accumulations across one barrier, and their k-derivatives
     depend on the barrier width b, each as b times a factor held here
     (:func:`_scaled`).  A sweep at fixed (E, V) builds this record once and
-    each row only scales it by b.  (A NamedTuple: a frozen dataclass this
-    wide costs milliseconds at import.)
+    each row only scales it by b.
     """
 
     k: float

@@ -12,14 +12,13 @@ import contextlib
 import json
 import math
 import random
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .chebyshev import cheb_T, cheb_U
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle, _Geometry, _geometry, _scaled
+from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, _Validated
 from .timing import (
     BETA_MAX,
     ClosedForm,
@@ -75,22 +74,26 @@ _NAN = float("nan")
 _LIMITS_SEED = 20210614
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Inclusive 1-D grid, linear or logarithmic, parsed from start:stop:count[:log]."""
-
+class _GridSpecFields(NamedTuple):
     start: float
     stop: float
     count: int
     log: bool = False
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
+
+class GridSpec(_Validated, _GridSpecFields):
+    """Inclusive 1-D grid, linear or logarithmic, parsed from start:stop:count[:log]."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: float, stop: float, count: int, log: bool = False) -> GridSpec:
+        if count < 1:
             raise ValueError("grid count must be >= 1")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("grid endpoints must be finite")
-        if self.log and (self.start <= 0.0 or self.stop <= 0.0):
+        if log and (start <= 0.0 or stop <= 0.0):
             raise ValueError("log grid requires positive endpoints")
+        return super().__new__(cls, start, stop, count, log)
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
@@ -125,10 +128,7 @@ class GridSpec:
         return seen
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Resolved inputs of one command invocation (CLI flags over config file)."""
-
+class _SweepConfigFields(NamedTuple):
     mode: str
     energy: float = 1.0
     potentials: tuple[float, ...] = ()
@@ -139,15 +139,22 @@ class SweepConfig:
     output: str | None = None
     format: str = "csv"
 
-    def __post_init__(self) -> None:
+
+class SweepConfig(_Validated, _SweepConfigFields):
+    """Resolved inputs of one command invocation (CLI flags over config file)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SweepConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("point", "sweep-b", "sweep-n", "limits"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One evaluated parameter point; reference columns are nan when not applicable."""
 
     energy: float
@@ -240,20 +247,11 @@ def evaluate_point(
             # |t| underflows where the bounded-ratio phase is left; where the
             # phase itself leaves double range, |t| is unknown.
             t_abs = 0.0 if math.isfinite(theta) else _NAN
-    return SweepRow(
-        energy=particle.energy,
-        strength=cell.strength,
-        n_cells=n_cells,
-        width=cell.width,
-        span=span,
-        tau=tau,
-        tau_method=METHOD_HARTMAN if record.handoff else METHOD_ANALYTIC,
-        t_abs=t_abs,
-        theta=theta,
-        flags=tuple(flags),
-        tau_inf=shared.tau_inf,
-        tau_free=shared.tau_free,
-        rel_gap=abs(tau - shared.tau_free) / shared.tau_free,
+    method = METHOD_HARTMAN if record.handoff else METHOD_ANALYTIC
+    rel_gap = abs(tau - shared.tau_free) / shared.tau_free
+    return SweepRow(  # positional: keywords cost a NamedTuple twice as much
+        particle.energy, cell.strength, n_cells, cell.width, span, tau, method,
+        t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap,
     )
 
 
@@ -332,8 +330,7 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitCheck:
+class LimitCheck(NamedTuple):
     """One record of the report; the fields are its JSON keys, in order."""
 
     name: str
@@ -343,8 +340,7 @@ class LimitCheck:
     detail: str
 
 
-@dataclass(frozen=True)
-class LimitsReport:
+class LimitsReport(NamedTuple):
     checks: tuple[LimitCheck, ...]
 
     @property
@@ -355,7 +351,7 @@ class LimitsReport:
         payload = {
             "version": SCHEMA_VERSION,
             "passed": self.passed,
-            "checks": [vars(check) for check in self.checks],
+            "checks": [check._asdict() for check in self.checks],
         }
         return json.dumps(payload, indent=2)
 

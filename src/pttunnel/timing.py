@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chebyshev import cheb_T, cheb_U
@@ -202,8 +201,7 @@ def xi_chi(particle: Particle, cell: CellSpec) -> tuple[float, float]:
     return scalars.xi, scalars.chi
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """tau, t and theta of the N-cell lattice from one evaluation.
 
     ``band_edge`` marks the endpoint branch of the time, N^2 |xi^2 - 1| <
@@ -213,7 +211,7 @@ class ClosedForm:
     phase where |t| underflows, and nan at a singularity.  Where nothing is
     evaluated, tau and theta are nan and ``error`` (an OverflowGuardError)
     says why: ``handoff`` marks beta > BETA_MAX, otherwise the phase 2*alpha
-    or k*L leaves double range.
+    or k*L leaves double range, or xi + 1 cancels to 0 outside the band.
     """
 
     tau: float
@@ -275,6 +273,9 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
     outside = scalars.xi_minus_1 > 0.0
     if outside:
         scale = _growth_scale(scalars)
+        if scale == 0.0:  # xi + 1 > 2 here: it lost every digit, as where cos 2phi rounds to 1
+            error = OverflowGuardError(f"xi + 1 cancels to 0 at beta = {scaled[1]:.3f}")
+            return ClosedForm(_NAN, _NAN, None, error)
         nu = n * math.asinh(scale)
         tt = math.tanh(nu)
     else:
@@ -355,8 +356,8 @@ def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> com
 
 def _timed(record: ClosedForm) -> ClosedForm:
     """The record, unless tau and theta are undefined there: where the cell
-    was not evaluated (OverflowGuardError: past BETA_MAX, or a phase out of
-    double range)."""
+    was not evaluated (OverflowGuardError: past BETA_MAX, a phase out of
+    double range, or xi + 1 cancelled to 0)."""
     if record.error is not None and math.isnan(record.xi):
         raise record.error
     return record
@@ -411,8 +412,7 @@ def tunneling_time_fd(
     return (dtheta / (2.0 * dk) + length) / (2.0 * k)
 
 
-@dataclass(frozen=True)
-class HartmanCoeffs:
+class HartmanCoeffs(NamedTuple):
     """Coefficients of the thick-cell (b -> infinity) expansions.
 
     xi ~ f1*exp(2*beta), xi' ~ (f2 + b*f4)*exp(..), chi' ~ (b*g2 + g3)*exp(..)
@@ -431,7 +431,8 @@ class HartmanCoeffs:
 def hartman_coeffs(particle: Particle, strength: float) -> HartmanCoeffs:
     """Thick-cell expansion coefficients for potential strength V > 0.
 
-    Raises OverflowGuardError when rho^3 leaves double range.
+    Raises OverflowGuardError when rho^3 leaves double range or sin(phi)
+    underflows to 0.
     """
     if strength <= 0.0:
         raise DegeneratePotentialError("thick-barrier expansion requires strength > 0")
@@ -440,6 +441,8 @@ def hartman_coeffs(particle: Particle, strength: float) -> HartmanCoeffs:
     v = strength
     sin_phi = geo.sin_phi
     rho3 = _power(geo.rho, 3)
+    if sin_phi == 0.0:  # gamma divides by it
+        raise OverflowGuardError(f"sin(phi) underflows to 0 at E = {particle.energy!r}, V = {v!r}")
     dec_factor = k * k * sin_phi * sin_phi - 0.5 * v * geo.sin_2phi
     return HartmanCoeffs(
         f1=0.5 * sin_phi * sin_phi,
@@ -457,13 +460,16 @@ def hartman_limit_time(particle: Particle, strength: float) -> float:
     tau_inf = (g3 - gamma*f2) / (2k*(1 + gamma^2)*f1): independent of both
     the cell width and the repetition count by construction.
 
-    Raises OverflowGuardError when the coefficients leave double range.
+    Raises OverflowGuardError when the coefficients or the time leave double
+    range.
     """
     return _limit_time(hartman_coeffs(particle, strength), particle.k)
 
 
 def _limit_time(c: HartmanCoeffs, k: float) -> float:
-    tau = (c.g3 - c.gamma * c.f2) / (2.0 * k * (1.0 + c.gamma**2) * c.f1)
+    # f1 = sin^2(phi)/2 underflows to 0 below V/k^2 ~ 1e-161, and this with it
+    denominator = 2.0 * k * (1.0 + c.gamma**2) * c.f1
+    tau = (c.g3 - c.gamma * c.f2) / denominator if denominator else _NAN
     if not math.isfinite(tau):
         raise OverflowGuardError("thick-cell limit time leaves double range")
     return tau

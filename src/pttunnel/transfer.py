@@ -11,7 +11,7 @@ closed-form transmission in :mod:`pttunnel.timing`.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OverflowGuardError, SpectralSingularityError
 from .model import CellSpec, Particle
@@ -34,8 +34,7 @@ ELEMENT_GUARD = 1e280
 M22_SINGULARITY_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     m11: complex
     m12: complex
     m21: complex

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -28,7 +27,7 @@ from pttunnel import (
     tunneling_time,
 )
 from pttunnel import sweep as sweep_mod
-from pttunnel.cli import main
+from pttunnel.cli import build_parser, main
 from pttunnel.sweep import (
     POINT_COLUMNS,
     SWEEP_B_COLUMNS,
@@ -281,14 +280,14 @@ def test_sweep_rows_equal_point_rows():
             expected = evaluate_point(particle, cell, row.n_cells)
             if config.mode == "sweep-b":
                 tau_inf = hartman_limit_time(particle, row.strength) if row.strength else math.nan
-                expected = dataclasses.replace(expected, tau_inf=tau_inf)
+                expected = expected._replace(tau_inf=tau_inf)
             else:
                 tau_free = free_propagation_time(particle, config.span)
                 rel_gap = abs(expected.tau - tau_free) / tau_free
-                expected = dataclasses.replace(expected, tau_free=tau_free, rel_gap=rel_gap)
-            for field in dataclasses.fields(SweepRow):
-                assert _same(getattr(row, field.name), getattr(expected, field.name)), (
-                    field.name, row, expected,
+                expected = expected._replace(tau_free=tau_free, rel_gap=rel_gap)
+            for field in SweepRow._fields:
+                assert _same(getattr(row, field), getattr(expected, field)), (
+                    field, row, expected,
                 )
             xi = closed_form(particle, cell, row.n_cells).xi
             paths.add(row.tau_method)
@@ -405,7 +404,7 @@ def _writer_rows():
 def test_writers_match_reference_bytes(columns):
     rows = _writer_rows()
     assert isinstance(rows[-1].energy, _Float)
-    empty = run_sweep_n(dataclasses.replace(_PATH_CONFIGS[1], grid=GridSpec.parse("0.1:0.2:3")))
+    empty = run_sweep_n(_PATH_CONFIGS[1]._replace(grid=GridSpec.parse("0.1:0.2:3")))
     assert empty == []
     for sample in (rows, rows[:1], empty):
         assert rows_to_csv(sample, columns) == _reference_csv(sample, columns)
@@ -590,6 +589,62 @@ def test_cli_sweep_b_huge_potential_has_nan_limit(tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert (row["tau"], row["tau_inf"], row["flags"]) == ("nan", "nan", "Overflow")
+
+
+def test_cli_sweep_b_tiny_potential_has_nan_limit(capsys):
+    # f1 = sin^2(phi)/2 underflows to 0 at V = 1e-300: no thick-cell limit,
+    # but every row is a regular analytic one
+    argv = ["sweep-b", "--energy", "1", "--potential", "1e-300", "--cells", "1"]
+    assert main([*argv, "--grid", "0.1:1:3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert (row["tau_method"], row["tau_inf"], row["flags"]) == ("analytic", "nan", "")
+        assert float(row["tau"]) == pytest.approx(float(row["b"]), rel=1e-12)
+
+
+def test_cli_point_cancelled_growth_scale_flags_overflow(capsys):
+    # xi + 1 cancels to 0 outside the band (see test_timing): a typed
+    # Overflow row and exit 4, not a ZeroDivisionError
+    rc, row, err = _point_row(
+        "--energy", "1e300", "--potential", "1e150", "--width", "120", "--cells", "1000000000",
+        capsys=capsys,
+    )
+    assert rc == 4
+    assert err == "error: Overflow: no finite tunneling time at this point\n"
+    assert (row["tau"], row["tau_method"], row["flags"]) == ("nan", "analytic", "Overflow")
+    assert (row["t_abs"], row["theta"]) == ("nan", "nan")
+
+
+# Each command of the sequence below, in the order it runs (twice over).
+_REPEATED = {
+    "point": ["point", "--energy", "1", "--potential", "20", "--width", "0.25", "--cells", "2"],
+    "bad-flag": ["sweep-b", "--no-such-flag"],
+    "sweep-b": ["sweep-b", "--potential", "20", "--potential", "0", "--grid", "1e-3:300:40:log"],
+    "help": ["sweep-n", "--help"],
+    "sweep-n": ["sweep-n", "--format", "json"],
+    "limits": ["limits"],
+}
+
+
+def test_main_called_repeatedly_writes_what_a_fresh_call_writes(capsys, monkeypatch):
+    # main parses every call in a process with one parser; each call must
+    # still write what it writes in a fresh interpreter, failed parses and
+    # help included
+    monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at this width
+    fresh = {}
+    for name, argv in _REPEATED.items():
+        proc = run_cli(*argv)
+        fresh[name] = (proc.returncode, proc.stdout, proc.stderr)
+    assert [fresh[name][0] for name in _REPEATED] == [0, 2, 0, 0, 0, 0]
+    for _ in range(2):
+        for name, argv in _REPEATED.items():
+            code = main(argv)
+            assert (code, *capsys.readouterr()) == fresh[name], name
+    assert build_parser() is not build_parser()
 
 
 def _read_csv(path):

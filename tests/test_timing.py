@@ -29,7 +29,7 @@ from pttunnel import (
     xi_chi,
 )
 from pttunnel.model import _geometry, _scaled
-from pttunnel.timing import _guarded, closed_form
+from pttunnel.timing import _cell_scalars, _growth_scale, _guarded, closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +329,22 @@ def test_closed_form_huge_width_is_typed(width, n_cells):
             xi_chi(p, cell)
 
 
+def test_closed_form_cancelled_growth_scale_is_typed():
+    # sin(phi) = 5e-151 rounds cos 2phi to 1, so xi + 1 cancels to 0.0 at
+    # beta = 60 and the growth scale sqrt(xi^2 - 1) is 0 outside the band
+    p = Particle(1e300)
+    cell = CellSpec(1e150, 120.0)
+    geo = _geometry(p, cell.strength)
+    scalars = _cell_scalars(geo, _scaled(geo, cell.width))
+    assert scalars.xi_minus_1 > 0.0 and _growth_scale(scalars) == 0.0
+    cf = closed_form(p, cell, 10**9)
+    assert isinstance(cf.error, OverflowGuardError) and not cf.handoff
+    assert cf.t is None and math.isnan(cf.tau) and math.isnan(cf.theta)
+    for project in (transmission_closed, phase_theta, tunneling_time):
+        with pytest.raises(OverflowGuardError):
+            project(p, cell, 10**9)
+
+
 # ---------------------------------------------------------------------------
 # thick-cell (Hartman) limit
 # ---------------------------------------------------------------------------
@@ -399,6 +415,18 @@ def test_hartman_limit_overflow_is_typed(strength):
     if strength > 1e200:
         with pytest.raises(OverflowGuardError):
             hartman_coeffs(Particle(1.0), strength)
+
+
+def test_hartman_limit_at_tiny_strength_is_typed():
+    # f1 = sin^2(phi)/2 underflows to 0 below V/k^2 ~ 1e-161, and sin(phi)
+    # itself at V = 5e-324; the limit time divides by f1, gamma by sin(phi)
+    assert hartman_coeffs(Particle(1.0), 1e-300).f1 == 0.0
+    with pytest.raises(OverflowGuardError):
+        hartman_limit_time(Particle(1.0), 1e-300)
+    with pytest.raises(OverflowGuardError):
+        hartman_coeffs(Particle(1.0), 5e-324)
+    with pytest.raises(OverflowGuardError):
+        hartman_limit_time(Particle(1.0), 5e-324)
 
 
 def test_hartman_limit_reached_by_thick_cells():
