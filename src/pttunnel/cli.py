@@ -64,37 +64,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     def add_common(p: argparse.ArgumentParser, *, grid_help: str | None = None) -> None:
-        p.add_argument("--energy", type=float, help="incident energy E > 0")
+        p.add_argument("--energy", type=float, default=None, help="incident energy E > 0")
         p.add_argument(
-            "--potential", type=float, action="append", help="potential strength V >= 0 (repeatable)"
+            "--potential",
+            type=float,
+            action="append",
+            default=None,
+            help="potential strength V >= 0 (repeatable)",
         )
-        p.add_argument("--cells", type=int, action="append", help="repetition count N >= 0 (repeatable)")
+        p.add_argument(
+            "--cells",
+            type=int,
+            action="append",
+            default=None,
+            help="repetition count N >= 0 (repeatable)",
+        )
         if grid_help is not None:
-            p.add_argument("--grid", help=grid_help)
-        p.add_argument("--output", help="output file path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--config", help="flat key=value config file")
+            p.add_argument("--grid", default=None, help=grid_help)
+        p.add_argument("--output", default=None, help="output file path (default: stdout)")
+        p.add_argument("--format", default=None, choices=("csv", "json"), help="output format")
+        p.add_argument("--config", default=None, help="flat key=value config file")
 
     p_point = sub.add_parser("point", help="evaluate a single (E, V, b, N) point")
     add_common(p_point)
-    p_point.add_argument("--width", type=float, help="barrier width b > 0")
+    p_point.add_argument("--width", type=float, default=None, help="barrier width b > 0")
 
     p_b = sub.add_parser("sweep-b", help="sweep the cell width at fixed repetitions")
     add_common(p_b, grid_help="width grid start:stop:count[:log]")
 
     p_n = sub.add_parser("sweep-n", help="sweep repetitions at fixed total span")
     add_common(p_n, grid_help="repetition grid start:stop:count[:log]")
-    p_n.add_argument("--span", type=float, help="fixed total span L > 0")
+    p_n.add_argument("--span", type=float, default=None, help="fixed total span L > 0")
 
     p_l = sub.add_parser("limits", help="run the analytic limit validation report")
-    p_l.add_argument("--output", help="output file path (default: stdout)")
-    p_l.add_argument("--config", help="flat key=value config file")
+    p_l.add_argument("--output", default=None, help="output file path (default: stdout)")
+    p_l.add_argument("--config", default=None, help="flat key=value config file")
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of every :func:`main` call, built on the first; parsing leaves it unchanged."""
+    """The parser of every :func:`main` call, built on the first; parsing leaves it unchanged.
+
+    This saves the build only where ``main`` runs more than once in one
+    process (a script or a test run calling it in a loop); the ``pttunnel``
+    console script calls it once per process.
+    """
     return build_parser()
 
 

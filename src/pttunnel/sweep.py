@@ -247,11 +247,20 @@ def evaluate_point(
             # |t| underflows where the bounded-ratio phase is left; where the
             # phase itself leaves double range, |t| is unknown.
             t_abs = 0.0 if math.isfinite(theta) else _NAN
-    method = METHOD_HARTMAN if record.handoff else METHOD_ANALYTIC
-    rel_gap = abs(tau - shared.tau_free) / shared.tau_free
-    return SweepRow(  # positional: keywords cost a NamedTuple twice as much
-        particle.energy, cell.strength, n_cells, cell.width, span, tau, method,
-        t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap,
+    return SweepRow(
+        energy=particle.energy,
+        strength=cell.strength,
+        n_cells=n_cells,
+        width=cell.width,
+        span=span,
+        tau=tau,
+        tau_method=METHOD_HARTMAN if record.handoff else METHOD_ANALYTIC,
+        t_abs=t_abs,
+        theta=theta,
+        flags=tuple(flags),
+        tau_inf=shared.tau_inf,
+        tau_free=shared.tau_free,
+        rel_gap=abs(tau - shared.tau_free) / shared.tau_free,
     )
 
 

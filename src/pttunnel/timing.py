@@ -461,15 +461,16 @@ def hartman_limit_time(particle: Particle, strength: float) -> float:
     the cell width and the repetition count by construction.
 
     Raises OverflowGuardError when the coefficients or the time leave double
-    range.
+    range, or the time's denominator underflows to 0.
     """
     return _limit_time(hartman_coeffs(particle, strength), particle.k)
 
 
 def _limit_time(c: HartmanCoeffs, k: float) -> float:
-    # f1 = sin^2(phi)/2 underflows to 0 below V/k^2 ~ 1e-161, and this with it
     denominator = 2.0 * k * (1.0 + c.gamma**2) * c.f1
-    tau = (c.g3 - c.gamma * c.f2) / denominator if denominator else _NAN
+    if denominator == 0.0:  # f1 = sin^2(phi)/2 underflows to 0 below V/k^2 ~ 1e-161
+        raise OverflowGuardError("thick-cell limit time's denominator underflows to 0")
+    tau = (c.g3 - c.gamma * c.f2) / denominator
     if not math.isfinite(tau):
         raise OverflowGuardError("thick-cell limit time leaves double range")
     return tau

@@ -421,11 +421,11 @@ def test_hartman_limit_at_tiny_strength_is_typed():
     # f1 = sin^2(phi)/2 underflows to 0 below V/k^2 ~ 1e-161, and sin(phi)
     # itself at V = 5e-324; the limit time divides by f1, gamma by sin(phi)
     assert hartman_coeffs(Particle(1.0), 1e-300).f1 == 0.0
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(OverflowGuardError, match="denominator underflows to 0"):
         hartman_limit_time(Particle(1.0), 1e-300)
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(OverflowGuardError, match=r"sin\(phi\) underflows to 0"):
         hartman_coeffs(Particle(1.0), 5e-324)
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(OverflowGuardError, match=r"sin\(phi\) underflows to 0"):
         hartman_limit_time(Particle(1.0), 5e-324)
 
 
