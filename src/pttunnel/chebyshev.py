@@ -3,8 +3,8 @@
 Everything here is evaluated through the trigonometric/hyperbolic closed
 forms rather than the three-term recurrence, so values stay well-conditioned
 for arguments far outside [-1, 1].  The closed-form kernel in :mod:`timing`
-takes T_N and U_{N-1} from here where both fit in a double and forms the
-ratio U_{N-1}/T_N itself.
+takes T_N and U_{N-1} from here only for G outside the band, where both fit
+in a double; its time and in-band G use neither.
 
 Index conventions: ``U_{-1} = 0`` and ``U_{-2} = -1`` (the standard backward
 extension of the recurrence), so that N = 0 and N = 1 lattice formulas reduce

@@ -209,8 +209,8 @@ def evaluate_point(
     Selection of the time path:
       - beta > BETA_MAX: thick-barrier limit (method 'hartman-limit', flagged
         Overflow) -- the exact expressions leave double range there;
-      - N^2 |xi^2 - 1| < tolerance: analytic endpoint fallback, flagged XiAtUnity;
-      - otherwise the plain analytic expression.
+      - otherwise the analytic expression, the same on a band edge, where
+        N^2 |xi^2 - 1| < BAND_EDGE_TOL flags the row XiAtUnity.
     A row at a spectral singularity is flagged SpectralSingularity, with
     |t| = inf; any other row without a finite tau or t is flagged Overflow.
     The sweeps pass ``_shared``, computed once for all their rows at (E, V =

@@ -61,7 +61,8 @@ BETA_MAX = 350.0
 # |G| below this absolute bound is treated as a spectral singularity.
 G_SINGULARITY_ABS_TOL = 1e-12
 
-# N^2 |xi^2 - 1| below this switches the time to the band-edge endpoint values.
+# N^2 |xi^2 - 1| below this marks a point as on the band edge (ClosedForm.band_edge,
+# the XiAtUnity flag); the time takes the same expression there as anywhere.
 BAND_EDGE_TOL = 1e-10
 
 # ln of the largest representable double, slightly rounded down.
@@ -71,6 +72,23 @@ _LN_MAX = 709.0
 _LN_DIRECT = 690.0
 
 _NAN = float("nan")
+
+# Taylor coefficients, highest order first, of A(x)/x^3 and B(x)/x^3 in powers
+# of y = -x^2, where A(x) = sin x - x cos x and B(x) = x - sin x cos x.  Both
+# vanish as x^3, so below x = 0.5 these keep the digits the direct forms
+# cancel.  The hyperbolic twins x cosh x - sinh x and sinh x cosh x - x take
+# y = +x^2.
+_A_SERIES, _B_SERIES = zip(
+    *((2 * j / math.factorial(2 * j + 1), 4**j / math.factorial(2 * j + 1))
+      for j in range(11, 0, -1))
+)
+
+
+def _horner(series: tuple[float, ...], y: float) -> float:
+    total = 0.0
+    for coefficient in series:
+        total = total * y + coefficient
+    return total
 
 
 def _wrap_phase(raw: float) -> float:
@@ -165,14 +183,6 @@ def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> 
     )
 
 
-def _band_sine_angle(scalars: _CellScalars) -> tuple[float, float]:
-    """(sin psi, psi) for |xi| <= 1, with psi = arccos(xi) rebuilt from the
-    cancellation-free offsets so that sin psi stays consistent with chi."""
-    quad = scalars.xi_minus_1 * scalars.xi_plus_1
-    sine = math.sqrt(max(-quad, 0.0))
-    return sine, math.atan2(sine, scalars.xi)
-
-
 def _growth_scale(scalars: _CellScalars) -> float:
     """sqrt(xi^2 - 1) for |xi| > 1 without forming xi^2."""
     return math.sqrt(abs(scalars.xi_minus_1)) * math.sqrt(abs(scalars.xi_plus_1))
@@ -204,8 +214,8 @@ def xi_chi(particle: Particle, cell: CellSpec) -> tuple[float, float]:
 class ClosedForm(NamedTuple):
     """tau, t and theta of the N-cell lattice from one evaluation.
 
-    ``band_edge`` marks the endpoint branch of the time, N^2 |xi^2 - 1| <
-    BAND_EDGE_TOL.  ``t`` is None where ``error`` replaces it:
+    ``band_edge`` marks N^2 |xi^2 - 1| < BAND_EDGE_TOL; tau there comes from
+    the same expression as elsewhere.  ``t`` is None where ``error`` replaces it:
     SpectralSingularityError when |G| vanishes, OverflowGuardError when |G|
     leaves double range.  ``theta`` is the phase of t, the bounded-ratio
     phase where |t| underflows, and nan at a singularity.  Where nothing is
@@ -230,19 +240,20 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
 
         tau = [q*chi' + chi*xi'*(dq/dxi)] / (2k*(1 + (q*chi)^2))
 
-    with dq/dxi = (N - q*xi)/(xi^2 - 1) - N*q^2; its removable 0/0 at
-    xi = +-1 takes the endpoint values q = +-N, dq/dxi = -N(2N^2+1)/3,
-    which hold while N^2 |xi^2 - 1| < BAND_EDGE_TOL.
-    Inside the band q = sin(N*psi)/(sin(psi)*cos(N*psi)) with psi =
-    arccos(xi), finite at every double, roots of T_N included.  Outside the
-    band (xi > 1) every factor is built from the bounded ratios chi/s, xi'/s,
-    chi'/s, xi/s and tanh(N*arccosh(xi)) with s = sqrt(xi^2 - 1),
-    so nothing overflows for beta <= BETA_MAX whatever the size of
-    exp(2*beta).  Inside the band G is formed directly from T_N and
-    U_{N-1}; outside, |G| is pre-sized in the log domain so t is computed
-    without ever materializing an overflowing polynomial.  N = 0 gives
-    t = 1 and tau = theta = 0.  Raises OverflowGuardError where the cell
-    geometry itself leaves double range (see :func:`model._geometry`).
+    with q = U_{N-1}/T_N and dq/dxi exact on each side of the band, with no
+    switch at its edge.  In the band, xi = +-cos(psi) with psi <= pi/2,
+    q = +-N sinc(N psi)/(sinc(psi) cos(N psi)) and dq/dxi = -[N A(psi) +
+    cos(psi) B(N psi)]/(sin^3(psi) cos^2(N psi)), A(x) = sin x - x cos x,
+    B(x) = x - sin x cos x: finite at every double, roots of T_N included.
+    Outside it, xi = cosh(nu), s = sinh(nu), q = tanh(N nu)/s and s^2 dq/dxi
+    = -[N sech^2(N nu)(nu coth nu - 1) + coth nu (tanh N nu - N nu sech^2 N nu)]
+    from the bounded ratios chi/s, xi'/s, chi'/s, xi/s, so nothing overflows
+    for beta <= BETA_MAX.  Parts that vanish as x^3 are summed as series below
+    x = 0.5.  Inside the band G is formed from T_N and U_{N-1} directly;
+    outside, |G| is pre-sized in the log domain so t is computed without ever
+    materializing an overflowing polynomial.  N = 0 gives t = 1 and tau =
+    theta = 0.  Raises OverflowGuardError where the cell geometry itself
+    leaves double range (see :func:`model._geometry`).
     """
     return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
 
@@ -276,38 +287,41 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
         if scale == 0.0:  # xi + 1 > 2 here: it lost every digit, as where cos 2phi rounds to 1
             error = OverflowGuardError(f"xi + 1 cancels to 0 at beta = {scaled[1]:.3f}")
             return ClosedForm(_NAN, _NAN, None, error)
-        nu = n * math.asinh(scale)
+        nu1 = math.asinh(scale)
+        nu = n * nu1
         tt = math.tanh(nu)
+        cs, rs, y = chi / scale, xi / scale, nu1 * nu1
+        sech2 = 4.0 * (decay := math.exp(-2.0 * nu)) / (1.0 + decay) ** 2
+        # the two parts of s^2 dq/dxi that vanish as x^3, summed where small
+        coth_part = y * (nu1 / scale) * _horner(_A_SERIES, y) if nu1 < 0.5 else nu1 * rs - 1.0
+        tanh_part = nu**3 * _horner(_B_SERIES, nu * nu) * sech2 if nu < 0.5 else tt - nu * sech2
+        minus_s2_dq = n * sech2 * coth_part + rs * tanh_part
+        bracket = tt * (chi_p / scale) - cs * (xi_p / scale) * minus_s2_dq
+        tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
     else:
-        sine, psi = _band_sine_angle(scalars)
-        cos_n = math.cos(n * psi)
-        sin_n = math.sin(n * psi)
-
-    if outside and not band_edge:
-        cs = chi / scale
-        xs = xi_p / scale
-        cps = chi_p / scale
-        rs = xi / scale
-        q_chi = tt * cs
-        bracket = tt * cps + cs * xs * (n - tt * rs - n * tt * tt)
-        tau = bracket / (2.0 * k * (1.0 + q_chi * q_chi))
-    else:
-        if band_edge:
-            q = math.copysign(float(n), xi)
-            dq_dxi = -n * (2.0 * n * n + 1.0) / 3.0
-        else:
-            # math.cos never returns 0 for a finite double and sine >= 1e-5/N
-            # here, so q stays finite at the roots of T_N.
-            q = sin_n / (sine * cos_n)
-            dq_dxi = (n - q * xi) / quad - n * q * q
-        bracket = q * chi_p + chi * xi_p * dq_dxi
-        tau = bracket / (2.0 * k * (1.0 + (q * chi) ** 2))
+        # sin psi from the cancellation-free offsets stays consistent with chi.
+        # q (odd in xi) and dq/dxi (even) take psi1 = arccos|xi| <= pi/2, where
+        # N A(psi) + cos(psi) B(N psi) does not cancel as it does near psi = pi;
+        # G takes psi = arccos(xi) itself.  math.cos never returns 0 for a
+        # finite double, so q stays finite at the roots of T_N.
+        sine = math.sqrt(max(-quad, 0.0))
+        psi1 = math.atan2(sine, abs(xi))
+        x, y = n * psi1, psi1 * psi1
+        sin_x, cos_x = math.sin(x), math.cos(x)
+        psi = psi1 if xi >= 0.0 else math.atan2(sine, xi)
+        cos_n, sin_n = (cos_x, sin_x) if xi >= 0.0 else (math.cos(n * psi), math.sin(n * psi))
+        sinc1 = math.sin(psi1) / psi1 if psi1 else 1.0
+        q = (n if xi >= 0.0 else -n) * (sin_x / x if x else 1.0) / (sinc1 * cos_x)
+        a_part = _horner(_A_SERIES, -y) if psi1 < 0.5 else (sinc1 - math.cos(psi1)) / y
+        b_part = n * n * _horner(_B_SERIES, -x * x) if x < 0.5 else (x - sin_x * cos_x) / (x * y)
+        dq_dxi = -n * (a_part + abs(xi) * b_part) / (sinc1**3 * cos_x * cos_x)
+        tau = (q * chi_p + chi * xi_p * dq_dxi) / (2.0 * k * (1.0 + (q * chi) ** 2))
 
     t = error = None
     theta = _NAN
     if not outside:
-        if sine == 0.0:  # exactly on a band edge
-            g = complex(cheb_T(n, xi), -chi * cheb_U(n - 1, xi))
+        if sine == 0.0:  # exactly on a band edge, where U_{N-1} = q T_N
+            g = complex(cos_n, -chi * q * cos_n)
         else:
             g = complex(cos_n, -chi * sin_n / sine)
         mag = abs(g)

@@ -3,9 +3,15 @@ that reaches the log-domain and hartman-limit rows the defaults never do.
 
 The files under ``tests/golden/`` are the stdout of each command below.  A
 change that alters any of them alters what users get, so it must come with
-regenerated files and a stated reason.
+regenerated files and a stated reason.  Regenerate them all with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of ``tests/golden/``.
 """
 
+import contextlib
+import io
 import pathlib
 
 import pytest
@@ -33,3 +39,16 @@ COMMANDS = {
 def test_default_output_is_byte_identical(name, capsysbinary):
     assert main(COMMANDS[name]) == 0
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+def _regenerate() -> None:
+    """Write each command's stdout to its file under ``tests/golden/``."""
+    for name, argv in COMMANDS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, name
+        (GOLDEN / name).write_bytes(out.getvalue().encode())
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -247,11 +247,13 @@ def test_finite_difference_rejects_bad_step():
         tunneling_time_fd(p, CellSpec(1.0, 1.0), 1, rel_step=1e-10)
 
 
-def test_time_band_edge_fallback():
+def test_time_at_band_edge_matches_reference(lattice_reference):
     p = Particle(1.0)
     width = bisect_width_for_xi(p, 20.0, 1.0, 0.15, 0.2)
     result = closed_form(p, CellSpec(20.0, width), 2)
     assert result.band_edge
+    reference = float(lattice_reference(1.0, 20.0, width, 2, dps=60).tau)
+    assert abs(result.tau - reference) <= 1e-13 * abs(reference)
     fd = tunneling_time_fd(p, CellSpec(20.0, width), 2)
     assert result.tau == pytest.approx(fd, rel=1e-5)
     # continuity across the edge
