@@ -3,7 +3,6 @@
 transfer-matrix oracles, and both analytic limits (thick cells and many thin
 cells)."""
 
-from .chebyshev import cheb_T, cheb_U
 from .errors import (
     DegeneratePotentialError,
     InvalidEnergyError,
@@ -32,12 +31,10 @@ from .timing import (
     hartman_coeffs,
     hartman_limit_time,
     n_infinity_bracket,
-    phase_theta,
     square_barrier_time,
     transmission_closed,
     tunneling_time,
     tunneling_time_fd,
-    xi_chi,
 )
 from .transfer import (
     TransferMatrix,
@@ -66,8 +63,6 @@ __all__ = [
     "SweepRow",
     "TransferMatrix",
     "barrier_matrix",
-    "cheb_T",
-    "cheb_U",
     "closed_form",
     "compose",
     "evaluate_point",
@@ -76,7 +71,6 @@ __all__ = [
     "hartman_limit_time",
     "lattice_matrix_direct",
     "n_infinity_bracket",
-    "phase_theta",
     "run_limits",
     "run_point",
     "run_sweep_b",
@@ -86,5 +80,4 @@ __all__ = [
     "transmission_from_matrix",
     "tunneling_time",
     "tunneling_time_fd",
-    "xi_chi",
 ]

@@ -16,7 +16,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .chebyshev import cheb_T, cheb_U
+from .chebyshev import cheb_pair
 from .errors import OverflowGuardError, SpectralSingularityError
 from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, _Validated
 from .timing import (
@@ -390,7 +390,7 @@ def draw_regular_point(rng: random.Random) -> tuple[Particle, CellSpec, int]:
         if abs((xi - 1.0) * (xi + 1.0)) < 1e-6:
             continue
         if abs(xi) < 1.0:
-            if abs(math.cos(n_cells * math.acos(xi))) < 1e-2:
+            if abs(cheb_pair(n_cells, xi)[0]) < 1e-2:
                 continue
         return particle, cell, n_cells
 
@@ -473,7 +473,8 @@ def run_limits() -> LimitsReport:
         worst = max(worst, abs(chi / growth / (0.25 * geo.u_minus * geo.sin_phi) - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
         for n_cells in (1, 2, 3, 4):
-            worst = max(worst, abs(cheb_U(n_cells - 1, xi) / cheb_T(n_cells, xi) * xi - 1.0))
+            t_n, u_n1 = cheb_pair(n_cells, xi)
+            worst = max(worst, abs(u_n1 / t_n * xi - 1.0))
     checks.append(_limit_check(
         "thick-cell-asymptotic-ratios", worst, 1e-4,
         "xi*e^-2beta/f1, chi*e^-2beta/(U-/4 sin phi), chi/(xi*gamma), q*xi at beta=15",

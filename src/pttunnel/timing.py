@@ -18,8 +18,11 @@ ratios (chi/s, xi'/s, ... with s = sqrt(xi^2 - 1)) instead of raw polynomial
 values; the exact path refuses beta > BETA_MAX, beyond which the
 thick-barrier limit is the only honest answer.
 
-An independent finite-difference time (:func:`tunneling_time_fd`) serves as
-the oracle for the analytic expression throughout the tests.
+The finite-difference time (:func:`tunneling_time_fd`) differentiates
+:func:`transmission_closed`, so it shares G, and with it
+:func:`chebyshev.cheb_pair`, with the closed form: it checks the derivative
+algebra of tau, not t.  The independent check of t is the direct 2N-barrier
+product :func:`transfer.lattice_matrix_direct`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .chebyshev import cheb_T, cheb_U
+from .chebyshev import cheb_pair
 from .errors import (
     DegeneratePotentialError,
     OverflowGuardError,
@@ -41,10 +44,8 @@ __all__ = [
     "BETA_MAX",
     "ClosedForm",
     "HartmanCoeffs",
-    "xi_chi",
     "closed_form",
     "transmission_closed",
-    "phase_theta",
     "tunneling_time",
     "tunneling_time_fd",
     "hartman_coeffs",
@@ -188,29 +189,6 @@ def _growth_scale(scalars: _CellScalars) -> float:
     return math.sqrt(abs(scalars.xi_minus_1)) * math.sqrt(abs(scalars.xi_plus_1))
 
 
-def _guarded(particle: Particle, cell: CellSpec) -> _CellScalars:
-    geo = _geometry(particle, cell.strength)
-    scaled = _scaled(geo, cell.width)
-    error = _range_error(scaled)
-    if error is not None:
-        raise error
-    return _cell_scalars(geo, scaled)
-
-
-def xi_chi(particle: Particle, cell: CellSpec) -> tuple[float, float]:
-    """Real pair (xi, chi) of the unit cell.
-
-    xi is half the (phase-adjusted) trace of the cell matrix and drives the
-    N-cell Chebyshev composition; chi is the matching imaginary part, so that
-    the single-cell transmission is exp(-2i*k*b)/(xi - i*chi).
-
-    Raises OverflowGuardError for beta > BETA_MAX, or where the cell phase
-    2*alpha leaves double range.
-    """
-    scalars = _guarded(particle, cell)
-    return scalars.xi, scalars.chi
-
-
 class ClosedForm(NamedTuple):
     """tau, t and theta of the N-cell lattice from one evaluation.
 
@@ -250,10 +228,10 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     from the bounded ratios chi/s, xi'/s, chi'/s, xi/s, so nothing overflows
     for beta <= BETA_MAX.  Parts that vanish as x^3 are summed as series below
     x = 0.5.  Inside the band G is formed from T_N and U_{N-1} directly;
-    outside, |G| is pre-sized in the log domain so t is computed without ever
-    materializing an overflowing polynomial.  N = 0 gives t = 1 and tau =
-    theta = 0.  Raises OverflowGuardError where the cell geometry itself
-    leaves double range (see :func:`model._geometry`).
+    outside, |G| is pre-sized in the log domain, and T_N and U_{N-1} come
+    from :func:`chebyshev.cheb_pair` only where both fit in a double.  N = 0
+    gives t = 1 and tau = theta = 0.  Raises OverflowGuardError where the cell
+    geometry itself leaves double range (see :func:`model._geometry`).
     """
     return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
 
@@ -342,7 +320,8 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
             # The phase stays well defined through the bounded ratio q*chi.
             theta = _wrap_phase(-k * length - arg_g)
         elif ln_g < _LN_DIRECT:
-            g = complex(cheb_T(n, xi), -chi * cheb_U(n - 1, xi))
+            t_n, u_n1 = cheb_pair(n, xi)
+            g = complex(t_n, -chi * u_n1)
             t = cmath.exp(-1j * k * length) / g
         else:
             t = cmath.rect(math.exp(-ln_g), -k * length - arg_g)
@@ -368,48 +347,34 @@ def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> com
     return record.t
 
 
-def _timed(record: ClosedForm) -> ClosedForm:
-    """The record, unless tau and theta are undefined there: where the cell
-    was not evaluated (OverflowGuardError: past BETA_MAX, a phase out of
-    double range, or xi + 1 cancelled to 0)."""
-    if record.error is not None and math.isnan(record.xi):
-        raise record.error
-    return record
-
-
-def phase_theta(particle: Particle, cell: CellSpec, n_cells: int) -> float:
-    """Transmission phase, principal value in (-pi, pi]; see :class:`ClosedForm`.
-
-    Raises OverflowGuardError past BETA_MAX or where the phase 2*alpha or
-    k*L leaves double range.
-    """
-    return _timed(closed_form(particle, cell, n_cells)).theta
-
-
 def tunneling_time(particle: Particle, cell: CellSpec, n_cells: int) -> float:
     """Analytic stationary-phase tunneling time; see :func:`closed_form`.
 
     Raises OverflowGuardError past BETA_MAX or wherever else the time is not
     finite (its k-derivatives leave double range, as at E = 1e300).
     """
-    record = _timed(closed_form(particle, cell, n_cells))
-    if not math.isfinite(record.tau):
-        raise OverflowGuardError(f"tunneling time is {record.tau!r}: its terms leave double range")
-    return record.tau
+    record = closed_form(particle, cell, n_cells)
+    if math.isfinite(record.tau):
+        return record.tau
+    if record.error is not None and math.isnan(record.xi):  # the cell was not evaluated
+        raise record.error
+    raise OverflowGuardError(f"tunneling time is {record.tau!r}: its terms leave double range")
 
 
 def tunneling_time_fd(
     particle: Particle, cell: CellSpec, n_cells: int, rel_step: float = 1e-6
 ) -> float:
-    """Independent finite-difference tunneling time (the oracle path).
+    """Finite-difference tunneling time (the oracle of the analytic derivative).
 
     Central difference of the transmission phase over k*(1 -+ rel_step),
     unwrapped across the stencil by minimal jump, plus the free-passage term:
 
         tau = (dtheta/dk + L) / (2k).
 
-    This never touches the analytic q/chi machinery, so it checks the entire
-    closed-form pipeline end to end.
+    The phase is that of :func:`transmission_closed`, so this shares G with
+    the closed form and checks only the analytic k-derivative behind tau
+    (dq/dxi, xi', chi'); :func:`transfer.lattice_matrix_direct` is the
+    independent check of t itself.
     """
     if not (1e-9 <= rel_step <= 1e-3):
         raise ValueError("rel_step must lie in [1e-9, 1e-3]")

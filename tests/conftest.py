@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from pttunnel import CellSpec, Particle, xi_chi
+from pttunnel import Particle
+from pttunnel.model import _geometry, _scaled
+from pttunnel.timing import _cell_scalars
 
 _REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "ptbench" / "reference.py"
 
@@ -32,8 +34,10 @@ def bisect_width_for_xi(
 ) -> float:
     """Width b in (lo, hi) where xi(b) = target, assuming one sign change."""
 
+    geo = _geometry(particle, strength)
+
     def offset(width: float) -> float:
-        return xi_chi(particle, CellSpec(strength, width))[0] - target
+        return _cell_scalars(geo, _scaled(geo, width)).xi - target
 
     f_lo = offset(lo)
     f_hi = offset(hi)

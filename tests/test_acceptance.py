@@ -13,8 +13,6 @@ from pttunnel import (
     GridSpec,
     Particle,
     SweepConfig,
-    cheb_T,
-    cheb_U,
     free_propagation_time,
     hartman_coeffs,
     hartman_limit_time,
@@ -23,10 +21,11 @@ from pttunnel import (
     square_barrier_time,
     transmission_closed,
     tunneling_time,
-    xi_chi,
 )
+from pttunnel.chebyshev import cheb_pair
 from pttunnel.model import _geometry, _scaled
 from pttunnel.sweep import SWEEP_B_COLUMNS, oracle_triangle_residuals, rows_to_csv
+from pttunnel.timing import _cell_scalars
 
 
 def _report(name: str, passed: bool, detail: str) -> bool:
@@ -134,14 +133,15 @@ def test_criterion_5_asymptotic_expansions():
         p = Particle(energy)
         geo = _geometry(p, strength)
         width = 15.0 / (geo.rho * geo.sin_phi)
-        cell = CellSpec(strength, width)
         growth = math.exp(2.0 * _scaled(geo, width)[1])
         coeffs = hartman_coeffs(p, strength)
-        xi, chi = xi_chi(p, cell)
+        scalars = _cell_scalars(geo, _scaled(geo, width))
+        xi, chi = scalars.xi, scalars.chi
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
         for n in (1, 2, 3, 4):
-            worst = max(worst, abs(cheb_U(n - 1, xi) / cheb_T(n, xi) * xi - 1.0))
+            t_n, u_n1 = cheb_pair(n, xi)
+            worst = max(worst, abs(u_n1 / t_n * xi - 1.0))
     ok = worst < 1e-4
     assert _report(
         "criterion 5 (asymptotic expansions)",

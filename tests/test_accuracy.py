@@ -13,11 +13,10 @@ from pttunnel import (
     CellSpec,
     OverflowGuardError,
     Particle,
-    cheb_T,
     evaluate_point,
     free_propagation_time,
-    xi_chi,
 )
+from pttunnel.chebyshev import cheb_pair
 from pttunnel.model import _geometry, _scaled
 from pttunnel.sweep import draw_regular_point
 from pttunnel.timing import _cell_scalars, closed_form
@@ -44,7 +43,7 @@ def test_time_at_root_of_t_matches_reference(lattice_reference, energy, strength
     p = Particle(energy)
     target = math.cos((2 * j + 1) * math.pi / (2 * n))
     cell = CellSpec(strength, bisect_width_for_xi(p, strength, target, lo, hi))
-    assert abs(cheb_T(n, xi_chi(p, cell)[0])) < 1e-12
+    assert abs(cheb_pair(n, closed_form(p, cell, n).xi)[0]) < 1e-12
     row = evaluate_point(p, cell, n)
     assert (row.tau_method, row.flags) == ("analytic", ())
     reference = float(lattice_reference(energy, strength, cell.width, n, dps=60).tau)
@@ -93,6 +92,26 @@ def test_time_where_xi_rounds_to_one_outside_the_band(lattice_reference):
     assert record.xi == 1.0 and not record.band_edge
     reference = lattice_reference(energy, strength, width, n, dps=60).tau
     assert abs(record.tau - reference) <= 1e-6 * abs(reference)
+
+
+@pytest.mark.parametrize(
+    "energy, strength, width, xi",
+    [
+        (1.7543972711991793, 0.2382993922895341, 2.355569922139518, 1.0),
+        (2.9700941533639935, 0.9810726903337942, 1.8492737258642946, 0.9999999999999998),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 3])
+def test_out_of_band_g_where_xi_rounds_to_one(lattice_reference, energy, strength, width, xi, n):
+    # xi - 1 = 5.1e-18 and 6.6e-17 > 0, but xi rounds to 1.0 and to just
+    # below it, so the out-of-band G takes cheb_pair's x == 1 and x < 1 branches
+    geo = _geometry(Particle(energy), strength)
+    assert _cell_scalars(geo, _scaled(geo, width)).xi_minus_1 > 0.0
+    record = closed_form(Particle(energy), CellSpec(strength, width), n)
+    assert record.xi == xi and record.error is None
+    reference = lattice_reference(energy, strength, width, n, dps=60)
+    assert abs(record.t - complex(reference.t)) <= 1e-13 * abs(complex(reference.t))
+    assert abs(record.tau - float(reference.tau)) <= 1e-13 * abs(float(reference.tau))
 
 
 # Gate on the conditioning of the problem itself.  kappa is the reference's

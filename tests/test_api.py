@@ -27,3 +27,25 @@ def test_every_exported_name_resolves():
 def test_package_reexports_only_module_exports():
     exported = {attr for module in MODULES.values() for attr in getattr(module, "__all__", ())}
     assert sorted(set(pttunnel.__all__) - exported) == []
+
+
+# Every module and attribute that the benchmark (ptbench/run.py) reaches; a
+# cut to this surface should fail here before the benchmark fails to run.
+BENCHMARK_SURFACE = {
+    "chebyshev": (),
+    "cli": ("main", "_resolve", "build_parser"),
+    "sweep": ("run_sweep_b", "run_sweep_n", "run_limits", "SWEEP_B_COLUMNS", "SWEEP_N_COLUMNS"),
+    "model": ("Particle", "CellSpec"),
+    "transfer": ("lattice_matrix_direct", "transmission_from_matrix"),
+    "timing": ("tunneling_time_fd", "transmission_closed", "tunneling_time"),
+}
+
+
+def test_benchmark_surface_exists():
+    missing = [
+        f"{name}.{attr}"
+        for name, attrs in BENCHMARK_SURFACE.items()
+        for attr in attrs
+        if not hasattr(importlib.import_module(f"pttunnel.{name}"), attr)
+    ]
+    assert missing == []

@@ -7,16 +7,15 @@ import pytest
 from pttunnel import (
     CellSpec,
     Particle,
-    cheb_T,
-    cheb_U,
     free_propagation_time,
     hartman_coeffs,
     hartman_limit_time,
     transmission_closed,
     tunneling_time,
-    xi_chi,
 )
+from pttunnel.chebyshev import cheb_pair
 from pttunnel.model import _geometry, _scaled
+from pttunnel.timing import _cell_scalars
 
 
 def test_thick_cell_distance_strictly_decreases():
@@ -73,12 +72,13 @@ def test_thick_cell_asymptotic_ratios(energy, strength):
     p = Particle(energy)
     d = _geometry(p, strength)
     width = 15.0 / (d.rho * d.sin_phi)
-    cell = CellSpec(strength, width)
     growth = math.exp(2.0 * _scaled(d, width)[1])
     coeffs = hartman_coeffs(p, strength)
-    xi, chi = xi_chi(p, cell)
+    scalars = _cell_scalars(d, _scaled(d, width))
+    xi, chi = scalars.xi, scalars.chi
     assert xi / growth == pytest.approx(coeffs.f1, rel=1e-4)
     assert chi / growth == pytest.approx(0.25 * d.u_minus * d.sin_phi, rel=1e-4)
     assert chi / xi == pytest.approx(coeffs.gamma, rel=1e-4)
     for n in (1, 2, 3, 4):
-        assert cheb_U(n - 1, xi) / cheb_T(n, xi) * xi == pytest.approx(1.0, rel=1e-4)
+        t_n, u_n1 = cheb_pair(n, xi)
+        assert u_n1 / t_n * xi == pytest.approx(1.0, rel=1e-4)

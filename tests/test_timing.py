@@ -13,23 +13,25 @@ from pttunnel import (
     OverflowGuardError,
     Particle,
     barrier_matrix,
-    cheb_T,
-    cheb_U,
     free_propagation_time,
     hartman_coeffs,
     hartman_limit_time,
     lattice_matrix_direct,
     n_infinity_bracket,
-    phase_theta,
     square_barrier_time,
     transmission_closed,
     transmission_from_matrix,
     tunneling_time,
     tunneling_time_fd,
-    xi_chi,
 )
+from pttunnel.chebyshev import cheb_pair
 from pttunnel.model import _geometry, _scaled
-from pttunnel.timing import _cell_scalars, _growth_scale, _guarded, closed_form
+from pttunnel.timing import _cell_scalars, _growth_scale, closed_form
+
+
+def scalars_of(particle, cell):
+    geo = _geometry(particle, cell.strength)
+    return _cell_scalars(geo, _scaled(geo, cell.width))
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +40,8 @@ from pttunnel.timing import _cell_scalars, _growth_scale, _guarded, closed_form
 
 
 def test_xi_chi_free_space_reduction():
-    xi, chi = xi_chi(Particle(1.0), CellSpec(0.0, 1.0))
+    scalars = scalars_of(Particle(1.0), CellSpec(0.0, 1.0))
+    xi, chi = scalars.xi, scalars.chi
     assert xi == pytest.approx(math.cos(2.0), rel=1e-12)
     assert chi == pytest.approx(math.sin(2.0), rel=1e-12)
 
@@ -52,7 +55,8 @@ def test_xi_chi_consistent_with_unit_cell_matrix():
     t_closed = transmission_closed(p, cell, 1)
     assert abs(t_closed - t_matrix) / abs(t_matrix) < 1e-12
     # and xi - i*chi is m22 stripped of its free phase
-    xi, chi = xi_chi(p, cell)
+    scalars = scalars_of(p, cell)
+    xi, chi = scalars.xi, scalars.chi
     reduced = unit_cell.m22 * cmath.exp(-2j * p.k * cell.width)
     assert xi == pytest.approx(reduced.real, rel=1e-12)
     assert -chi == pytest.approx(reduced.imag, rel=1e-12)
@@ -68,28 +72,30 @@ def test_xi_is_never_below_minus_one(energy, strength, width):
     # xi + 1 >= 2 cos^2(alpha) since 0 < cos 2phi <= 1; closed_form takes
     # every cell outside the band to have xi > 1 and T_N > 0
     try:
-        xi, _chi = xi_chi(Particle(energy), CellSpec(strength, width))
-    except OverflowGuardError:  # beta > BETA_MAX: the kernel evaluates no xi there
+        xi = closed_form(Particle(energy), CellSpec(strength, width), 1).xi
+    except OverflowGuardError:  # the geometry itself leaves double range
         return
-    assert xi >= -1.0
+    assert math.isnan(xi) or xi >= -1.0  # nan: beta > BETA_MAX, no xi evaluated
 
 
 def test_xi_growth_matches_thick_cell_coefficient():
     p = Particle(1.0)
     cell = CellSpec(20.0, 3.0)
-    xi, _ = xi_chi(p, cell)
+    xi = closed_form(p, cell, 1).xi
     beta = _scaled(_geometry(p, 20.0), cell.width)[1]
     f1 = hartman_coeffs(p, 20.0).f1
     assert xi * math.exp(-2.0 * beta) == pytest.approx(f1, rel=1e-4)
 
 
 def test_xi_chi_overflow_guard():
-    with pytest.raises(OverflowGuardError):
-        xi_chi(Particle(1.0), CellSpec(20.0, 120.0))
+    # past BETA_MAX the kernel evaluates no cell scalars and says why
+    cf = closed_form(Particle(1.0), CellSpec(20.0, 120.0), 1)
+    assert cf.handoff and isinstance(cf.error, OverflowGuardError)
+    assert math.isnan(cf.xi)
 
 
 def test_xi_chi_prime_free_space():
-    scalars = _guarded(Particle(1.0), CellSpec(0.0, 1.0))
+    scalars = scalars_of(Particle(1.0), CellSpec(0.0, 1.0))
     xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
     assert xi_p == pytest.approx(-2.0 * math.sin(2.0), rel=1e-12)
     assert chi_p == pytest.approx(2.0 * math.cos(2.0), rel=1e-12)
@@ -103,12 +109,12 @@ def test_xi_chi_prime_match_finite_differences(energy, strength, width):
     k = math.sqrt(energy)
     h = 1e-6 * k
     cell = CellSpec(strength, width)
-    hi = xi_chi(Particle((k + h) ** 2), cell)
-    lo = xi_chi(Particle((k - h) ** 2), cell)
-    scalars = _guarded(Particle(energy), cell)
+    hi = scalars_of(Particle((k + h) ** 2), cell)
+    lo = scalars_of(Particle((k - h) ** 2), cell)
+    scalars = scalars_of(Particle(energy), cell)
     xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
-    assert (hi[0] - lo[0]) / (2.0 * h) == pytest.approx(xi_p, rel=1e-6)
-    assert (hi[1] - lo[1]) / (2.0 * h) == pytest.approx(chi_p, rel=1e-6)
+    assert (hi.xi - lo.xi) / (2.0 * h) == pytest.approx(xi_p, rel=1e-6)
+    assert (hi.chi - lo.chi) / (2.0 * h) == pytest.approx(chi_p, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +143,9 @@ def test_transmission_magnitude_identity():
     p = Particle(2.0)
     cell = CellSpec(7.0, 0.6)
     n = 3
-    xi, chi = xi_chi(p, cell)
-    g = complex(cheb_T(n, xi), -chi * cheb_U(n - 1, xi))
+    scalars = scalars_of(p, cell)
+    t_n, u_n1 = cheb_pair(n, scalars.xi)
+    g = complex(t_n, -scalars.chi * u_n1)
     t = transmission_closed(p, cell, n)
     assert abs(t) * abs(g) == pytest.approx(1.0, rel=1e-12)
 
@@ -157,10 +164,11 @@ def test_transmission_log_domain_path():
     assert 0.0 < abs(t) < 1e-250
     assert math.isfinite(t.real) and math.isfinite(t.imag)
     # phase agrees with the bounded-ratio expression -k*L - arg(1 - i*chi*q)
-    xi, chi = xi_chi(p, cell)
-    bounded = -p.k * 2.0 * cell.width - math.atan(-chi * cheb_U(0, xi) / cheb_T(1, xi))
+    scalars = scalars_of(p, cell)
+    t_1, u_0 = cheb_pair(1, scalars.xi)
+    bounded = -p.k * 2.0 * cell.width - math.atan(-scalars.chi * u_0 / t_1)
     assert math.remainder(cmath.phase(t) - bounded, math.tau) == pytest.approx(0.0, abs=1e-9)
-    assert phase_theta(p, cell, 1) == cmath.phase(t)
+    assert closed_form(p, cell, 1).theta == cmath.phase(t)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +177,7 @@ def test_transmission_log_domain_path():
 
 
 def test_phase_free_space_multiple_of_pi():
-    theta = phase_theta(Particle(1.0), CellSpec(0.0, 1.0), 2)
+    theta = closed_form(Particle(1.0), CellSpec(0.0, 1.0), 2).theta
     assert math.remainder(theta, math.pi) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -180,7 +188,7 @@ def test_phase_free_space_multiple_of_pi():
 def test_phase_matches_transmission_argument(energy, strength, width, n):
     p = Particle(energy)
     cell = CellSpec(strength, width)
-    theta = phase_theta(p, cell, n)
+    theta = closed_form(p, cell, n).theta
     t = transmission_closed(p, cell, n)
     assert abs(cmath.exp(1j * theta) - t / abs(t)) < 1e-10
     assert -math.pi < theta <= math.pi
@@ -189,7 +197,7 @@ def test_phase_matches_transmission_argument(energy, strength, width, n):
 def test_phase_at_root_of_t_is_transmission_argument():
     p = Particle(4.0)
     cell = CellSpec(2.0, bisect_width_for_xi(p, 2.0, math.cos(math.pi / 6.0), 0.1, 0.5))
-    assert phase_theta(p, cell, 3) == cmath.phase(transmission_closed(p, cell, 3))
+    assert closed_form(p, cell, 3).theta == cmath.phase(transmission_closed(p, cell, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +286,8 @@ def test_closed_form_bundle_is_consistent():
     cf = closed_form(p, cell, 2)
     assert cf.t == transmission_closed(p, cell, 2)
     assert cf.tau == tunneling_time(p, cell, 2)
-    assert cf.theta == phase_theta(p, cell, 2) == cmath.phase(cf.t)
-    assert cf.xi == xi_chi(p, cell)[0]
+    assert cf.theta == cmath.phase(cf.t)
+    assert cf.xi == scalars_of(p, cell).xi
     assert cf.error is None
     assert not (cf.band_edge or cf.handoff)
     # a root of T_N is a regular point; the record marks the handoff past BETA_MAX
@@ -298,7 +306,6 @@ def test_closed_form_underflow_keeps_bounded_phase():
     cf = closed_form(p, cell, 2)
     assert cf.t is None and isinstance(cf.error, OverflowGuardError)
     assert -math.pi < cf.theta <= math.pi
-    assert cf.theta == phase_theta(p, cell, 2)
     assert cf.tau == pytest.approx(hartman_limit_time(p, 20.0), rel=1e-10)
 
 
@@ -323,12 +330,10 @@ def test_closed_form_huge_width_is_typed(width, n_cells):
     cf = closed_form(p, cell, n_cells)
     assert isinstance(cf.error, OverflowGuardError) and not cf.handoff
     assert cf.t is None and math.isnan(cf.tau) and math.isnan(cf.theta)
-    for project in (transmission_closed, phase_theta, tunneling_time):
+    for project in (transmission_closed, tunneling_time):
         with pytest.raises(OverflowGuardError):
             project(p, cell, n_cells)
-    if n_cells == 1:
-        with pytest.raises(OverflowGuardError):
-            xi_chi(p, cell)
+    assert math.isnan(cf.xi)  # no cell scalars evaluated
 
 
 def test_closed_form_cancelled_growth_scale_is_typed():
@@ -342,7 +347,7 @@ def test_closed_form_cancelled_growth_scale_is_typed():
     cf = closed_form(p, cell, 10**9)
     assert isinstance(cf.error, OverflowGuardError) and not cf.handoff
     assert cf.t is None and math.isnan(cf.tau) and math.isnan(cf.theta)
-    for project in (transmission_closed, phase_theta, tunneling_time):
+    for project in (transmission_closed, tunneling_time):
         with pytest.raises(OverflowGuardError):
             project(p, cell, 10**9)
 
