@@ -39,7 +39,6 @@ from .timing import (
 from .transfer import (
     TransferMatrix,
     barrier_matrix,
-    compose,
     lattice_matrix_direct,
     transmission_from_matrix,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "TransferMatrix",
     "barrier_matrix",
     "closed_form",
-    "compose",
     "evaluate_point",
     "free_propagation_time",
     "hartman_coeffs",

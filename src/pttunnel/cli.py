@@ -2,7 +2,10 @@
 
 Subcommands: `point` (single parameter point), `sweep-b` (width sweep),
 `sweep-n` (repetition sweep at fixed span), `limits` (validation report).
-Flags override values from an optional flat key=value config file.
+`_MODES` declares each one's flags, defaults and columns, and `_SETTINGS`
+each flag's config-file key.  A flag overrides an optional flat key=value
+config file, which overrides the subcommand's default.  A config key that
+a subcommand has no flag for is still read, but changes nothing.
 
 Exit codes: 0 success, 2 invalid input, 3 limit-check failure, 4 numeric
 failure on a point query.
@@ -14,21 +17,12 @@ import argparse
 import functools
 import math
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import PtTunnelError
 from .sweep import (
-    GridSpec,
-    SweepConfig,
-    SweepRow,
-    columns_for_mode,
-    rows_to_csv,
-    rows_to_json,
-    run_limits,
-    run_point,
-    run_sweep_b,
-    run_sweep_n,
-    write_text,
+    POINT_COLUMNS, SWEEP_B_COLUMNS, SWEEP_N_COLUMNS, GridSpec, SweepConfig, SweepRow,
+    rows_to_csv, rows_to_json, run_limits, run_point, run_sweep_b, run_sweep_n, write_text,
 )
 
 EXIT_OK = 0
@@ -36,21 +30,66 @@ EXIT_INVALID_INPUT = 2
 EXIT_LIMIT_FAILURE = 3
 EXIT_NUMERIC_FAILURE = 4
 
-# Figure-reproduction defaults, overridable from flags or config file.
-_SWEEP_B_DEFAULTS = {
-    "energy": 1.0,
-    "potentials": (20.0,),
-    "cells": (1, 2, 3, 4),
-    "grid": "0.05:5:100",
-}
-_SWEEP_N_DEFAULTS = {
-    "energy": 1.0,
-    "potentials": (5.0, 10.0, 20.0),
-    "span": 1.0,
-    "grid": "1:4096:13:log",
-}
 
-_CONFIG_KEYS = ("energy", "potential", "cells", "width", "span", "grid", "output", "format")
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _grid(text: str) -> GridSpec | None:
+    return GridSpec.parse(text) if text else None
+
+
+class _Setting(NamedTuple):
+    field: str  # of SweepConfig
+    read: Callable[[str], object]  # its text (config file, default or text flag) -> field value
+    flag: dict  # add_argument keywords
+
+
+# Flag dest, which is also its config-file key -> setting, in resolving order.
+_SETTINGS = {
+    "energy": _Setting("energy", float, {"type": float, "help": "incident energy E > 0"}),
+    "potential": _Setting("potentials", _floats, {"type": float, "action": "append",
+                          "help": "potential strength V >= 0 (repeatable)"}),
+    "cells": _Setting("cells", _ints, {"type": int, "action": "append",
+                      "help": "repetition count N >= 0 (repeatable)"}),
+    "width": _Setting("width", float, {"type": float, "help": "barrier width b > 0"}),
+    "span": _Setting("span", float, {"type": float, "help": "fixed total span L > 0"}),
+    "grid": _Setting("grid", _grid, {}),  # help: the mode's grid_help
+    "output": _Setting("output", str, {"help": "output file path (default: stdout)"}),
+    "format": _Setting("format", str, {"choices": ("csv", "json"), "help": "output format"}),
+}
+_CONFIG_FLAG = {"help": "flat key=value config file"}
+
+
+class _Mode(NamedTuple):
+    help: str
+    flags: tuple[str, ...]  # _SETTINGS keys and "config", in --help order
+    defaults: dict[str, str]  # text of the settings no flag or config key sets
+    columns: tuple[str, ...] = ()
+    grid_help: str | None = None
+
+
+# sweep-b and sweep-n default to the paper's two figures.
+_MODES = {
+    "point": _Mode("evaluate a single (E, V, b, N) point",
+                   ("energy", "potential", "cells", "output", "format", "config", "width"),
+                   {}, POINT_COLUMNS),
+    "sweep-b": _Mode("sweep the cell width at fixed repetitions",
+                     ("energy", "potential", "cells", "grid", "output", "format", "config"),
+                     {"energy": "1", "potential": "20", "cells": "1,2,3,4", "grid": "0.05:5:100"},
+                     SWEEP_B_COLUMNS, "width grid start:stop:count[:log]"),
+    "sweep-n": _Mode("sweep repetitions at fixed total span",
+                     ("energy", "potential", "grid", "output", "format", "config", "span"),
+                     {"energy": "1", "potential": "5,10,20", "span": "1", "grid": "1:4096:13:log"},
+                     SWEEP_N_COLUMNS, "repetition grid start:stop:count[:log]"),
+    # limits runs fixed validation suites; its energy only fills SweepConfig
+    "limits": _Mode("run the analytic limit validation report", ("output", "config"),
+                    {"energy": "1"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,43 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, grid_help: str | None = None) -> None:
-        p.add_argument("--energy", type=float, default=None, help="incident energy E > 0")
-        p.add_argument(
-            "--potential",
-            type=float,
-            action="append",
-            default=None,
-            help="potential strength V >= 0 (repeatable)",
-        )
-        p.add_argument(
-            "--cells",
-            type=int,
-            action="append",
-            default=None,
-            help="repetition count N >= 0 (repeatable)",
-        )
-        if grid_help is not None:
-            p.add_argument("--grid", default=None, help=grid_help)
-        p.add_argument("--output", default=None, help="output file path (default: stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"), help="output format")
-        p.add_argument("--config", default=None, help="flat key=value config file")
-
-    p_point = sub.add_parser("point", help="evaluate a single (E, V, b, N) point")
-    add_common(p_point)
-    p_point.add_argument("--width", type=float, default=None, help="barrier width b > 0")
-
-    p_b = sub.add_parser("sweep-b", help="sweep the cell width at fixed repetitions")
-    add_common(p_b, grid_help="width grid start:stop:count[:log]")
-
-    p_n = sub.add_parser("sweep-n", help="sweep repetitions at fixed total span")
-    add_common(p_n, grid_help="repetition grid start:stop:count[:log]")
-    p_n.add_argument("--span", type=float, default=None, help="fixed total span L > 0")
-
-    p_l = sub.add_parser("limits", help="run the analytic limit validation report")
-    p_l.add_argument("--output", default=None, help="output file path (default: stdout)")
-    p_l.add_argument("--config", default=None, help="flat key=value config file")
+    for name, mode in _MODES.items():
+        p = sub.add_parser(name, help=mode.help)
+        for dest in mode.flags:
+            flag = _SETTINGS[dest].flag if dest in _SETTINGS else _CONFIG_FLAG
+            p.add_argument(f"--{dest}", **{"help": mode.grid_help, **flag})
     return parser
 
 
@@ -124,74 +131,39 @@ def _load_config(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
 def _resolve(args: argparse.Namespace) -> SweepConfig:
     """Merge CLI flags over config-file values over per-mode defaults."""
-    file_values = _load_config(args.config) if getattr(args, "config", None) else {}
-    defaults: dict = {}
-    if args.mode == "sweep-b":
-        defaults = _SWEEP_B_DEFAULTS
-    elif args.mode == "sweep-n":
-        defaults = _SWEEP_N_DEFAULTS
-
-    def pick(flag: object, key: str, convert, default):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return convert(file_values[key])
-        return default
-
-    energy = pick(getattr(args, "energy", None), "energy", float, defaults.get("energy"))
-    if energy is None:
-        if args.mode != "limits":
+    mode = _MODES[args.mode]
+    file_values = _load_config(args.config) if args.config else {}
+    values = {}
+    for dest, (field, read, _) in _SETTINGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            value = file_values.get(dest, mode.defaults.get(dest))
+        if value is None and dest == "energy":
             raise ValueError(f"{args.mode} requires --energy")
-        energy = 1.0  # limits mode runs fixed validation suites
-    potentials = pick(
-        getattr(args, "potential", None), "potential", _floats, defaults.get("potentials")
-    )
-    cells = pick(getattr(args, "cells", None), "cells", _ints, defaults.get("cells"))
-    width = pick(getattr(args, "width", None), "width", float, None)
-    span = pick(getattr(args, "span", None), "span", float, defaults.get("span"))
-    grid_text = pick(getattr(args, "grid", None), "grid", str, defaults.get("grid"))
-    output = pick(getattr(args, "output", None), "output", str, None)
-    fmt = pick(getattr(args, "format", None), "format", str, "csv")
-    return SweepConfig(
-        mode=args.mode,
-        energy=float(energy),
-        potentials=tuple(potentials) if potentials else (),
-        cells=tuple(cells) if cells else (),
-        width=width,
-        span=span,
-        grid=GridSpec.parse(grid_text) if grid_text else None,
-        output=output,
-        format=fmt,
-    )
+        if isinstance(value, str):  # config or default text, or a flag argparse left as text
+            value = read(value)
+        if value is not None:
+            values[field] = tuple(value) if isinstance(value, list) else value
+    return SweepConfig(args.mode, **values)
 
 
 def _emit_rows(rows: list[SweepRow], config: SweepConfig) -> None:
-    columns = columns_for_mode(config.mode)
+    columns = _MODES[config.mode].columns
     if config.format == "json":
         text = rows_to_json(rows, columns, config.mode)
     else:
         text = rows_to_csv(rows, columns)
+    write_text(text, config.output or sys.stdout)
     if config.output:
-        write_text(text, config.output)
         print(f"wrote {len(rows)} rows to {config.output}")
-    else:
-        sys.stdout.write(text)
 
 
 def _run_point(config: SweepConfig) -> int:
@@ -222,24 +194,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _resolve(args)
         if config.mode == "point":
             return _run_point(config)
-        if config.mode == "sweep-b":
-            _emit_rows(run_sweep_b(config), config)
-            return EXIT_OK
-        if config.mode == "sweep-n":
-            _emit_rows(run_sweep_n(config), config)
-            return EXIT_OK
-        report = run_limits()
-        text = report.to_json() + "\n"
-        if config.output:
-            write_text(text, config.output)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK if report.passed else EXIT_LIMIT_FAILURE
+        if config.mode == "limits":
+            report = run_limits()
+            write_text(report.to_json() + "\n", config.output or sys.stdout)
+            return EXIT_OK if report.passed else EXIT_LIMIT_FAILURE
+        _emit_rows((run_sweep_b if config.mode == "sweep-b" else run_sweep_n)(config), config)
+        return EXIT_OK
     except PtTunnelError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        if isinstance(exc, ValueError):
-            return EXIT_INVALID_INPUT
-        return EXIT_NUMERIC_FAILURE
+        return EXIT_INVALID_INPUT if isinstance(exc, ValueError) else EXIT_NUMERIC_FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: InvalidInput: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -562,12 +562,3 @@ def write_text(text: str, destination: str | TextIO) -> None:
             handle.write(text)
     else:
         destination.write(text)
-
-
-_MODE_COLUMNS = {"sweep-b": SWEEP_B_COLUMNS, "sweep-n": SWEEP_N_COLUMNS, "point": POINT_COLUMNS}
-
-
-def columns_for_mode(mode: str) -> tuple[str, ...]:
-    if mode not in _MODE_COLUMNS:
-        raise ValueError(f"no tabular columns for mode {mode!r}")
-    return _MODE_COLUMNS[mode]

@@ -20,7 +20,6 @@ __all__ = [
     "TransferMatrix",
     "IDENTITY",
     "barrier_matrix",
-    "compose",
     "lattice_matrix_direct",
     "transmission_from_matrix",
 ]
@@ -104,16 +103,6 @@ def barrier_matrix(
     return TransferMatrix(m11, 0.5 * off * s, neg_half_s / off, m22)
 
 
-def compose(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:
-    """Matrix product outer @ inner; `inner` is the spatially left scatterer."""
-    return TransferMatrix(
-        m11=outer.m11 * inner.m11 + outer.m12 * inner.m21,
-        m12=outer.m11 * inner.m12 + outer.m12 * inner.m22,
-        m21=outer.m21 * inner.m11 + outer.m22 * inner.m21,
-        m22=outer.m21 * inner.m12 + outer.m22 * inner.m22,
-    )
-
-
 def lattice_matrix_direct(
     particle: Particle, cell: CellSpec, n_cells: int
 ) -> TransferMatrix:
@@ -121,8 +110,9 @@ def lattice_matrix_direct(
 
     Cell m occupies [2m*b, (2m+2)*b], i.e. barrier offsets 2m and 2m+1, so
     the lattice starts at x = 0 and spans L = 2*N*b.  Only the offset phases
-    are formed per barrier; the product is compose(compose(loss, gain), acc)'s,
-    expression for expression.
+    are formed per barrier; each cell multiplies the running product on the
+    left by loss @ gain, the same matrix-product expressions, in the same
+    order, as one barrier_matrix per barrier multiplied in turn.
 
     Raises
     ------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -779,6 +780,209 @@ def test_cli_unknown_config_key(tmp_path):
     config.write_text("wavelength = 3\n")
     rc = main(["sweep-b", "--config", str(config)])
     assert rc == 2
+
+
+# Inputs that must end in a typed error, or, where a flag overrides a bad
+# config value, in a row: command, config-file text (written to
+# {tmp}/run.cfg) or None, exit code, stdout and stderr, where {tmp} stands for
+# the test's own folder.
+_BAD_INPUTS = {
+    "point-no-energy": (
+        "point --potential 1 --width 1 --cells 1", None,
+        2, "",
+        "error: InvalidInput: point requires --energy\n",
+    ),
+    "point-two-potentials": (
+        "point --energy 1 --potential 1 --potential 2 --width 1 --cells 1", None,
+        2, "",
+        "error: InvalidInput: point mode requires exactly one potential strength\n",
+    ),
+    "negative-cells": (
+        "point --energy 1 --potential 1 --width 1 --cells -1", None,
+        2, "",
+        "error: InvalidInput: n_cells must be >= 0\n",
+    ),
+    "config-energy-abc": (
+        "point --config {tmp}/run.cfg --potential 0 --width 1 --cells 3", "energy = abc\n",
+        2, "",
+        "error: InvalidInput: could not convert string to float: 'abc'\n",
+    ),
+    "config-energy-abc-overridden": (
+        "point --config {tmp}/run.cfg --energy 1 --potential 0 --width 1 --cells 3",
+        "energy = abc\n",
+        0,
+        "E = 1  V = 0  N = 3  b = 1  L = 6\ntau   = 3.0  [analytic]\n|t|   = 1.0\n"
+        "theta = 0.0\nflags = (none)\n"
+        "E,V,N,b,L,tau,tau_method,t_abs,theta,flags\n1,0,3,1,6,3,analytic,1,0,\n",
+        "",
+    ),
+    "config-unknown-key": (
+        "sweep-b --config {tmp}/run.cfg", "wavelength = 3\n",
+        2, "",
+        "error: InvalidInput: {tmp}/run.cfg:1: unknown config key 'wavelength'\n",
+    ),
+    "config-format-xml": (
+        "sweep-b --config {tmp}/run.cfg", "format = xml\n",
+        2, "",
+        "error: InvalidInput: format must be csv or json, got 'xml'\n",
+    ),
+    "config-empty-potential": (
+        "sweep-b --config {tmp}/run.cfg", "potential =\n",
+        2, "",
+        "error: InvalidInput: sweep-b requires at least one potential strength\n",
+    ),
+    "config-empty-grid": (
+        "sweep-b --config {tmp}/run.cfg", "grid =\n",
+        2, "",
+        "error: InvalidInput: sweep-b requires a width grid\n",
+    ),
+    "config-sweep-b-width-x": (
+        "sweep-b --config {tmp}/run.cfg", "width = x\n",
+        2, "",
+        "error: InvalidInput: could not convert string to float: 'x'\n",
+    ),
+    "config-line-without-equals": (
+        "sweep-b --config {tmp}/run.cfg", "energy 1\n",
+        2, "",
+        "error: InvalidInput: {tmp}/run.cfg:1: expected key = value, got 'energy 1\\n'\n",
+    ),
+    "config-missing-file": (
+        "sweep-b --config {tmp}/missing.cfg", None,
+        2, "",
+        "error: InvalidInput: [Errno 2] No such file or directory: '{tmp}/missing.cfg'\n",
+    ),
+    "grid-two-parts": (
+        "sweep-b --grid 1:2", None,
+        2, "",
+        "error: InvalidInput: grid must be start:stop:count[:log], got '1:2'\n",
+    ),
+    "grid-lin-spacing": (
+        "sweep-b --grid 1:2:3:lin", None,
+        2, "",
+        "error: InvalidInput: unknown grid spacing 'lin' (expected 'log')\n",
+    ),
+    "grid-log-from-zero": (
+        "sweep-n --grid 0:2:3:log", None,
+        2, "",
+        "error: InvalidInput: log grid requires positive endpoints\n",
+    ),
+    "grid-zero-count": (
+        "sweep-n --grid 1:2:0", None,
+        2, "",
+        "error: InvalidInput: grid count must be >= 1\n",
+    ),
+    "sweep-n-negative-span": (
+        "sweep-n --span -1", None,
+        2, "",
+        "error: InvalidInput: sweep-n requires a positive span\n",
+    ),
+    "limits-bad-config": (
+        "limits --config {tmp}/run.cfg", "energy = abc\n",
+        2, "",
+        "error: InvalidInput: could not convert string to float: 'abc'\n",
+    ),
+    "limits-energy-flag": (
+        "limits --energy 1", None,
+        2, "",
+        "usage: pttunnel [-h] {point,sweep-b,sweep-n,limits} ...\n"
+        "pttunnel: error: unrecognized arguments: --energy 1\n",
+    ),
+    "unwritable-output": (
+        "sweep-b --cells 1 --grid 1:2:2 --output {tmp}/missing/rows.csv", None,
+        2, "",
+        "error: InvalidInput: [Errno 2] No such file or directory: '{tmp}/missing/rows.csv'\n",
+    ),
+    "point-energy-text": (
+        "point --energy x --potential 0 --width 1 --cells 1", None,
+        2, "",
+        "usage: pttunnel point [-h] [--energy ENERGY] [--potential POTENTIAL]\n"
+        "                      [--cells CELLS] [--output OUTPUT] [--format {csv,json}]\n"
+        "                      [--config CONFIG] [--width WIDTH]\n"
+        "pttunnel point: error: argument --energy: invalid float value: 'x'\n",
+    ),
+    "point-no-width": (
+        "point --energy 1 --potential 0 --cells 1", None,
+        2, "",
+        "error: InvalidInput: point mode requires a cell width\n",
+    ),
+    "point-negative-potential": (
+        "point --energy 1 --potential -1 --width 1 --cells 1", None,
+        2, "",
+        "error: InvalidInput: strength must be finite and >= 0, got -1.0\n",
+    ),
+    "sweep-b-zero-energy": (
+        "sweep-b --energy 0", None,
+        2, "",
+        "error: InvalidEnergy: energy must be positive, got 0.0\n",
+    ),
+    "sweep-n-cells": (
+        "sweep-n --cells 5 --potential 0 --grid 1:8:4", None,
+        2, "",
+        "usage: pttunnel [-h] {point,sweep-b,sweep-n,limits} ...\n"
+        "pttunnel: error: unrecognized arguments: --cells 5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INPUTS))
+def test_cli_bad_input_exit_code_and_messages(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at this width
+    command, config, code, stdout, stderr = _BAD_INPUTS[name]
+    tmp = str(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    assert main([arg.replace("{tmp}", tmp) for arg in command.split()]) == code
+    assert capsys.readouterr() == (stdout.replace("{tmp}", tmp), stderr.replace("{tmp}", tmp))
+
+
+# Two values for every flag a subcommand may have; --config is checked above.
+_FLAG_VALUES = {
+    "--energy": ("1", "2"),
+    "--potential": ("20", "5"),
+    "--cells": ("2", "3"),
+    "--width": ("0.25", "0.5"),
+    "--span": ("1", "2"),
+    "--grid": ("1:8:4", "1:8:3"),
+    "--output": ("a.out", "b.out"),
+    "--format": ("csv", "json"),
+}
+
+
+def _subcommand_flags():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        mode: [
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help", "--config")
+        ]
+        for mode, sub in subparsers.choices.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "mode, flag",
+    [(mode, flag) for mode, flags in _subcommand_flags().items() for flag in flags],
+)
+def test_cli_every_flag_changes_what_the_command_writes(mode, flag, tmp_path, capsys, monkeypatch):
+    # a subcommand that accepts a flag must read it: changing its value
+    # changes the exit status or the bytes written to stdout, stderr or a file
+    monkeypatch.chdir(tmp_path)
+    flags = _subcommand_flags()[mode]
+
+    def run(changed):
+        argv = [mode]
+        for option in flags:
+            argv += [option, _FLAG_VALUES[option][option == changed]]
+        code = main(argv)
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return code, *capsys.readouterr(), files
+
+    assert run(flag) != run(None)
 
 
 def test_cli_defaults_reproduce_figures(tmp_path):
