@@ -4,8 +4,8 @@ Subcommands: `point` (single parameter point), `sweep-b` (width sweep),
 `sweep-n` (repetition sweep at fixed span), `limits` (validation report).
 `_MODES` declares each one's flags, defaults and columns, and `_SETTINGS`
 each flag's config-file key.  A flag overrides an optional flat key=value
-config file, which overrides the subcommand's default.  A config key that
-a subcommand has no flag for is still read, but changes nothing.
+config file, which overrides the subcommand's default.  A subcommand reads
+only the config keys it has flags for; an unknown key is invalid input.
 
 Exit codes: 0 success, 2 invalid input, 3 limit-check failure, 4 numeric
 failure on a point query.
@@ -86,9 +86,7 @@ _MODES = {
                      ("energy", "potential", "grid", "output", "format", "config", "span"),
                      {"energy": "1", "potential": "5,10,20", "span": "1", "grid": "1:4096:13:log"},
                      SWEEP_N_COLUMNS, "repetition grid start:stop:count[:log]"),
-    # limits runs fixed validation suites; its energy only fills SweepConfig
-    "limits": _Mode("run the analytic limit validation report", ("output", "config"),
-                    {"energy": "1"}),
+    "limits": _Mode("run the analytic limit validation report", ("output", "config"), {}),
 }
 
 
@@ -138,12 +136,14 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace) -> SweepConfig:
-    """Merge CLI flags over config-file values over per-mode defaults."""
+    """Merge CLI flags over config-file values over per-mode defaults, for the mode's own flags."""
     mode = _MODES[args.mode]
     file_values = _load_config(args.config) if args.config else {}
     values = {}
     for dest, (field, read, _) in _SETTINGS.items():
-        value = getattr(args, dest, None)
+        if dest not in mode.flags:
+            continue
+        value = getattr(args, dest)
         if value is None:
             value = file_values.get(dest, mode.defaults.get(dest))
         if value is None and dest == "energy":
@@ -152,13 +152,13 @@ def _resolve(args: argparse.Namespace) -> SweepConfig:
             value = read(value)
         if value is not None:
             values[field] = tuple(value) if isinstance(value, list) else value
-    return SweepConfig(args.mode, **values)
+    return SweepConfig(**values)
 
 
-def _emit_rows(rows: list[SweepRow], config: SweepConfig) -> None:
-    columns = _MODES[config.mode].columns
+def _emit_rows(mode: str, rows: list[SweepRow], config: SweepConfig) -> None:
+    columns = _MODES[mode].columns
     if config.format == "json":
-        text = rows_to_json(rows, columns, config.mode)
+        text = rows_to_json(rows, columns, mode)
     else:
         text = rows_to_csv(rows, columns)
     write_text(text, config.output or sys.stdout)
@@ -177,7 +177,7 @@ def _run_point(config: SweepConfig) -> int:
     print(f"|t|   = {row.t_abs!r}")
     print(f"theta = {row.theta!r}")
     print(f"flags = {flags}")
-    _emit_rows([row], config)
+    _emit_rows("point", [row], config)
     if math.isnan(row.tau):
         code = row.flags[0] if row.flags else "NumericFailure"
         print(f"error: {code}: no finite tunneling time at this point", file=sys.stderr)
@@ -192,13 +192,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         config = _resolve(args)
-        if config.mode == "point":
+        if args.mode == "point":
             return _run_point(config)
-        if config.mode == "limits":
+        if args.mode == "limits":
             report = run_limits()
             write_text(report.to_json() + "\n", config.output or sys.stdout)
             return EXIT_OK if report.passed else EXIT_LIMIT_FAILURE
-        _emit_rows((run_sweep_b if config.mode == "sweep-b" else run_sweep_n)(config), config)
+        rows = (run_sweep_b if args.mode == "sweep-b" else run_sweep_n)(config)
+        _emit_rows(args.mode, rows, config)
         return EXIT_OK
     except PtTunnelError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)

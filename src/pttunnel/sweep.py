@@ -20,7 +20,6 @@ from .chebyshev import cheb_pair
 from .errors import OverflowGuardError, SpectralSingularityError
 from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, _Validated
 from .timing import (
-    BETA_MAX,
     ClosedForm,
     HartmanCoeffs,
     _cell_scalars,
@@ -129,7 +128,6 @@ class GridSpec(_Validated, _GridSpecFields):
 
 
 class _SweepConfigFields(NamedTuple):
-    mode: str
     energy: float = 1.0
     potentials: tuple[float, ...] = ()
     cells: tuple[int, ...] = ()
@@ -141,14 +139,12 @@ class _SweepConfigFields(NamedTuple):
 
 
 class SweepConfig(_Validated, _SweepConfigFields):
-    """Resolved inputs of one command invocation (CLI flags over config file)."""
+    """Resolved settings of one command (CLI flags over config file), not the command itself."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> SweepConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if self.mode not in ("point", "sweep-b", "sweep-n", "limits"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         return self
@@ -181,8 +177,8 @@ _COLUMN_FIELDS = {
 
 class _Shared(NamedTuple):
     """What every row at one (E, V) shares: the width-free cell geometry, the
-    thick-cell coefficients of V > 0 (each None where it leaves double range;
-    coeffs also where no row hands off) and the sweep's reference columns."""
+    thick-cell coefficients of V > 0 (each None where it leaves double range,
+    coeffs also at V = 0) and the sweep's reference columns."""
 
     geometry: _Geometry | None
     coeffs: HartmanCoeffs | None = None
@@ -201,6 +197,11 @@ def _or_none(function, *args):
     return None
 
 
+def _coeffs(particle: Particle, strength: float) -> HartmanCoeffs | None:
+    """The thick-cell coefficients of V > 0, or None where they leave double range."""
+    return _or_none(hartman_coeffs, particle, strength) if strength > 0.0 else None
+
+
 def evaluate_point(
     particle: Particle, cell: CellSpec, n_cells: int, *, _shared: _Shared | None = None
 ) -> SweepRow:
@@ -217,7 +218,8 @@ def evaluate_point(
     cell.strength); its reference columns fill tau_inf, tau_free and rel_gap.
     Its geometry is None where (E, V) leaves double range: an Overflow row.
     """
-    shared = _shared or _Shared(_geometry(particle, cell.strength))
+    strength = cell.strength
+    shared = _shared or _Shared(_geometry(particle, strength), _coeffs(particle, strength))
     geometry = shared.geometry
     record = _closed_form(geometry, cell.width, n_cells) if geometry else _NO_GEOMETRY
     span = 2.0 * n_cells * cell.width
@@ -226,11 +228,10 @@ def evaluate_point(
     if record.handoff:
         flags.append(FLAG_OVERFLOW)
         t_abs = 0.0
-        coeffs = shared.coeffs if _shared else _or_none(hartman_coeffs, particle, cell.strength)
-        if coeffs is not None:
-            theta = _wrap_phase(math.atan(coeffs.gamma) - particle.k * span)
+        if shared.coeffs is not None:
+            theta = _wrap_phase(math.atan(shared.coeffs.gamma) - particle.k * span)
             with contextlib.suppress(OverflowGuardError):
-                tau = _limit_time(coeffs, particle.k)
+                tau = _limit_time(shared.coeffs, particle.k)
     else:
         if record.band_edge:
             flags.append(FLAG_BAND_EDGE)
@@ -249,7 +250,7 @@ def evaluate_point(
             t_abs = 0.0 if math.isfinite(theta) else _NAN
     return SweepRow(
         energy=particle.energy,
-        strength=cell.strength,
+        strength=strength,
         n_cells=n_cells,
         width=cell.width,
         span=span,
@@ -293,10 +294,9 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
     widths = sorted(config.grid.values())
     rows: list[SweepRow] = []
     for strength in config.potentials:
-        coeffs, tau_inf = None, _NAN
-        if strength > 0.0:
+        coeffs, tau_inf = _coeffs(particle, strength), _NAN
+        if coeffs is not None:
             with contextlib.suppress(OverflowGuardError):
-                coeffs = hartman_coeffs(particle, strength)
                 tau_inf = _limit_time(coeffs, particle.k)
         shared = _Shared(_or_none(_geometry, particle, strength), coeffs, tau_inf=tau_inf)
         for n_cells in config.cells:
@@ -309,8 +309,8 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
 def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
     """Repetition sweep at fixed total span: b = L/(2N) for each grid N.
 
-    Thick-cell coefficients are computed once per V, if the widest cell
-    (smallest N) hands off to the limit."""
+    Thick-cell coefficients are computed once per V, whether or not a row
+    hands off to the limit."""
     if config.grid is None:
         raise ValueError("sweep-n requires a repetition grid")
     if config.span is None or config.span <= 0.0:
@@ -324,10 +324,7 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for strength in config.potentials:
         geometry = _or_none(_geometry, particle, strength)
-        coeffs = None
-        if geometry and counts and _scaled(geometry, span / (2.0 * counts[0]))[1] > BETA_MAX:
-            coeffs = _or_none(hartman_coeffs, particle, strength)
-        shared = _Shared(geometry, coeffs, tau_free=tau_free)
+        shared = _Shared(geometry, _coeffs(particle, strength), tau_free=tau_free)
         for n_cells in counts:
             cell = CellSpec(strength, span / (2.0 * n_cells))
             rows.append(evaluate_point(particle, cell, n_cells, _shared=shared))

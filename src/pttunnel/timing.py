@@ -309,7 +309,7 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
             t = cmath.exp(-1j * k * length) / g
     else:
         q_chi = chi * (tt / scale)
-        ln_t = nu - math.log(2.0) + math.log1p(math.exp(-2.0 * nu))
+        ln_t = nu - math.log(2.0) + math.log1p(decay)
         ln_g = ln_t + 0.5 * math.log1p(q_chi**2)
         arg_g = math.atan2(-q_chi, 1.0)
         if ln_g > _LN_MAX:

@@ -198,7 +198,6 @@ def test_criterion_7_free_space_exactness():
 
 def test_criterion_8_determinism(tmp_path):
     config = SweepConfig(
-        mode="sweep-b",
         energy=1.0,
         potentials=(20.0,),
         cells=(1, 2, 3, 4),

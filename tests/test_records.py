@@ -33,7 +33,7 @@ RECORDS = [
     HartmanCoeffs(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
     TransferMatrix(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j),
     GridSpec(0.05, 5.0, 100),
-    SweepConfig("sweep-b", potentials=(20.0,), grid=GridSpec(0.05, 5.0, 100)),
+    SweepConfig(potentials=(20.0,), grid=GridSpec(0.05, 5.0, 100)),
     SweepRow(1.0, 20.0, 2, 0.25, 1.0, 0.3, "analytic", 0.9, 0.1, (), 0.4, 0.5, 0.6),
     LimitCheck("check", True, 1e-15, 1e-12, "detail"),
     LimitsReport((LimitCheck("check", True, 1e-15, 1e-12, "detail"),)),
@@ -85,8 +85,7 @@ INVALID = [
     (GridSpec(0.05, 5.0, 100), {"count": 0}, ValueError, "grid count must be >= 1"),
     (GridSpec(0.05, 5.0, 100), {"stop": math.nan}, ValueError, "grid endpoints must be finite"),
     (GridSpec(0.05, 5.0, 100), {"log": True, "start": 0.0}, ValueError, "log grid requires positive endpoints"),
-    (SweepConfig("sweep-b"), {"mode": "sweep-x"}, ValueError, "unknown mode 'sweep-x'"),
-    (SweepConfig("sweep-b"), {"format": "xml"}, ValueError, "format must be csv or json, got 'xml'"),
+    (SweepConfig(), {"format": "xml"}, ValueError, "format must be csv or json, got 'xml'"),
 ]
 
 

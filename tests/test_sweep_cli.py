@@ -15,20 +15,23 @@ from pttunnel import (
     GridSpec,
     OverflowGuardError,
     Particle,
+    SpectralSingularityError,
     SweepConfig,
     SweepRow,
     closed_form,
     evaluate_point,
     free_propagation_time,
     hartman_limit_time,
+    lattice_matrix_direct,
     run_limits,
     run_point,
     run_sweep_b,
     run_sweep_n,
+    transmission_from_matrix,
     tunneling_time,
 )
 from pttunnel import sweep as sweep_mod
-from pttunnel.cli import build_parser, main
+from pttunnel.cli import _MODES, _SETTINGS, build_parser, main
 from pttunnel.sweep import (
     POINT_COLUMNS,
     SWEEP_B_COLUMNS,
@@ -125,9 +128,7 @@ def test_point_row_empty_lattice():
 
 
 def test_run_point_matches_library():
-    config = SweepConfig(
-        mode="point", energy=1.0, potentials=(20.0,), cells=(2,), width=0.25
-    )
+    config = SweepConfig(energy=1.0, potentials=(20.0,), cells=(2,), width=0.25)
     row = run_point(config)
     assert row.tau == pytest.approx(
         tunneling_time(Particle(1.0), CellSpec(20.0, 0.25), 2), rel=1e-14
@@ -135,9 +136,8 @@ def test_run_point_matches_library():
 
 
 def test_point_row_spectral_singularity_flagged(monkeypatch):
-    # a true lasing point needs two parameters tuned at once, so the row
-    # plumbing is exercised by injection
-    from pttunnel.errors import SpectralSingularityError
+    # an injected record with a nan tau, the case that exits 4; the true
+    # lasing point of test_real_spectral_singularity_row has a finite tau
     from pttunnel.timing import ClosedForm
 
     def singular(geometry, width, n_cells):
@@ -150,6 +150,27 @@ def test_point_row_spectral_singularity_flagged(monkeypatch):
     assert row.flags == ("SpectralSingularity",)
     assert math.isnan(row.tau)
     assert row.t_abs == math.inf  # transmission diverges at a lasing point
+
+
+def test_real_spectral_singularity_row(capsys):
+    # a zero of G = T_N - i chi U_{N-1} (Mostafazadeh, PRL 102, 220402, 2009):
+    # chi = 0 bisected in b, then cos(N psi) = 0 in E along that curve
+    energy, strength, width, n_cells = 0.547149018018704, 1.0, 1.4393530230212068, 7
+    particle, cell = Particle(energy), CellSpec(strength, width)
+    record = closed_form(particle, cell, n_cells)
+    assert isinstance(record.error, SpectralSingularityError) and record.t is None
+    assert record.error.magnitude < 1e-14
+    with pytest.raises(SpectralSingularityError) as raised:
+        transmission_from_matrix(lattice_matrix_direct(particle, cell, n_cells))
+    assert raised.value.magnitude < 1e-14 and raised.value.scale == pytest.approx(2.577, rel=1e-3)
+    row = evaluate_point(particle, cell, n_cells)
+    assert (row.tau_method, row.flags) == ("analytic", ("SpectralSingularity",))
+    assert row.t_abs == math.inf and math.isnan(row.theta)
+    assert row.tau == pytest.approx(1.866467350630215e14, rel=1e-12)  # finite: exit 0
+    argv = ["--energy", repr(energy), "--potential", "1", "--width", repr(width), "--cells", "7"]
+    rc, written, err = _point_row(*argv, capsys=capsys)
+    assert (rc, err) == (0, "")
+    assert (written["t_abs"], written["theta"], written["flags"]) == ("inf", "nan", "SpectralSingularity")
 
 
 def test_cli_point_numeric_failure_exit_code(monkeypatch, capsys):
@@ -183,7 +204,6 @@ def test_cli_point_numeric_failure_exit_code(monkeypatch, capsys):
 
 def _sweep_b_config(**overrides):
     base = dict(
-        mode="sweep-b",
         energy=1.0,
         potentials=(20.0,),
         cells=(1, 2),
@@ -213,7 +233,6 @@ def test_sweep_b_free_space_rows_are_free_passage():
 
 def test_sweep_n_derives_width_from_span():
     config = SweepConfig(
-        mode="sweep-n",
         energy=4.0,
         potentials=(10.0,),
         span=1.0,
@@ -229,7 +248,6 @@ def test_sweep_n_derives_width_from_span():
 
 def test_sweep_n_free_space_control_exact():
     config = SweepConfig(
-        mode="sweep-n",
         energy=1.0,
         potentials=(0.0,),
         span=1.0,
@@ -252,16 +270,16 @@ _PATH_CONFIGS = (
         grid=GridSpec(1e-3, 300.0, 40, log=True),
     ),
     SweepConfig(
-        mode="sweep-n", energy=1.0, potentials=(0.0, 0.5, 5.0), span=1.0,
+        energy=1.0, potentials=(0.0, 0.5, 5.0), span=1.0,
         grid=GridSpec(1, 1e6, 25, log=True),
     ),
     SweepConfig(
-        mode="sweep-n", energy=1.0, potentials=(20.0,), span=3000.0,
+        energy=1.0, potentials=(20.0,), span=3000.0,
         grid=GridSpec(1, 64, 7, log=True),
     ),
     # kL = 1e-6: N^2 |xi^2 - 1| ~ (kL)^2 puts every row on the band-edge branch
     SweepConfig(
-        mode="sweep-n", energy=1.0, potentials=(5.0,), span=1e-6,
+        energy=1.0, potentials=(5.0,), span=1e-6,
         grid=GridSpec(1, 4096, 13, log=True),
     ),
 )
@@ -273,13 +291,13 @@ def test_sweep_rows_equal_point_rows():
     paths = set()
     for config in _PATH_CONFIGS:
         particle = Particle(config.energy)
-        run = run_sweep_b if config.mode == "sweep-b" else run_sweep_n
+        run = run_sweep_b if config.span is None else run_sweep_n
         rows = run(config)
         assert rows
         for row in rows:
             cell = CellSpec(row.strength, row.width)
             expected = evaluate_point(particle, cell, row.n_cells)
-            if config.mode == "sweep-b":
+            if run is run_sweep_b:
                 tau_inf = hartman_limit_time(particle, row.strength) if row.strength else math.nan
                 expected = expected._replace(tau_inf=tau_inf)
             else:
@@ -310,7 +328,7 @@ def test_sweep_validation_errors():
     with pytest.raises(ValueError):
         run_sweep_b(_sweep_b_config(grid=None))
     with pytest.raises(ValueError):
-        run_sweep_n(SweepConfig(mode="sweep-n", potentials=(1.0,), grid=GridSpec(1, 8, 4)))
+        run_sweep_n(SweepConfig(potentials=(1.0,), grid=GridSpec(1, 8, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +409,7 @@ def _writer_rows():
     swept = run_sweep_b(_PATH_CONFIGS[0])[::7] + run_sweep_n(_PATH_CONFIGS[1])[::5]
     floats = run_sweep_n(
         SweepConfig(
-            mode="sweep-n", energy=_Float(1.5), potentials=(_Float(3.0),),
+            energy=_Float(1.5), potentials=(_Float(3.0),),
             span=_Float(2.0), grid=GridSpec(1, 9, 3),
         )
     )
@@ -426,7 +444,6 @@ def test_sweep_output_is_byte_identical(tmp_path):
 def test_json_output_shape():
     rows = run_sweep_n(
         SweepConfig(
-            mode="sweep-n",
             energy=1.0,
             potentials=(5.0,),
             span=1.0,
@@ -701,10 +718,10 @@ def test_sweep_n_computes_thick_cell_coefficients_once(monkeypatch, tmp_path):
     out = tmp_path / "rows.csv"
     assert main([*argv, "--span", "3000", "--output", str(out)]) == 0
     assert calls == [20.0]
-    # span 1: no row hands off, so no coefficients
+    # span 1: no row hands off, but the coefficients are still computed once
     calls.clear()
     assert main([*argv, "--span", "1", "--output", str(out)]) == 0
-    assert calls == []
+    assert calls == [20.0]
 
 
 def test_cli_sweep_b_writes_deterministic_file(tmp_path):
@@ -782,6 +799,35 @@ def test_cli_unknown_config_key(tmp_path):
     assert rc == 2
 
 
+# A small run of each command, written to {tmp}/rows.out.
+_CONFIG_RUNS = {
+    "point": "point --energy 1 --potential 20 --width 0.25 --cells 2",
+    "sweep-b": "sweep-b --cells 2 --grid 0.1:1:4",
+    "sweep-n": "sweep-n --potential 5 --grid 1:8:4 --format json",
+    "limits": "limits",
+}
+
+
+@pytest.mark.parametrize("mode", list(_CONFIG_RUNS))
+def test_cli_config_keys_a_command_does_not_declare_are_ignored(mode, tmp_path, capsys):
+    # a command reads only its own settings: a known key it has no flag for
+    # may hold any text, and the command writes what it writes without it
+    undeclared = [key for key in _SETTINGS if key not in _MODES[mode].flags]
+    assert undeclared
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = x\n" for key in undeclared))
+    out = tmp_path / "rows.out"
+    argv = [*_CONFIG_RUNS[mode].split(), "--output", str(out)]
+
+    def run(*extra):
+        code = main([*argv, *extra])
+        return code, *capsys.readouterr(), out.read_bytes()
+
+    plain = run()
+    assert plain[0] == 0
+    assert run("--config", str(config)) == plain
+
+
 # Inputs that must end in a typed error, or, where a flag overrides a bad
 # config value, in a row: command, config-file text (written to
 # {tmp}/run.cfg) or None, exit code, stdout and stderr, where {tmp} stands for
@@ -836,11 +882,6 @@ _BAD_INPUTS = {
         2, "",
         "error: InvalidInput: sweep-b requires a width grid\n",
     ),
-    "config-sweep-b-width-x": (
-        "sweep-b --config {tmp}/run.cfg", "width = x\n",
-        2, "",
-        "error: InvalidInput: could not convert string to float: 'x'\n",
-    ),
     "config-line-without-equals": (
         "sweep-b --config {tmp}/run.cfg", "energy 1\n",
         2, "",
@@ -877,9 +918,9 @@ _BAD_INPUTS = {
         "error: InvalidInput: sweep-n requires a positive span\n",
     ),
     "limits-bad-config": (
-        "limits --config {tmp}/run.cfg", "energy = abc\n",
+        "limits --config {tmp}/run.cfg", "foo = 1\n",
         2, "",
-        "error: InvalidInput: could not convert string to float: 'abc'\n",
+        "error: InvalidInput: {tmp}/run.cfg:1: unknown config key 'foo'\n",
     ),
     "limits-energy-flag": (
         "limits --energy 1", None,

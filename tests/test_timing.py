@@ -13,6 +13,7 @@ from pttunnel import (
     OverflowGuardError,
     Particle,
     barrier_matrix,
+    evaluate_point,
     free_propagation_time,
     hartman_coeffs,
     hartman_limit_time,
@@ -268,6 +269,18 @@ def test_time_at_band_edge_matches_reference(lattice_reference):
     nearby = closed_form(p, CellSpec(20.0, width * (1.0 + 1e-7)), 2)
     assert not nearby.band_edge
     assert nearby.tau == pytest.approx(result.tau, rel=1e-4)
+
+
+@pytest.mark.parametrize("strength, width", [(0.0, 1e-200), (0.5, 1e-170)])
+def test_exact_band_edge_g(strength, width):
+    # sin^2(alpha) underflows, so xi - 1 is exactly 0 and G takes the
+    # band-edge form U_{N-1} = q T_N; these thin cells are free passage
+    p, cell = Particle(1.0), CellSpec(strength, width)
+    cf = closed_form(p, cell, 3)
+    assert cf.xi - 1.0 == 0.0
+    assert abs(cf.t) == 1.0
+    assert cf.tau == pytest.approx(free_propagation_time(p, 6.0 * width), rel=1e-15, abs=0.0)
+    assert evaluate_point(p, cell, 3).flags == ("XiAtUnity",)
 
 
 def test_time_at_root_of_t_is_continuous_and_matches_fd():
