@@ -85,6 +85,7 @@ INVALID = [
     (GridSpec(0.05, 5.0, 100), {"count": 0}, ValueError, "grid count must be >= 1"),
     (GridSpec(0.05, 5.0, 100), {"stop": math.nan}, ValueError, "grid endpoints must be finite"),
     (GridSpec(0.05, 5.0, 100), {"log": True, "start": 0.0}, ValueError, "log grid requires positive endpoints"),
+    (GridSpec(0.05, 5.0, 100), {"log": True, "stop": -1.0}, ValueError, "log grid requires positive endpoints"),
     (SweepConfig(), {"format": "xml"}, ValueError, "format must be csv or json, got 'xml'"),
 ]
 
