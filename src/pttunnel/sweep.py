@@ -21,7 +21,6 @@ from .errors import OverflowGuardError, SpectralSingularityError
 from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, _Validated
 from .timing import (
     ClosedForm,
-    HartmanCoeffs,
     _cell_scalars,
     _closed_form,
     _limit_time,
@@ -65,7 +64,6 @@ POINT_COLUMNS = ("E", "V", "N", "b", "L", "tau", "tau_method", "t_abs", "theta",
 METHOD_ANALYTIC = "analytic"
 METHOD_HARTMAN = "hartman-limit"
 
-FLAG_SINGULARITY = "SpectralSingularity"
 FLAG_BAND_EDGE = "XiAtUnity"
 FLAG_OVERFLOW = "Overflow"
 
@@ -176,93 +174,94 @@ _COLUMN_FIELDS = {
 
 
 class _Shared(NamedTuple):
-    """What every row at one (E, V) shares: the width-free cell geometry, the
-    thick-cell coefficients of V > 0 (each None where it leaves double range,
-    coeffs also at V = 0) and the sweep's reference columns."""
+    """What every row at one (E, V) shares: the width-free cell geometry (None
+    where it leaves double range), the thick-cell gamma and limit time
+    tau_inf of V > 0 (each nan at V = 0 or where it leaves double range) and
+    the free time tau_free of a sweep-n span (nan for any other row)."""
 
     geometry: _Geometry | None
-    coeffs: HartmanCoeffs | None = None
-    tau_inf: float = _NAN
-    tau_free: float = _NAN
+    gamma: float
+    tau_inf: float
+    tau_free: float
 
 
 # The record of a point whose (E, V) geometry leaves double range.
 _NO_GEOMETRY = ClosedForm(_NAN, _NAN, None)
 
 
-def _or_none(function, *args):
-    """function(*args), or None where that leaves double range."""
+def _make_shared(particle: Particle, strength: float, tau_free: float = _NAN) -> _Shared:
+    """The :class:`_Shared` record at (E, V = strength), built once for all its rows."""
+    geometry, gamma, tau_inf = None, _NAN, _NAN
     with contextlib.suppress(OverflowGuardError):
-        return function(*args)
-    return None
+        geometry = _geometry(particle, strength)
+    if strength > 0.0:
+        with contextlib.suppress(OverflowGuardError):
+            coeffs = hartman_coeffs(particle, strength)
+            gamma = coeffs.gamma  # a handoff row keeps its phase where tau_inf leaves range
+            tau_inf = _limit_time(coeffs, particle.k)
+    return _Shared(geometry, gamma, tau_inf, tau_free)
 
 
-def _coeffs(particle: Particle, strength: float) -> HartmanCoeffs | None:
-    """The thick-cell coefficients of V > 0, or None where they leave double range."""
-    return _or_none(hartman_coeffs, particle, strength) if strength > 0.0 else None
-
-
-def evaluate_point(
-    particle: Particle, cell: CellSpec, n_cells: int, *, _shared: _Shared | None = None
-) -> SweepRow:
+def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow:
     """Evaluate tau, |t| and theta at one point, downgrading failures to flags.
 
     Selection of the time path:
-      - beta > BETA_MAX: thick-barrier limit (method 'hartman-limit', flagged
-        Overflow) -- the exact expressions leave double range there;
+      - beta > BETA_MAX: thick-barrier limit tau_inf (method 'hartman-limit',
+        flagged Overflow) -- the exact expressions leave double range there;
       - otherwise the analytic expression, the same on a band edge, where
         N^2 |xi^2 - 1| < BAND_EDGE_TOL flags the row XiAtUnity.
     A row at a spectral singularity is flagged SpectralSingularity, with
-    |t| = inf; any other row without a finite tau or t is flagged Overflow.
-    The sweeps pass ``_shared``, computed once for all their rows at (E, V =
-    cell.strength); its reference columns fill tau_inf, tau_free and rel_gap.
-    Its geometry is None where (E, V) leaves double range: an Overflow row.
+    |t| = inf; any other row without a finite tau or t is flagged Overflow,
+    as is every row where the (E, V) geometry itself leaves double range.
+    The row carries tau_inf of its (E, V), nan at V = 0; tau_free and
+    rel_gap are nan.  Raises ValueError for N < 0.
     """
-    strength = cell.strength
-    shared = _shared or _Shared(_geometry(particle, strength), _coeffs(particle, strength))
+    return _row(particle, _make_shared(particle, cell.strength), cell, n_cells)
+
+
+def _row(particle: Particle, shared: _Shared, cell: CellSpec, n_cells: int) -> SweepRow:
+    """The row of :func:`evaluate_point` from the (E, V) record it shares with its sweep."""
+    if n_cells < 0:
+        raise ValueError("n_cells must be >= 0")
     geometry = shared.geometry
     record = _closed_form(geometry, cell.width, n_cells) if geometry else _NO_GEOMETRY
     span = 2.0 * n_cells * cell.width
-    flags: list[str] = []
-    tau, theta = record.tau, record.theta
+    tau, theta, error = record.tau, record.theta, record.error
     if record.handoff:
-        flags.append(FLAG_OVERFLOW)
+        tau = shared.tau_inf
+        theta = _wrap_phase(math.atan(shared.gamma) - particle.k * span)
         t_abs = 0.0
-        if shared.coeffs is not None:
-            theta = _wrap_phase(math.atan(shared.coeffs.gamma) - particle.k * span)
-            with contextlib.suppress(OverflowGuardError):
-                tau = _limit_time(shared.coeffs, particle.k)
+    elif record.t is not None:
+        t_abs = abs(record.t)
+    elif isinstance(error, SpectralSingularityError):
+        t_abs = math.inf
     else:
-        if record.band_edge:
-            flags.append(FLAG_BAND_EDGE)
-        singular = isinstance(record.error, SpectralSingularityError)
-        if singular:
-            flags.append(FLAG_SINGULARITY)
-        elif record.error is not None or not math.isfinite(tau):
-            flags.append(FLAG_OVERFLOW)
-        if record.t is not None:
-            t_abs = abs(record.t)
-        elif singular:
-            t_abs = math.inf
-        else:
-            # |t| underflows where the bounded-ratio phase is left; where the
-            # phase itself leaves double range, |t| is unknown.
-            t_abs = 0.0 if math.isfinite(theta) else _NAN
-    return SweepRow(
-        energy=particle.energy,
-        strength=strength,
-        n_cells=n_cells,
-        width=cell.width,
-        span=span,
-        tau=tau,
-        tau_method=METHOD_HARTMAN if record.handoff else METHOD_ANALYTIC,
-        t_abs=t_abs,
-        theta=theta,
-        flags=tuple(flags),
-        tau_inf=shared.tau_inf,
-        tau_free=shared.tau_free,
-        rel_gap=abs(tau - shared.tau_free) / shared.tau_free,
-    )
+        # |t| underflows where the bounded-ratio phase is left; where the
+        # phase itself leaves double range, |t| is unknown.
+        t_abs = 0.0 if math.isfinite(theta) else _NAN
+    flags = [FLAG_BAND_EDGE] if record.band_edge else []
+    if error is not None:
+        flags.append(error.code)
+    elif not math.isfinite(tau):
+        flags.append(FLAG_OVERFLOW)
+    method = METHOD_HARTMAN if record.handoff else METHOD_ANALYTIC
+    rel_gap = abs(tau - shared.tau_free) / shared.tau_free
+    return SweepRow(particle.energy, cell.strength, n_cells, cell.width, span, tau, method,
+                    t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap)
+
+
+def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list[SweepRow]:
+    """Rows over the config's potentials (outer) and (N, b) ``points``
+    (inner, in order), each V's record built once; a fixed ``span`` gives
+    every row its free time tau_free and rel_gap."""
+    particle = Particle(config.energy)
+    tau_free = _NAN if span is None else free_propagation_time(particle, span)
+    rows: list[SweepRow] = []
+    for strength in config.potentials:
+        shared = _make_shared(particle, strength, tau_free)
+        for n_cells, width in points:
+            rows.append(_row(particle, shared, CellSpec(strength, width), n_cells))
+    return rows
 
 
 def run_point(config: SweepConfig) -> SweepRow:
@@ -273,16 +272,14 @@ def run_point(config: SweepConfig) -> SweepRow:
         raise ValueError("point mode requires exactly one potential strength")
     if len(config.cells) != 1:
         raise ValueError("point mode requires exactly one repetition count")
-    particle = Particle(config.energy)
-    cell = CellSpec(config.potentials[0], config.width)
-    return evaluate_point(particle, cell, config.cells[0])
+    return _sweep(config, [(config.cells[0], config.width)])[0]
 
 
 def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
     """Width sweep: rows over (V, N, b) with b ascending innermost.
 
-    Every row carries the V-specific thick-barrier asymptote tau_inf for
-    reference (nan for a free-space V = 0 control).
+    The sweep prints tau_inf, the V-specific thick-barrier asymptote that
+    every row carries for reference (nan for a free-space V = 0 control).
     """
     if config.grid is None:
         raise ValueError("sweep-b requires a width grid")
@@ -290,45 +287,25 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
         raise ValueError("sweep-b requires an explicit repetition list")
     if not config.potentials:
         raise ValueError("sweep-b requires at least one potential strength")
-    particle = Particle(config.energy)
     widths = sorted(config.grid.values())
-    rows: list[SweepRow] = []
-    for strength in config.potentials:
-        coeffs, tau_inf = _coeffs(particle, strength), _NAN
-        if coeffs is not None:
-            with contextlib.suppress(OverflowGuardError):
-                tau_inf = _limit_time(coeffs, particle.k)
-        shared = _Shared(_or_none(_geometry, particle, strength), coeffs, tau_inf=tau_inf)
-        for n_cells in config.cells:
-            for width in widths:
-                cell = CellSpec(strength, width)
-                rows.append(evaluate_point(particle, cell, n_cells, _shared=shared))
-    return rows
+    return _sweep(config, [(n_cells, width) for n_cells in config.cells for width in widths])
 
 
 def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
     """Repetition sweep at fixed total span: b = L/(2N) for each grid N.
 
-    Thick-cell coefficients are computed once per V, whether or not a row
-    hands off to the limit."""
+    Every row carries the free time tau_free = L/2k and its relative gap
+    rel_gap to tau; the thick-cell coefficients are computed once per V,
+    whether or not a row hands off to the limit."""
     if config.grid is None:
         raise ValueError("sweep-n requires a repetition grid")
     if config.span is None or config.span <= 0.0:
         raise ValueError("sweep-n requires a positive span")
     if not config.potentials:
         raise ValueError("sweep-n requires at least one potential strength")
-    particle = Particle(config.energy)
     span = config.span
-    tau_free = free_propagation_time(particle, span)
-    counts = config.grid.integer_values()
-    rows: list[SweepRow] = []
-    for strength in config.potentials:
-        geometry = _or_none(_geometry, particle, strength)
-        shared = _Shared(geometry, _coeffs(particle, strength), tau_free=tau_free)
-        for n_cells in counts:
-            cell = CellSpec(strength, span / (2.0 * n_cells))
-            rows.append(evaluate_point(particle, cell, n_cells, _shared=shared))
-    return rows
+    points = [(n_cells, span / (2.0 * n_cells)) for n_cells in config.grid.integer_values()]
+    return _sweep(config, points, span)
 
 
 # ---------------------------------------------------------------------------

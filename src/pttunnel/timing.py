@@ -74,11 +74,15 @@ _LN_DIRECT = 690.0
 
 _NAN = float("nan")
 
+# Below this angle x, the parts of dq/dxi that vanish as x^3 are summed as
+# series rather than formed directly.
+_SERIES_X = 0.5
+
 # Taylor coefficients, highest order first, of A(x)/x^3 and B(x)/x^3 in powers
 # of y = -x^2, where A(x) = sin x - x cos x and B(x) = x - sin x cos x.  Both
-# vanish as x^3, so below x = 0.5 these keep the digits the direct forms
-# cancel.  The hyperbolic twins x cosh x - sinh x and sinh x cosh x - x take
-# y = +x^2.
+# vanish as x^3, so below x = _SERIES_X these keep the digits the direct
+# forms cancel.  The hyperbolic twins x cosh x - sinh x and sinh x cosh x - x
+# take y = +x^2.
 _A_SERIES, _B_SERIES = zip(
     *((2 * j / math.factorial(2 * j + 1), 4**j / math.factorial(2 * j + 1))
       for j in range(11, 0, -1))
@@ -227,7 +231,7 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     = -[N sech^2(N nu)(nu coth nu - 1) + coth nu (tanh N nu - N nu sech^2 N nu)]
     from the bounded ratios chi/s, xi'/s, chi'/s, xi/s, so nothing overflows
     for beta <= BETA_MAX.  Parts that vanish as x^3 are summed as series below
-    x = 0.5.  Inside the band G is formed from T_N and U_{N-1} directly;
+    x = _SERIES_X.  Inside the band G is formed from T_N and U_{N-1} directly;
     outside, |G| is pre-sized in the log domain, and T_N and U_{N-1} come
     from :func:`chebyshev.cheb_pair` only where both fit in a double.  N = 0
     gives t = 1 and tau = theta = 0.  Raises OverflowGuardError where the cell
@@ -271,8 +275,8 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
         cs, rs, y = chi / scale, xi / scale, nu1 * nu1
         sech2 = 4.0 * (decay := math.exp(-2.0 * nu)) / (1.0 + decay) ** 2
         # the two parts of s^2 dq/dxi that vanish as x^3, summed where small
-        coth_part = y * (nu1 / scale) * _horner(_A_SERIES, y) if nu1 < 0.5 else nu1 * rs - 1.0
-        tanh_part = nu**3 * _horner(_B_SERIES, nu * nu) * sech2 if nu < 0.5 else tt - nu * sech2
+        coth_part = y * (nu1 / scale) * _horner(_A_SERIES, y) if nu1 < _SERIES_X else nu1 * rs - 1.0
+        tanh_part = nu**3 * _horner(_B_SERIES, nu * nu) * sech2 if nu < _SERIES_X else tt - nu * sech2
         minus_s2_dq = n * sech2 * coth_part + rs * tanh_part
         bracket = tt * (chi_p / scale) - cs * (xi_p / scale) * minus_s2_dq
         tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
@@ -290,8 +294,8 @@ def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
         cos_n, sin_n = (cos_x, sin_x) if xi >= 0.0 else (math.cos(n * psi), math.sin(n * psi))
         sinc1 = math.sin(psi1) / psi1 if psi1 else 1.0
         q = (n if xi >= 0.0 else -n) * (sin_x / x if x else 1.0) / (sinc1 * cos_x)
-        a_part = _horner(_A_SERIES, -y) if psi1 < 0.5 else (sinc1 - math.cos(psi1)) / y
-        b_part = n * n * _horner(_B_SERIES, -x * x) if x < 0.5 else (x - sin_x * cos_x) / (x * y)
+        a_part = _horner(_A_SERIES, -y) if psi1 < _SERIES_X else (sinc1 - math.cos(psi1)) / y
+        b_part = n * n * _horner(_B_SERIES, -x * x) if x < _SERIES_X else (x - sin_x * cos_x) / (x * y)
         dq_dxi = -n * (a_part + abs(xi) * b_part) / (sinc1**3 * cos_x * cos_x)
         tau = (q * chi_p + chi * xi_p * dq_dxi) / (2.0 * k * (1.0 + (q * chi) ** 2))
 

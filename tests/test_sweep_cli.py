@@ -13,7 +13,6 @@ from conftest import bisect_width_for_xi
 from pttunnel import (
     CellSpec,
     GridSpec,
-    OverflowGuardError,
     Particle,
     SpectralSingularityError,
     SweepConfig,
@@ -297,10 +296,10 @@ def test_sweep_rows_equal_point_rows():
         for row in rows:
             cell = CellSpec(row.strength, row.width)
             expected = evaluate_point(particle, cell, row.n_cells)
-            if run is run_sweep_b:
-                tau_inf = hartman_limit_time(particle, row.strength) if row.strength else math.nan
-                expected = expected._replace(tau_inf=tau_inf)
-            else:
+            # every row, point and sweep-n ones too, carries tau_inf of its (E, V)
+            tau_inf = hartman_limit_time(particle, row.strength) if row.strength else math.nan
+            assert _same(expected.tau_inf, tau_inf)
+            if run is run_sweep_n:
                 tau_free = free_propagation_time(particle, config.span)
                 rel_gap = abs(expected.tau - tau_free) / tau_free
                 expected = expected._replace(tau_free=tau_free, rel_gap=rel_gap)
@@ -581,12 +580,15 @@ def test_tiny_energy_ends_in_a_row_or_a_typed_error(energy, strength, capsys):
         assert row.tau * math.sqrt(energy) == pytest.approx(1.74229460681128, rel=1e-13)
         assert main(argv) == 0
     else:
-        with pytest.raises(OverflowGuardError):
-            evaluate_point(Particle(energy), CellSpec(strength, 1.0), 1)
-        assert main(argv) == 4
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: Overflow: the cell's k-derivatives leave double range")
+        # the (E, V) geometry leaves double range: an Overflow row, as for
+        # any other point without a finite time
+        row = evaluate_point(Particle(energy), CellSpec(strength, 1.0), 1)
+        assert (row.tau_method, row.flags) == ("analytic", ("Overflow",))
+        assert all(math.isnan(x) for x in (row.tau, row.t_abs, row.theta))
+        rc, written, err = _point_row(*argv[1:], capsys=capsys)
+        assert rc == 4
+        assert err == "error: Overflow: no finite tunneling time at this point\n"
+        assert [written[c] for c in ("tau", "t_abs", "theta", "flags")] == ["nan"] * 3 + ["Overflow"]
 
 
 def test_cli_sweep_b_huge_potential_has_nan_limit(tmp_path):
@@ -611,7 +613,7 @@ def test_cli_sweep_b_huge_potential_has_nan_limit(tmp_path):
 
 def test_cli_sweep_b_tiny_potential_has_nan_limit(capsys):
     # f1 = sin^2(phi)/2 underflows to 0 at V = 1e-300: no thick-cell limit,
-    # but every row is a regular analytic one
+    # but every row below BETA_MAX is a regular analytic one
     argv = ["sweep-b", "--energy", "1", "--potential", "1e-300", "--cells", "1"]
     assert main([*argv, "--grid", "0.1:1:3"]) == 0
     out, err = capsys.readouterr()
@@ -622,6 +624,17 @@ def test_cli_sweep_b_tiny_potential_has_nan_limit(capsys):
     for row in rows:
         assert (row["tau_method"], row["tau_inf"], row["flags"]) == ("analytic", "nan", "")
         assert float(row["tau"]) == pytest.approx(float(row["b"]), rel=1e-12)
+    # past BETA_MAX the rows hand off to that missing limit: tau is nan, but
+    # gamma is finite, so each row keeps the phase atan(gamma) - kL
+    assert main([*argv, "--grid", "1e303:1e304:2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [row["theta"] for row in rows] == ["-1.1536067324003199", "1.2836105472605723"]
+    for row in rows:
+        assert (row["tau_method"], row["flags"]) == ("hartman-limit", "Overflow")
+        assert (row["tau"], row["tau_inf"], row["t_abs"]) == ("nan", "nan", "0")
 
 
 def test_cli_point_cancelled_growth_scale_flags_overflow(capsys):
@@ -848,6 +861,21 @@ _BAD_INPUTS = {
         2, "",
         "error: InvalidInput: n_cells must be >= 0\n",
     ),
+    "negative-cells-without-geometry": (
+        "point --energy 5e-324 --potential 1 --width 1 --cells -1", None,
+        2, "",
+        "error: InvalidInput: n_cells must be >= 0\n",
+    ),
+    "sweep-b-negative-cells-without-geometry": (
+        "sweep-b --energy 5e-324 --potential 1 --cells -1 --grid 1:2:2", None,
+        2, "",
+        "error: InvalidInput: n_cells must be >= 0\n",
+    ),
+    "point-two-cell-counts": (
+        "point --energy 1 --potential 1 --width 1 --cells 1 --cells 2", None,
+        2, "",
+        "error: InvalidInput: point mode requires exactly one repetition count\n",
+    ),
     "config-energy-abc": (
         "point --config {tmp}/run.cfg --potential 0 --width 1 --cells 3", "energy = abc\n",
         2, "",
@@ -881,6 +909,16 @@ _BAD_INPUTS = {
         "sweep-b --config {tmp}/run.cfg", "grid =\n",
         2, "",
         "error: InvalidInput: sweep-b requires a width grid\n",
+    ),
+    "sweep-n-config-empty-grid": (
+        "sweep-n --config {tmp}/run.cfg", "grid =\n",
+        2, "",
+        "error: InvalidInput: sweep-n requires a repetition grid\n",
+    ),
+    "sweep-n-config-empty-potential": (
+        "sweep-n --config {tmp}/run.cfg", "potential =\n",
+        2, "",
+        "error: InvalidInput: sweep-n requires at least one potential strength\n",
     ),
     "config-line-without-equals": (
         "sweep-b --config {tmp}/run.cfg", "energy 1\n",
