@@ -20,7 +20,6 @@ from .chebyshev import cheb_pair
 from .errors import OverflowGuardError, SpectralSingularityError
 from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, _Validated
 from .timing import (
-    ClosedForm,
     _cell_scalars,
     _closed_form,
     _limit_time,
@@ -185,10 +184,6 @@ class _Shared(NamedTuple):
     tau_free: float
 
 
-# The record of a point whose (E, V) geometry leaves double range.
-_NO_GEOMETRY = ClosedForm(_NAN, _NAN, None)
-
-
 def _make_shared(particle: Particle, strength: float, tau_free: float = _NAN) -> _Shared:
     """The :class:`_Shared` record at (E, V = strength), built once for all its rows."""
     geometry, gamma, tau_inf = None, _NAN, _NAN
@@ -205,49 +200,38 @@ def _make_shared(particle: Particle, strength: float, tau_free: float = _NAN) ->
 def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow:
     """Evaluate tau, |t| and theta at one point, downgrading failures to flags.
 
-    Selection of the time path:
-      - beta > BETA_MAX: thick-barrier limit tau_inf (method 'hartman-limit',
-        flagged Overflow) -- the exact expressions leave double range there;
-      - otherwise the analytic expression, the same on a band edge, where
+    Selection of the time path, as ``ClosedForm.path`` names it:
+      - ``handoff`` (beta > BETA_MAX): the thick-barrier limit tau_inf (method
+        'hartman-limit', flagged Overflow), as the exact forms leave double range;
+      - any other path: the analytic expression, the same on a band edge, where
         N^2 |xi^2 - 1| < BAND_EDGE_TOL flags the row XiAtUnity.
-    A row at a spectral singularity is flagged SpectralSingularity, with
-    |t| = inf; any other row without a finite tau or t is flagged Overflow,
-    as is every row where the (E, V) geometry itself leaves double range.
-    The row carries tau_inf of its (E, V), nan at V = 0; tau_free and
-    rel_gap are nan.  Raises ValueError for N < 0.
+    |t| is ``ClosedForm.t_abs``.  A ``singular`` row is flagged
+    SpectralSingularity; any other row with an error or without a finite tau
+    (every row whose (E, V) geometry leaves double range among them) is
+    flagged Overflow.  The row carries tau_inf of its (E, V), nan at V = 0;
+    tau_free and rel_gap are nan.  Raises ValueError for N < 0.
     """
     return _row(particle, _make_shared(particle, cell.strength), cell, n_cells)
 
 
 def _row(particle: Particle, shared: _Shared, cell: CellSpec, n_cells: int) -> SweepRow:
     """The row of :func:`evaluate_point` from the (E, V) record it shares with its sweep."""
-    if n_cells < 0:
-        raise ValueError("n_cells must be >= 0")
-    geometry = shared.geometry
-    record = _closed_form(geometry, cell.width, n_cells) if geometry else _NO_GEOMETRY
+    record = _closed_form(shared.geometry, cell.width, n_cells)
     span = 2.0 * n_cells * cell.width
     tau, theta, error = record.tau, record.theta, record.error
-    if record.handoff:
+    method = METHOD_ANALYTIC
+    if record.path == "handoff":
         tau = shared.tau_inf
         theta = _wrap_phase(math.atan(shared.gamma) - particle.k * span)
-        t_abs = 0.0
-    elif record.t is not None:
-        t_abs = abs(record.t)
-    elif isinstance(error, SpectralSingularityError):
-        t_abs = math.inf
-    else:
-        # |t| underflows where the bounded-ratio phase is left; where the
-        # phase itself leaves double range, |t| is unknown.
-        t_abs = 0.0 if math.isfinite(theta) else _NAN
+        method = METHOD_HARTMAN
     flags = [FLAG_BAND_EDGE] if record.band_edge else []
     if error is not None:
         flags.append(error.code)
     elif not math.isfinite(tau):
         flags.append(FLAG_OVERFLOW)
-    method = METHOD_HARTMAN if record.handoff else METHOD_ANALYTIC
     rel_gap = abs(tau - shared.tau_free) / shared.tau_free
     return SweepRow(particle.energy, cell.strength, n_cells, cell.width, span, tau, method,
-                    t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap)
+                    record.t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap)
 
 
 def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list[SweepRow]:
@@ -296,7 +280,8 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
 
     Every row carries the free time tau_free = L/2k and its relative gap
     rel_gap to tau; the thick-cell coefficients are computed once per V,
-    whether or not a row hands off to the limit."""
+    whether or not a row hands off to the limit.  Raises ValueError where the
+    grid rounds to no N >= 1."""
     if config.grid is None:
         raise ValueError("sweep-n requires a repetition grid")
     if config.span is None or config.span <= 0.0:
@@ -304,8 +289,10 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
     if not config.potentials:
         raise ValueError("sweep-n requires at least one potential strength")
     span = config.span
-    points = [(n_cells, span / (2.0 * n_cells)) for n_cells in config.grid.integer_values()]
-    return _sweep(config, points, span)
+    counts = config.grid.integer_values()
+    if not counts:
+        raise ValueError("sweep-n grid holds no repetition count N >= 1")
+    return _sweep(config, [(n_cells, span / (2.0 * n_cells)) for n_cells in counts], span)
 
 
 # ---------------------------------------------------------------------------

@@ -104,20 +104,6 @@ def _wrap_phase(raw: float) -> float:
     return wrapped if wrapped > -math.pi else math.pi
 
 
-def _range_error(scaled: tuple[float, float, float, float]) -> OverflowGuardError | None:
-    """Why the exact cell expressions cannot be evaluated at these
-    (alpha, beta, alpha', beta'), or None where they can."""
-    alpha, beta = scaled[0], scaled[1]
-    if beta > BETA_MAX:
-        return OverflowGuardError(
-            f"growth exponent beta = {beta:.3f} exceeds {BETA_MAX:.0f}; "
-            "exp(2*beta) leaves double range -- use the thick-barrier limit"
-        )
-    if not math.isfinite(2.0 * alpha):
-        return OverflowGuardError(f"cell phase 2*alpha = 2*{alpha:.3e} leaves double range")
-    return None
-
-
 class _CellScalars(NamedTuple):
     """xi, chi and their k-derivatives, plus the offsets xi -+ 1 in
     cancellation-free form.
@@ -196,14 +182,20 @@ def _growth_scale(scalars: _CellScalars) -> float:
 class ClosedForm(NamedTuple):
     """tau, t and theta of the N-cell lattice from one evaluation.
 
-    ``band_edge`` marks N^2 |xi^2 - 1| < BAND_EDGE_TOL; tau there comes from
-    the same expression as elsewhere.  ``t`` is None where ``error`` replaces it:
-    SpectralSingularityError when |G| vanishes, OverflowGuardError when |G|
-    leaves double range.  ``theta`` is the phase of t, the bounded-ratio
-    phase where |t| underflows, and nan at a singularity.  Where nothing is
-    evaluated, tau and theta are nan and ``error`` (an OverflowGuardError)
-    says why: ``handoff`` marks beta > BETA_MAX, otherwise the phase 2*alpha
-    or k*L leaves double range, or xi + 1 cancels to 0 outside the band.
+    ``path`` names the branch taken: ``empty`` (N = 0: t = 1, tau = theta = 0),
+    ``in-band`` (|xi| <= 1), ``singular`` (in the band, |G| <
+    G_SINGULARITY_ABS_TOL), ``out-of-band`` (xi > 1, G from
+    :func:`chebyshev.cheb_pair`), ``log-domain`` (xi > 1, t from ln|G| where
+    T_N or chi*U_{N-1} may leave double range), ``underflow`` (|G| itself
+    leaves double range), ``handoff`` (beta > BETA_MAX: the thick-cell limit
+    applies) or ``not-evaluated`` (the (E, V) geometry, the phase 2*alpha or
+    k*L leaves double range, or xi + 1 cancels to 0 outside the band).
+    ``t`` is None where ``error`` replaces it.  ``theta`` is the phase of t,
+    the bounded-ratio phase on ``underflow`` and nan on ``singular``, whose
+    tau stays exact.  On ``handoff`` and ``not-evaluated``, tau, theta and
+    ``xi`` are nan and an OverflowGuardError in ``error`` says why.
+    ``band_edge`` marks N^2 |xi^2 - 1| < BAND_EDGE_TOL on either side of the
+    band; tau there comes from the same expression as elsewhere.
     """
 
     tau: float
@@ -212,7 +204,15 @@ class ClosedForm(NamedTuple):
     error: PtTunnelError | None = None
     xi: float = _NAN
     band_edge: bool = False
-    handoff: bool = False
+    path: str = "not-evaluated"
+
+    @property
+    def t_abs(self) -> float:
+        """|t|; 0 on ``underflow`` and ``handoff``, inf on ``singular``, nan on ``not-evaluated``."""
+        return abs(self.t) if self.t is not None else _T_ABS_WITHOUT_T[self.path]
+
+
+_T_ABS_WITHOUT_T = {"singular": math.inf, "underflow": 0.0, "handoff": 0.0, "not-evaluated": _NAN}
 
 
 def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
@@ -233,105 +233,116 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     for beta <= BETA_MAX.  Parts that vanish as x^3 are summed as series below
     x = _SERIES_X.  Inside the band G is formed from T_N and U_{N-1} directly;
     outside, |G| is pre-sized in the log domain, and T_N and U_{N-1} come
-    from :func:`chebyshev.cheb_pair` only where both fit in a double.  N = 0
-    gives t = 1 and tau = theta = 0.  Raises OverflowGuardError where the cell
-    geometry itself leaves double range (see :func:`model._geometry`).
+    from :func:`chebyshev.cheb_pair` only where both fit in a double.  The
+    record's ``path`` names the branch.  Raises ValueError for N < 0 and
+    OverflowGuardError where the cell geometry itself leaves double range
+    (see :func:`model._geometry`).
     """
     return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
 
 
-def _closed_form(geo: _Geometry, width: float, n_cells: int) -> ClosedForm:
-    """:func:`closed_form` on a (k, V) geometry that many widths share."""
+def _unevaluated(message: str, path: str = "not-evaluated") -> ClosedForm:
+    return ClosedForm(_NAN, _NAN, None, OverflowGuardError(message), path=path)
+
+
+def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedForm:
+    """:func:`closed_form` on a (k, V) geometry that many widths share, or on
+    None where that geometry leaves double range."""
     if n_cells < 0:
         raise ValueError("n_cells must be >= 0")
+    if geo is None:
+        return _unevaluated("cell geometry leaves double range")
     if n_cells == 0:
-        return ClosedForm(tau=0.0, theta=0.0, t=1.0 + 0.0j)
+        return ClosedForm(tau=0.0, theta=0.0, t=1.0 + 0.0j, path="empty")
     scaled = _scaled(geo, width)
-    n = n_cells
+    alpha, beta = scaled[0], scaled[1]
     k = geo.k
-    length = 2.0 * n * width
-    error = _range_error(scaled)
-    if error is None and not math.isfinite(k * length):
-        error = OverflowGuardError(f"lattice phase k*L = {k:.3e}*{length:.3e} leaves double range")
-    if error is not None:
-        return ClosedForm(_NAN, _NAN, None, error, handoff=scaled[1] > BETA_MAX)
+    length = 2.0 * n_cells * width
+    if beta > BETA_MAX:
+        return _unevaluated(f"growth exponent beta = {beta:.3f} exceeds {BETA_MAX:.0f}; exp(2*beta) "
+                            "leaves double range -- use the thick-barrier limit", "handoff")
+    if not math.isfinite(2.0 * alpha):
+        return _unevaluated(f"cell phase 2*alpha = 2*{alpha:.3e} leaves double range")
+    if not math.isfinite(k * length):
+        return _unevaluated(f"lattice phase k*L = {k:.3e}*{length:.3e} leaves double range")
     scalars = _cell_scalars(geo, scaled)
-    xi, chi = scalars.xi, scalars.chi
-    xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
     quad = scalars.xi_minus_1 * scalars.xi_plus_1  # inf far outside the band is fine
-    band_edge = n * n * abs(quad) < BAND_EDGE_TOL
+    band_edge = n_cells * n_cells * abs(quad) < BAND_EDGE_TOL
     # xi + 1 >= 2 cos^2(alpha) >= 0 for every cell (0 < cos 2phi <= 1), so
     # outside the band xi > 1 and T_N > 0.  The side is read off xi - 1, whose
     # sign quad shares: just outside the band xi itself can round to 1.0.
-    outside = scalars.xi_minus_1 > 0.0
-    if outside:
-        scale = _growth_scale(scalars)
-        if scale == 0.0:  # xi + 1 > 2 here: it lost every digit, as where cos 2phi rounds to 1
-            error = OverflowGuardError(f"xi + 1 cancels to 0 at beta = {scaled[1]:.3f}")
-            return ClosedForm(_NAN, _NAN, None, error)
-        nu1 = math.asinh(scale)
-        nu = n * nu1
-        tt = math.tanh(nu)
-        cs, rs, y = chi / scale, xi / scale, nu1 * nu1
-        sech2 = 4.0 * (decay := math.exp(-2.0 * nu)) / (1.0 + decay) ** 2
-        # the two parts of s^2 dq/dxi that vanish as x^3, summed where small
-        coth_part = y * (nu1 / scale) * _horner(_A_SERIES, y) if nu1 < _SERIES_X else nu1 * rs - 1.0
-        tanh_part = nu**3 * _horner(_B_SERIES, nu * nu) * sech2 if nu < _SERIES_X else tt - nu * sech2
-        minus_s2_dq = n * sech2 * coth_part + rs * tanh_part
-        bracket = tt * (chi_p / scale) - cs * (xi_p / scale) * minus_s2_dq
-        tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
-    else:
-        # sin psi from the cancellation-free offsets stays consistent with chi.
-        # q (odd in xi) and dq/dxi (even) take psi1 = arccos|xi| <= pi/2, where
-        # N A(psi) + cos(psi) B(N psi) does not cancel as it does near psi = pi;
-        # G takes psi = arccos(xi) itself.  math.cos never returns 0 for a
-        # finite double, so q stays finite at the roots of T_N.
-        sine = math.sqrt(max(-quad, 0.0))
-        psi1 = math.atan2(sine, abs(xi))
-        x, y = n * psi1, psi1 * psi1
-        sin_x, cos_x = math.sin(x), math.cos(x)
-        psi = psi1 if xi >= 0.0 else math.atan2(sine, xi)
-        cos_n, sin_n = (cos_x, sin_x) if xi >= 0.0 else (math.cos(n * psi), math.sin(n * psi))
-        sinc1 = math.sin(psi1) / psi1 if psi1 else 1.0
-        q = (n if xi >= 0.0 else -n) * (sin_x / x if x else 1.0) / (sinc1 * cos_x)
-        a_part = _horner(_A_SERIES, -y) if psi1 < _SERIES_X else (sinc1 - math.cos(psi1)) / y
-        b_part = n * n * _horner(_B_SERIES, -x * x) if x < _SERIES_X else (x - sin_x * cos_x) / (x * y)
-        dq_dxi = -n * (a_part + abs(xi) * b_part) / (sinc1**3 * cos_x * cos_x)
-        tau = (q * chi_p + chi * xi_p * dq_dxi) / (2.0 * k * (1.0 + (q * chi) ** 2))
+    if scalars.xi_minus_1 > 0.0:
+        return _out_of_band(scalars, n_cells, k, length, band_edge, beta)
+    return _in_band(scalars, quad, n_cells, k, length, band_edge)
 
-    t = error = None
-    theta = _NAN
-    if not outside:
-        if sine == 0.0:  # exactly on a band edge, where U_{N-1} = q T_N
-            g = complex(cos_n, -chi * q * cos_n)
-        else:
-            g = complex(cos_n, -chi * sin_n / sine)
-        mag = abs(g)
-        if mag < G_SINGULARITY_ABS_TOL:
-            error = SpectralSingularityError(mag)
-        else:
-            t = cmath.exp(-1j * k * length) / g
+
+def _in_band(scalars: _CellScalars, quad: float, n: int, k: float, length: float,
+             band_edge: bool) -> ClosedForm:
+    """The record of a cell with |xi| <= 1, from its band angle psi."""
+    xi, chi = scalars.xi, scalars.chi
+    # sin psi from the cancellation-free offsets stays consistent with chi.
+    # q (odd in xi) and dq/dxi (even) take psi1 = arccos|xi| <= pi/2, where
+    # N A(psi) + cos(psi) B(N psi) does not cancel as it does near psi = pi;
+    # G takes psi = arccos(xi) itself.  math.cos never returns 0 for a
+    # finite double, so q stays finite at the roots of T_N.
+    sine = math.sqrt(max(-quad, 0.0))
+    psi1 = math.atan2(sine, abs(xi))
+    x, y = n * psi1, psi1 * psi1
+    sin_x, cos_x = math.sin(x), math.cos(x)
+    psi = psi1 if xi >= 0.0 else math.atan2(sine, xi)
+    cos_n, sin_n = (cos_x, sin_x) if xi >= 0.0 else (math.cos(n * psi), math.sin(n * psi))
+    sinc1 = math.sin(psi1) / psi1 if psi1 else 1.0
+    q = (n if xi >= 0.0 else -n) * (sin_x / x if x else 1.0) / (sinc1 * cos_x)
+    a_part = _horner(_A_SERIES, -y) if psi1 < _SERIES_X else (sinc1 - math.cos(psi1)) / y
+    b_part = n * n * _horner(_B_SERIES, -x * x) if x < _SERIES_X else (x - sin_x * cos_x) / (x * y)
+    dq_dxi = -n * (a_part + abs(xi) * b_part) / (sinc1**3 * cos_x * cos_x)
+    tau = (q * scalars.chi_prime + chi * scalars.xi_prime * dq_dxi) / (2.0 * k * (1.0 + (q * chi) ** 2))
+    if sine == 0.0:  # exactly on a band edge, where U_{N-1} = q T_N
+        g = complex(cos_n, -chi * q * cos_n)
     else:
-        q_chi = chi * (tt / scale)
-        ln_t = nu - math.log(2.0) + math.log1p(decay)
-        ln_g = ln_t + 0.5 * math.log1p(q_chi**2)
-        arg_g = math.atan2(-q_chi, 1.0)
-        if ln_g > _LN_MAX:
-            error = OverflowGuardError(
-                f"|G| ~ exp({ln_g:.1f}) exceeds double range; "
-                "transmission magnitude underflows"
-            )
-            # The phase stays well defined through the bounded ratio q*chi.
-            theta = _wrap_phase(-k * length - arg_g)
-        elif ln_g < _LN_DIRECT:
-            t_n, u_n1 = cheb_pair(n, xi)
-            g = complex(t_n, -chi * u_n1)
-            t = cmath.exp(-1j * k * length) / g
-        else:
-            t = cmath.rect(math.exp(-ln_g), -k * length - arg_g)
-    if t is not None:
-        theta = cmath.phase(t)
-    return ClosedForm(tau, theta, t, error, xi, band_edge)
+        g = complex(cos_n, -chi * sin_n / sine)
+    mag = abs(g)
+    if mag < G_SINGULARITY_ABS_TOL:
+        return ClosedForm(tau, _NAN, None, SpectralSingularityError(mag), xi, band_edge, "singular")
+    t = cmath.exp(-1j * k * length) / g
+    return ClosedForm(tau, cmath.phase(t), t, None, xi, band_edge, "in-band")
+
+
+def _out_of_band(scalars: _CellScalars, n: int, k: float, length: float, band_edge: bool,
+                 beta: float) -> ClosedForm:
+    """The record of a cell with xi > 1, from its growth rate nu = acosh(xi)."""
+    scale = _growth_scale(scalars)
+    if scale == 0.0:  # xi + 1 > 2 here: it lost every digit, as where cos 2phi rounds to 1
+        return _unevaluated(f"xi + 1 cancels to 0 at beta = {beta:.3f}")
+    xi, chi = scalars.xi, scalars.chi
+    nu1 = math.asinh(scale)
+    nu = n * nu1
+    tt = math.tanh(nu)
+    cs, rs, y = chi / scale, xi / scale, nu1 * nu1
+    sech2 = 4.0 * (decay := math.exp(-2.0 * nu)) / (1.0 + decay) ** 2
+    # the two parts of s^2 dq/dxi that vanish as x^3, summed where small
+    coth_part = y * (nu1 / scale) * _horner(_A_SERIES, y) if nu1 < _SERIES_X else nu1 * rs - 1.0
+    tanh_part = nu**3 * _horner(_B_SERIES, nu * nu) * sech2 if nu < _SERIES_X else tt - nu * sech2
+    minus_s2_dq = n * sech2 * coth_part + rs * tanh_part
+    bracket = tt * (scalars.chi_prime / scale) - cs * (scalars.xi_prime / scale) * minus_s2_dq
+    tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
+    q_chi = chi * (tt / scale)
+    ln_t = nu - math.log(2.0) + math.log1p(decay)
+    ln_g = ln_t + 0.5 * math.log1p(q_chi**2)
+    arg_g = math.atan2(-q_chi, 1.0)
+    if ln_g > _LN_MAX:
+        message = f"|G| ~ exp({ln_g:.1f}) exceeds double range; transmission magnitude underflows"
+        # The phase stays well defined through the bounded ratio q*chi.
+        theta = _wrap_phase(-k * length - arg_g)
+        return ClosedForm(tau, theta, None, OverflowGuardError(message), xi, band_edge, "underflow")
+    if ln_g < _LN_DIRECT:
+        t_n, u_n1 = cheb_pair(n, xi)
+        t = cmath.exp(-1j * k * length) / complex(t_n, -chi * u_n1)
+        path = "out-of-band"
+    else:
+        t = cmath.rect(math.exp(-ln_g), -k * length - arg_g)
+        path = "log-domain"
+    return ClosedForm(tau, cmath.phase(t), t, None, xi, band_edge, path)
 
 
 def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> complex:
@@ -354,13 +365,14 @@ def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> com
 def tunneling_time(particle: Particle, cell: CellSpec, n_cells: int) -> float:
     """Analytic stationary-phase tunneling time; see :func:`closed_form`.
 
-    Raises OverflowGuardError past BETA_MAX or wherever else the time is not
-    finite (its k-derivatives leave double range, as at E = 1e300).
+    Raises the record's OverflowGuardError on ``handoff`` and ``not-evaluated``,
+    and one wherever else the time is not finite (its k-derivatives leave
+    double range, as at E = 1e300).
     """
     record = closed_form(particle, cell, n_cells)
     if math.isfinite(record.tau):
         return record.tau
-    if record.error is not None and math.isnan(record.xi):  # the cell was not evaluated
+    if record.path in ("handoff", "not-evaluated"):
         raise record.error
     raise OverflowGuardError(f"tunneling time is {record.tau!r}: its terms leave double range")
 
@@ -530,7 +542,7 @@ def square_barrier_time(particle: Particle, barrier_height: float, span: float) 
     q = math.sqrt(barrier_height - energy)
     kq = k * q
     x = q * span
-    if x > 700.0:
+    if x > _LN_MAX:  # tanh is 1.0 and sech^2 underflows to 0.0 well before
         th = 1.0
         sech2 = 0.0
     else:

@@ -29,7 +29,7 @@ from pttunnel.sweep import LimitCheck
 RECORDS = [
     Particle(1.0),
     CellSpec(20.0, 0.25),
-    ClosedForm(0.5, -1.0, 0.5 + 0.5j, None, 0.9, False, False),
+    ClosedForm(0.5, -1.0, 0.5 + 0.5j, None, 0.9, False, "in-band"),
     HartmanCoeffs(0.1, 0.2, 0.3, 0.4, 0.5, 0.6),
     TransferMatrix(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j),
     GridSpec(0.05, 5.0, 100),

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pttunnel
 from conftest import bisect_width_for_xi
 from pttunnel import (
     CellSpec,
+    ClosedForm,
     GridSpec,
     Particle,
     SpectralSingularityError,
@@ -137,11 +139,9 @@ def test_run_point_matches_library():
 def test_point_row_spectral_singularity_flagged(monkeypatch):
     # an injected record with a nan tau, the case that exits 4; the true
     # lasing point of test_real_spectral_singularity_row has a finite tau
-    from pttunnel.timing import ClosedForm
-
     def singular(geometry, width, n_cells):
         nan = float("nan")
-        return ClosedForm(nan, nan, None, SpectralSingularityError(0.0), 0.5)
+        return ClosedForm(nan, nan, None, SpectralSingularityError(0.0), 0.5, path="singular")
 
     monkeypatch.setattr(sweep_mod, "_closed_form", singular)
     row = evaluate_point(Particle(1.0), CellSpec(20.0, 0.25), 2)
@@ -260,9 +260,9 @@ def _same(a, b):
     return a == b or (a != a and b != b)  # nan equals nan here
 
 
-# One sweep-b and two sweep-n runs whose rows take every path of
-# evaluate_point: V = 0, in band and out of band, log-domain |t|, the
-# XiAtUnity band edge and the hartman-limit handoff.
+# Sweep-b and sweep-n runs whose rows take every kernel path a sweep can
+# reach (ClosedForm.path: all but N = 0 and a spectral singularity), V = 0
+# and the XiAtUnity band edge.
 _PATH_CONFIGS = (
     _sweep_b_config(
         energy=1.0, potentials=(20.0, 0.0, 3.0), cells=(3, 12),
@@ -281,13 +281,18 @@ _PATH_CONFIGS = (
         energy=1.0, potentials=(5.0,), span=1e-6,
         grid=GridSpec(1, 4096, 13, log=True),
     ),
+    # the cell phase 2bk leaves double range at b = 1e307, k = 10: not evaluated
+    _sweep_b_config(
+        energy=100.0, potentials=(0.0,), cells=(1,),
+        grid=GridSpec(1e306, 1e307, 2, log=True),
+    ),
 )
 
 
 def test_sweep_rows_equal_point_rows():
     # the sweeps compute the (E, V) work once; every row must still be the
     # row evaluate_point gives at its own point, plus the reference columns
-    paths = set()
+    paths, flags, free = set(), set(), False
     for config in _PATH_CONFIGS:
         particle = Particle(config.energy)
         run = run_sweep_b if config.span is None else run_sweep_n
@@ -307,18 +312,13 @@ def test_sweep_rows_equal_point_rows():
                 assert _same(getattr(row, field), getattr(expected, field)), (
                     field, row, expected,
                 )
-            xi = closed_form(particle, cell, row.n_cells).xi
-            paths.add(row.tau_method)
-            paths.update(row.flags)
-            if row.strength == 0.0:
-                paths.add("free")
-            if row.tau_method == "analytic":
-                paths.add("in-band" if abs(xi) < 1.0 else "out-of-band")
-                if row.t_abs == 0.0:
-                    paths.add("log-domain")
-    assert paths >= {
-        "free", "in-band", "out-of-band", "log-domain", "XiAtUnity", "hartman-limit",
-    }
+            paths.add(closed_form(particle, cell, row.n_cells).path)
+            flags.update(row.flags)
+            free |= row.strength == 0.0
+    documented = set(re.findall(r"``([a-z-]+)`` \(", ClosedForm.__doc__))
+    assert len(documented) == 8
+    assert paths == documented - {"empty", "singular"}
+    assert free and "XiAtUnity" in flags
 
 
 def test_sweep_validation_errors():
@@ -422,9 +422,7 @@ def _writer_rows():
 def test_writers_match_reference_bytes(columns):
     rows = _writer_rows()
     assert isinstance(rows[-1].energy, _Float)
-    empty = run_sweep_n(_PATH_CONFIGS[1]._replace(grid=GridSpec.parse("0.1:0.2:3")))
-    assert empty == []
-    for sample in (rows, rows[:1], empty):
+    for sample in (rows, rows[:1], []):
         assert rows_to_csv(sample, columns) == _reference_csv(sample, columns)
         for mode in ("sweep-b", "sweep-n", "point"):
             assert rows_to_json(sample, columns, mode) == _reference_json(sample, columns, mode)
@@ -914,6 +912,11 @@ _BAD_INPUTS = {
         "sweep-n --config {tmp}/run.cfg", "grid =\n",
         2, "",
         "error: InvalidInput: sweep-n requires a repetition grid\n",
+    ),
+    "sweep-n-grid-without-counts": (
+        "sweep-n --grid 0.1:0.4:3 --format json", None,
+        2, "",
+        "error: InvalidInput: sweep-n grid holds no repetition count N >= 1\n",
     ),
     "sweep-n-config-empty-potential": (
         "sweep-n --config {tmp}/run.cfg", "potential =\n",

@@ -12,6 +12,7 @@ from pttunnel import (
     DegeneratePotentialError,
     OverflowGuardError,
     Particle,
+    SpectralSingularityError,
     barrier_matrix,
     evaluate_point,
     free_propagation_time,
@@ -27,7 +28,7 @@ from pttunnel import (
 )
 from pttunnel.chebyshev import cheb_pair
 from pttunnel.model import _geometry, _scaled
-from pttunnel.timing import _cell_scalars, _growth_scale, closed_form
+from pttunnel.timing import _LN_MAX, _cell_scalars, _closed_form, _growth_scale, closed_form
 
 
 def scalars_of(particle, cell):
@@ -91,7 +92,7 @@ def test_xi_growth_matches_thick_cell_coefficient():
 def test_xi_chi_overflow_guard():
     # past BETA_MAX the kernel evaluates no cell scalars and says why
     cf = closed_form(Particle(1.0), CellSpec(20.0, 120.0), 1)
-    assert cf.handoff and isinstance(cf.error, OverflowGuardError)
+    assert cf.path == "handoff" and isinstance(cf.error, OverflowGuardError)
     assert math.isnan(cf.xi)
 
 
@@ -213,6 +214,7 @@ def test_time_free_space_is_free_passage():
 
 def test_time_empty_lattice():
     assert tunneling_time(Particle(5.0), CellSpec(9.0, 0.3), 0) == 0.0
+    assert tunneling_time_fd(Particle(5.0), CellSpec(9.0, 0.3), 0) == 0.0
 
 
 def test_time_finite_difference_free_space():
@@ -302,13 +304,13 @@ def test_closed_form_bundle_is_consistent():
     assert cf.theta == cmath.phase(cf.t)
     assert cf.xi == scalars_of(p, cell).xi
     assert cf.error is None
-    assert not (cf.band_edge or cf.handoff)
+    assert not (cf.band_edge or cf.path == "handoff")
     # a root of T_N is a regular point; the record marks the handoff past BETA_MAX
     width = bisect_width_for_xi(Particle(4.0), 2.0, math.cos(math.pi / 6.0), 0.1, 0.5)
     root = closed_form(Particle(4.0), CellSpec(2.0, width), 3)
     assert math.isfinite(root.tau) and root.t is not None and root.error is None
     thick = closed_form(p, CellSpec(20.0, 120.0), 2)
-    assert thick.handoff and thick.t is None
+    assert thick.path == "handoff" and thick.t is None
     assert isinstance(thick.error, OverflowGuardError)
 
 
@@ -341,12 +343,12 @@ def test_closed_form_huge_width_is_typed(width, n_cells):
     p = Particle(100.0)
     cell = CellSpec(0.0, width)
     cf = closed_form(p, cell, n_cells)
-    assert isinstance(cf.error, OverflowGuardError) and not cf.handoff
+    assert isinstance(cf.error, OverflowGuardError) and cf.path != "handoff"
     assert cf.t is None and math.isnan(cf.tau) and math.isnan(cf.theta)
     for project in (transmission_closed, tunneling_time):
         with pytest.raises(OverflowGuardError):
             project(p, cell, n_cells)
-    assert math.isnan(cf.xi)  # no cell scalars evaluated
+    assert math.isnan(cf.xi) and cf.path == "not-evaluated"  # no cell scalars evaluated
 
 
 def test_closed_form_cancelled_growth_scale_is_typed():
@@ -358,11 +360,75 @@ def test_closed_form_cancelled_growth_scale_is_typed():
     scalars = _cell_scalars(geo, _scaled(geo, cell.width))
     assert scalars.xi_minus_1 > 0.0 and _growth_scale(scalars) == 0.0
     cf = closed_form(p, cell, 10**9)
-    assert isinstance(cf.error, OverflowGuardError) and not cf.handoff
+    assert isinstance(cf.error, OverflowGuardError) and cf.path != "handoff"
     assert cf.t is None and math.isnan(cf.tau) and math.isnan(cf.theta)
     for project in (transmission_closed, tunneling_time):
         with pytest.raises(OverflowGuardError):
             project(p, cell, 10**9)
+
+
+# One (E, V, b, N) point per path of the kernel; None is a geometry that
+# leaves double range, which only the sweeps hand to the kernel.
+_PATH_POINTS = {
+    "empty": (1.0, 20.0, 0.25, 0),
+    "in-band": (4.0, 2.0, 0.3, 3),
+    "singular": (0.547149018018704, 1.0, 1.4393530230212068, 7),
+    "out-of-band": (1.0, 20.0, 3.0, 1),
+    "log-domain": (1.0, 20.0, 3.0, 39),
+    "underflow": (1.0, 20.0, 97.0, 2),
+    "handoff": (1.0, 20.0, 120.0, 2),
+    "not-evaluated": (100.0, 0.0, 1e307, 1),
+    "no-geometry": None,
+}
+
+
+def _t_abs_from_fields(record):
+    """|t| worked out from t, error and theta, the path read only for a handoff."""
+    if record.path == "handoff":
+        return 0.0
+    if record.t is not None:
+        return abs(record.t)
+    if isinstance(record.error, SpectralSingularityError):
+        return math.inf
+    return 0.0 if math.isfinite(record.theta) else math.nan
+
+
+@pytest.mark.parametrize("name", list(_PATH_POINTS))
+def test_record_t_abs_matches_the_row_rule_on_every_path(name):
+    point = _PATH_POINTS[name]
+    if point is None:
+        record = _closed_form(None, 1.0, 2)
+    else:
+        energy, strength, width, n_cells = point
+        record = closed_form(Particle(energy), CellSpec(strength, width), n_cells)
+    assert record.path == ("not-evaluated" if point is None else name)
+    expected = _t_abs_from_fields(record)
+    assert record.t_abs == expected or (math.isnan(record.t_abs) and math.isnan(expected))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: closed_form(Particle(1.0), CellSpec(20.0, 0.25), -1),
+         ValueError, "n_cells must be >= 0"),
+        (lambda: lattice_matrix_direct(Particle(1.0), CellSpec(20.0, 0.25), -1),
+         ValueError, "n_cells must be >= 0"),
+        (lambda: tunneling_time_fd(Particle(1.0), CellSpec(20.0, 0.25), -1),
+         ValueError, "n_cells must be >= 0"),
+        (lambda: n_infinity_bracket(Particle(1.0), 20.0, 0.0),
+         ValueError, "span must be finite and > 0, got 0.0"),
+        (lambda: n_infinity_bracket(Particle(1.0), 20.0, math.inf),
+         ValueError, "span must be finite and > 0, got inf"),
+        (lambda: square_barrier_time(Particle(1.0), 20.0, -1.0),
+         ValueError, "span must be finite and >= 0, got -1.0"),
+    ],
+    ids=["closed-form-n", "direct-product-n", "fd-time-n",
+         "bracket-span-0", "bracket-span-inf", "square-barrier-span"],
+)
+def test_public_input_checks(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +581,12 @@ def test_square_barrier_saturates():
     plateau = 1.0 / math.sqrt(19.0)
     assert square_barrier_time(p, 20.0, 10.0) == pytest.approx(plateau, abs=1e-6)
     assert square_barrier_time(p, 20.0, 400.0) == pytest.approx(plateau, rel=1e-12)
+    # past q*L = _LN_MAX the time takes tanh = 1 and sech^2 = 0; just below
+    # that cut the direct forms already round to exactly those values
+    below, above = ((_LN_MAX + dx) / math.sqrt(19.0) for dx in (-0.1, 0.1))
+    assert math.sqrt(19.0) * below < _LN_MAX < math.sqrt(19.0) * above
+    assert math.tanh(_LN_MAX - 0.1) == 1.0 and (1.0 / math.cosh(_LN_MAX - 0.1)) ** 2 == 0.0
+    assert square_barrier_time(p, 20.0, below) == square_barrier_time(p, 20.0, above)
 
 
 def test_square_barrier_vanishes_linearly_at_zero_width():
