@@ -58,10 +58,8 @@ def _barrier_elements(particle: Particle, potential: complex, width: float) -> t
     kc = sqrt(E - potential) and mu = kc/k, so p+*p- + s*s = 4 (det = 1).
     The offset phase off = exp(-i*k*b*(1 + 2j)) at x = j*b gives
     m12 = 0.5*off*s and m21 = -0.5*s/off (off*(0.5*s) rounds otherwise at
-    zero or subnormal s).
+    zero or subnormal s).  The caller checks the potential and the width.
     """
-    if width <= 0.0:
-        raise ValueError("width must be positive")
     kc = cmath.sqrt(particle.energy - potential)
     if kc == 0:
         raise ValueError("potential equals the energy; internal wave number vanishes")
@@ -93,11 +91,16 @@ def barrier_matrix(
 
     ``offset_index`` places the barrier at x in [j*b, (j+1)*b]; translation
     only multiplies the off-diagonal elements by exp(-+ 2i*k*b*j).  Raises
-    OverflowGuardError where the barrier's growth factor exp(|Im(kc)|*b)
-    leaves double range.
+    ValueError unless the potential is finite, the width finite and > 0 and
+    ``offset_index`` an integer >= 0, and OverflowGuardError where the
+    barrier's growth factor exp(|Im(kc)|*b) leaves double range.
     """
-    if offset_index < 0:
-        raise ValueError("offset_index must be >= 0")
+    if not (isinstance(offset_index, int) and offset_index >= 0):
+        raise ValueError(f"offset_index must be an integer >= 0, got {offset_index!r}")
+    if not cmath.isfinite(potential):
+        raise ValueError(f"potential must be finite, got {potential!r}")
+    if not (cmath.isfinite(width) and width > 0.0):
+        raise ValueError(f"width must be finite and > 0, got {width!r}")
     ikb, m11, m22, s, neg_half_s = _barrier_elements(particle, potential, width)
     off = cmath.exp(ikb * (1.0 + 2.0 * offset_index))
     return TransferMatrix(m11, 0.5 * off * s, neg_half_s / off, m22)
@@ -114,6 +117,11 @@ def lattice_matrix_direct(
     left by loss @ gain, the same matrix-product expressions, in the same
     order, as one barrier_matrix per barrier multiplied in turn.
 
+    The offset phases have modulus 1, so one K bounds the row sums of every
+    cell's |loss @ gain|, and K**m every element of the product after m
+    cells.  The exact peak is checked only from the first cell where K**m
+    could pass ELEMENT_GUARD; before it no element can trip it or overflow.
+
     Raises
     ------
     OverflowGuardError
@@ -128,22 +136,36 @@ def lattice_matrix_direct(
         return IDENTITY
     ikb, g11, g22, g_s, g_neg_half_s = _barrier_elements(particle, 1j * cell.strength, cell.width)
     _, l11, l22, l_s, l_neg_half_s = _barrier_elements(particle, -1j * cell.strength, cell.width)
+    lg11, lg22 = l11 * g11, l22 * g22  # the same first/second product of c11/c22 in every cell
+    # K: the larger row sum of |loss @ gain| with |off| = 1, plus a 1e-12
+    # margin for the few ulp of rounding per cell.  An inf or nan K (abs of
+    # an element past double range) checks every cell.
+    try:
+        g_row1, g_row2, l_half = abs(g11) + abs(g_s) / 2, abs(g_s) / 2 + abs(g22), abs(l_s) / 2
+        norm = max(abs(l11) * g_row1 + l_half * g_row2, l_half * g_row1 + abs(l22) * g_row2)
+        norm *= 1.0 + 1e-12
+    except OverflowError:
+        norm = cmath.inf
+    bound = 1.0
     a11, a12, a21, a22 = IDENTITY.m11, IDENTITY.m12, IDENTITY.m21, IDENTITY.m22
     for m in range(n_cells):
         off_gain = cmath.exp(ikb * (1.0 + 2.0 * (2 * m)))
         off_loss = cmath.exp(ikb * (1.0 + 2.0 * (2 * m + 1)))
         g12, g21 = 0.5 * off_gain * g_s, g_neg_half_s / off_gain
         l12, l21 = 0.5 * off_loss * l_s, l_neg_half_s / off_loss
-        c11, c12 = l11 * g11 + l12 * g21, l11 * g12 + l12 * g22
-        c21, c22 = l21 * g11 + l22 * g21, l21 * g12 + l22 * g22
-        a11, a12, a21, a22 = (c11 * a11 + c12 * a21, c11 * a12 + c12 * a22,
-                              c21 * a11 + c22 * a21, c21 * a12 + c22 * a22)
-        peak = max(abs(a11), abs(a12), abs(a21), abs(a22))
-        if not peak <= ELEMENT_GUARD:  # a nan peak trips it too
-            raise OverflowGuardError(
-                f"direct lattice product exceeds {ELEMENT_GUARD:.0e} "
-                f"after {m + 1} of {n_cells} cells (peak {peak:.3e})"
-            )
+        c11, c12 = lg11 + l12 * g21, l11 * g12 + l12 * g22
+        c21, c22 = l21 * g11 + l22 * g21, l21 * g12 + lg22
+        # column by column, so that no 4-tuple is built per cell
+        a11, a21 = c11 * a11 + c12 * a21, c21 * a11 + c22 * a21
+        a12, a22 = c11 * a12 + c12 * a22, c21 * a12 + c22 * a22
+        bound *= norm
+        if not bound <= ELEMENT_GUARD:  # inf or nan too
+            peak = max(abs(a11), abs(a12), abs(a21), abs(a22))
+            if not peak <= ELEMENT_GUARD:  # a nan peak trips it too
+                raise OverflowGuardError(
+                    f"direct lattice product exceeds {ELEMENT_GUARD:.0e} "
+                    f"after {m + 1} of {n_cells} cells (peak {peak:.3e})"
+                )
     return TransferMatrix(a11, a12, a21, a22)
 
 

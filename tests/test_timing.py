@@ -421,9 +421,26 @@ def test_record_t_abs_matches_the_row_rule_on_every_path(name):
          ValueError, "span must be finite and > 0, got inf"),
         (lambda: square_barrier_time(Particle(1.0), 20.0, -1.0),
          ValueError, "span must be finite and >= 0, got -1.0"),
+        (lambda: barrier_matrix(Particle(1.0), 1j, math.nan),
+         ValueError, "width must be finite and > 0, got nan"),
+        (lambda: barrier_matrix(Particle(1.0), 1j, math.inf),
+         ValueError, "width must be finite and > 0, got inf"),
+        (lambda: barrier_matrix(Particle(1.0), 1j, 0.0),
+         ValueError, "width must be finite and > 0, got 0.0"),
+        (lambda: barrier_matrix(Particle(1.0), complex("nan"), 1.0),
+         ValueError, "potential must be finite, got (nan+0j)"),
+        (lambda: barrier_matrix(Particle(1.0), 1e400j, 1.0),
+         ValueError, "potential must be finite, got infj"),
+        (lambda: barrier_matrix(Particle(1.0), 1j, 1.0, 1.5),
+         ValueError, "offset_index must be an integer >= 0, got 1.5"),
+        (lambda: barrier_matrix(Particle(1.0), 1j, 1.0, -1),
+         ValueError, "offset_index must be an integer >= 0, got -1"),
     ],
     ids=["closed-form-n", "direct-product-n", "fd-time-n",
-         "bracket-span-0", "bracket-span-inf", "square-barrier-span"],
+         "bracket-span-0", "bracket-span-inf", "square-barrier-span",
+         "barrier-width-nan", "barrier-width-inf", "barrier-width-0",
+         "barrier-potential-nan", "barrier-potential-inf",
+         "barrier-offset-fraction", "barrier-offset-negative"],
 )
 def test_public_input_checks(call, error, message):
     with pytest.raises(error) as raised:

@@ -15,7 +15,7 @@ from pttunnel import (
     transmission_closed,
     transmission_from_matrix,
 )
-from pttunnel.transfer import ELEMENT_GUARD, IDENTITY
+from pttunnel.transfer import ELEMENT_GUARD, IDENTITY, _barrier_elements
 
 
 def elementwise_close(a: TransferMatrix, b: TransferMatrix, tol=1e-12):
@@ -173,6 +173,10 @@ def test_direct_product_is_bitwise_the_composed_product():
         width = 10.0 ** rng.uniform(-4.0, math.log10(3.0))
         n_cells = rng.choice((0, 1, rng.randint(0, 120)))
         cases.append((rng.uniform(0.01, 80.0), strength, width, n_cells))
+    for _ in range(100):  # as deep as oracle-limits' lattices (N = 300) and past them
+        strength = rng.choice((0.0, rng.uniform(0.0, 100.0)))
+        width = 10.0 ** rng.uniform(-4.0, math.log10(3.0))
+        cases.append((rng.uniform(0.01, 80.0), strength, width, rng.randint(120, 400)))
     for energy, strength, width, n_cells in cases:
         p, cell = Particle(energy), CellSpec(strength, width)
         try:
@@ -187,6 +191,35 @@ def test_direct_product_is_bitwise_the_composed_product():
         assert _elements(got) == _elements(expected)
         assert repr(got) == repr(expected)
     assert guarded > 0
+
+
+def test_norm_bound_skips_no_guard_trip():
+    # The exact peak is checked only from the first cell where K**m, with K
+    # a bound on any one cell's growth, could pass ELEMENT_GUARD.  Lattices
+    # where that matters trip as the composed product does:
+    # - b = 4.52: K >= |l11*g11| is past the guard from cell 1, yet cell 1's
+    #   peak is only 7.1e278 and cell 2's elements overflow;
+    # - abs(s) overflows, so K is not finite;
+    # - a trip at cell 337, where K is within 2.5x of the growth per cell,
+    #   the closest a seeded search of 20,000 lattices found.
+    p, cell = Particle(1.0), CellSpec(1e4, 4.52)
+    gain, loss = barrier_matrix(p, 1e4j, 4.52), barrier_matrix(p, -1e4j, 4.52)
+    assert abs(loss.m11) * abs(gain.m11) >= ELEMENT_GUARD
+    assert repr(lattice_matrix_direct(p, cell, 1)) == repr(_product_by_composition(p, cell, 1))
+    huge = Particle(0.016190649747622122), CellSpec(12786.80801883119, 8.801798654145626)
+    with pytest.raises(OverflowError):
+        abs(_barrier_elements(huge[0], 1j * huge[1].strength, huge[1].width)[3])
+    deep = Particle(18.627368314647295), CellSpec(25.63453797424473, 0.637503654559822)
+    trips = []
+    for (p, cell), n_cells in (((p, cell), 4), (huge, 4), (deep, 337)):
+        with pytest.raises(OverflowGuardError) as expected:
+            _product_by_composition(p, cell, n_cells)
+        with pytest.raises(OverflowGuardError) as caught:
+            lattice_matrix_direct(p, cell, n_cells)
+        assert str(caught.value) == str(expected.value)
+        trips.append(str(caught.value).split(" after ")[1])
+    assert trips == ["2 of 4 cells (peak nan)", "1 of 4 cells (peak nan)",
+                     "337 of 337 cells (peak 5.139e+280)"]
 
 
 def test_lattice_overflow_guard():
