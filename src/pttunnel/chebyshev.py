@@ -1,10 +1,9 @@
 """Chebyshev polynomials T_n and U_{n-1} from one angle, for n >= 1 and x > -1.
 
 The trigonometric/hyperbolic closed forms, not the three-term recurrence,
-keep values well-conditioned far above x = 1.  No caller passes n < 1 or
-x <= -1: the out-of-band G of :mod:`timing` (whose xi can round to 1.0 or to
-just below it, so every branch is reached), the thick-cell ratio check of
-``sweep.run_limits`` and the root margin of ``sweep.draw_regular_point``.
+keep values well-conditioned far above x = 1.  Its one caller in the
+package, the thick-cell ratio check of ``sweep.run_limits``, passes n >= 1
+and x far above 1.
 """
 
 from __future__ import annotations

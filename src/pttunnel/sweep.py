@@ -334,10 +334,8 @@ def draw_regular_point(rng: random.Random) -> tuple[Particle, CellSpec, int]:
     """Draw a random (particle, cell, N <= 20) away from singular sets.
 
     Rejects points whose direct 2N-barrier product would overflow
-    (beta*N > 200), points within 1e-6 of a band edge, where the
-    analytic and finite-difference times cannot be compared, and in-band
-    points within 1e-2 of a root of T_N, a margin kept only so that the
-    drawn points, and so the ``limits`` report, do not move.
+    (beta*N > 200) and points within 1e-6 of a band edge, where the
+    analytic and finite-difference times cannot be compared.
     """
     while True:
         particle = Particle(rng.uniform(0.1, 50.0))
@@ -350,9 +348,6 @@ def draw_regular_point(rng: random.Random) -> tuple[Particle, CellSpec, int]:
         xi = _cell_scalars(geo, scaled).xi
         if abs((xi - 1.0) * (xi + 1.0)) < 1e-6:
             continue
-        if abs(xi) < 1.0:
-            if abs(cheb_pair(n_cells, xi)[0]) < 1e-2:
-                continue
         return particle, cell, n_cells
 
 

@@ -15,14 +15,14 @@ its phase and tau together from one set of cell scalars; the single-output
 functions are projections of its record.  For thick cells xi grows like
 exp(2*beta), so every (xi^2 - 1) denominator is assembled from bounded
 ratios (chi/s, xi'/s, ... with s = sqrt(xi^2 - 1)) instead of raw polynomial
-values; the exact path refuses beta > BETA_MAX, beyond which the
+values, and t itself comes from ln|G| and arg G on the growth rate nu that
+the time uses; the exact path refuses beta > BETA_MAX, beyond which the
 thick-barrier limit is the only honest answer.
 
 The finite-difference time (:func:`tunneling_time_fd`) differentiates
-:func:`transmission_closed`, so it shares G, and with it
-:func:`chebyshev.cheb_pair`, with the closed form: it checks the derivative
-algebra of tau, not t.  The independent check of t is the direct 2N-barrier
-product :func:`transfer.lattice_matrix_direct`.
+:func:`transmission_closed`, so it shares G with the closed form: it checks
+the derivative algebra of tau, not t.  The independent check of t is the
+direct 2N-barrier product :func:`transfer.lattice_matrix_direct`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .chebyshev import cheb_pair
 from .errors import (
     DegeneratePotentialError,
     OverflowGuardError,
@@ -68,9 +67,6 @@ BAND_EDGE_TOL = 1e-10
 
 # ln of the largest representable double, slightly rounded down.
 _LN_MAX = 709.0
-# Above this ln|G| the components T_N and chi*U_{N-1} may individually
-# overflow even though |G| itself is representable; switch to log-domain.
-_LN_DIRECT = 690.0
 
 _NAN = float("nan")
 
@@ -184,16 +180,15 @@ class ClosedForm(NamedTuple):
 
     ``path`` names the branch taken: ``empty`` (N = 0: t = 1, tau = theta = 0),
     ``in-band`` (|xi| <= 1), ``singular`` (in the band, |G| <
-    G_SINGULARITY_ABS_TOL), ``out-of-band`` (xi > 1, G from
-    :func:`chebyshev.cheb_pair`), ``log-domain`` (xi > 1, t from ln|G| where
-    T_N or chi*U_{N-1} may leave double range), ``underflow`` (|G| itself
-    leaves double range), ``handoff`` (beta > BETA_MAX: the thick-cell limit
-    applies) or ``not-evaluated`` (the (E, V) geometry, the phase 2*alpha or
-    k*L leaves double range, or xi + 1 cancels to 0 outside the band).
-    ``t`` is None where ``error`` replaces it.  ``theta`` is the phase of t,
-    the bounded-ratio phase on ``underflow`` and nan on ``singular``, whose
-    tau stays exact.  On ``handoff`` and ``not-evaluated``, tau, theta and
-    ``xi`` are nan and an OverflowGuardError in ``error`` says why.
+    G_SINGULARITY_ABS_TOL), ``out-of-band`` (xi > 1, t from ln|G| and arg G),
+    ``underflow`` (|G| itself leaves double range), ``handoff`` (beta >
+    BETA_MAX: the thick-cell limit applies) or ``not-evaluated`` (the (E, V)
+    geometry, the phase 2*alpha or k*L leaves double range, or xi + 1 cancels
+    to 0 outside the band).  ``t`` is None where ``error`` replaces it.
+    ``theta`` is the phase of t, the bounded-ratio phase on ``underflow`` and
+    nan on ``singular``, whose tau stays exact.  On ``handoff`` and
+    ``not-evaluated``, tau, theta and ``xi`` are nan and an OverflowGuardError
+    in ``error`` says why.
     ``band_edge`` marks N^2 |xi^2 - 1| < BAND_EDGE_TOL on either side of the
     band; tau there comes from the same expression as elsewhere.
     """
@@ -232,11 +227,11 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     from the bounded ratios chi/s, xi'/s, chi'/s, xi/s, so nothing overflows
     for beta <= BETA_MAX.  Parts that vanish as x^3 are summed as series below
     x = _SERIES_X.  Inside the band G is formed from T_N and U_{N-1} directly;
-    outside, |G| is pre-sized in the log domain, and T_N and U_{N-1} come
-    from :func:`chebyshev.cheb_pair` only where both fit in a double.  The
-    record's ``path`` names the branch.  Raises ValueError for N < 0 and
-    OverflowGuardError where the cell geometry itself leaves double range
-    (see :func:`model._geometry`).
+    outside, t = exp(-ln|G| - i(k*L + arg G)) with ln|G| = ln cosh(N nu) +
+    ln|1 - i q chi| and arg G = -arctan(q chi), from the same nu, so no
+    component of G has to fit in a double.  The record's ``path`` names the
+    branch.  Raises ValueError for N < 0 and OverflowGuardError where the
+    cell geometry itself leaves double range (see :func:`model._geometry`).
     """
     return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
 
@@ -327,22 +322,15 @@ def _out_of_band(scalars: _CellScalars, n: int, k: float, length: float, band_ed
     bracket = tt * (scalars.chi_prime / scale) - cs * (scalars.xi_prime / scale) * minus_s2_dq
     tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
     q_chi = chi * (tt / scale)
-    ln_t = nu - math.log(2.0) + math.log1p(decay)
-    ln_g = ln_t + 0.5 * math.log1p(q_chi**2)
-    arg_g = math.atan2(-q_chi, 1.0)
-    if ln_g > _LN_MAX:
-        message = f"|G| ~ exp({ln_g:.1f}) exceeds double range; transmission magnitude underflows"
-        # The phase stays well defined through the bounded ratio q*chi.
-        theta = _wrap_phase(-k * length - arg_g)
-        return ClosedForm(tau, theta, None, OverflowGuardError(message), xi, band_edge, "underflow")
-    if ln_g < _LN_DIRECT:
-        t_n, u_n1 = cheb_pair(n, xi)
-        t = cmath.exp(-1j * k * length) / complex(t_n, -chi * u_n1)
-        path = "out-of-band"
-    else:
-        t = cmath.rect(math.exp(-ln_g), -k * length - arg_g)
-        path = "log-domain"
-    return ClosedForm(tau, cmath.phase(t), t, None, xi, band_edge, path)
+    # t = exp(-ln|G| - i(k*L + arg G)), G = T_N (1 - i q chi) and T_N = cosh(N nu)
+    ln_g = nu - math.log(2.0) + math.log1p(decay) + 0.5 * math.log1p(q_chi**2)
+    phase = -k * length - math.atan2(-q_chi, 1.0)
+    if ln_g > _LN_MAX:  # the phase stays well defined through the bounded ratio q*chi
+        error = OverflowGuardError(
+            f"|G| ~ exp({ln_g:.1f}) exceeds double range; transmission magnitude underflows")
+        return ClosedForm(tau, _wrap_phase(phase), None, error, xi, band_edge, "underflow")
+    t = cmath.rect(math.exp(-ln_g), phase)
+    return ClosedForm(tau, cmath.phase(t), t, None, xi, band_edge, "out-of-band")
 
 
 def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> complex:

@@ -11,6 +11,7 @@ closed-form transmission in :mod:`pttunnel.timing`.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
 from .errors import OverflowGuardError, SpectralSingularityError
@@ -49,20 +50,27 @@ class TransferMatrix(NamedTuple):
 IDENTITY = TransferMatrix(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
-def _barrier_elements(particle: Particle, potential: complex, width: float) -> tuple:
+def _barrier_elements(particle: Particle, potential: complex, width: float, reach: float) -> tuple:
     """(-i*k*b, m11, m22, s, -0.5*s) of one barrier of complex height
-    `potential` and width `width`.
+    `potential` and width `width`, placed at offsets j with 1 + 2j <= `reach`.
 
     m11 = 0.5*exp(-i*k*b)*p+ and m22 = 0.5*exp(i*k*b)*p-, with
     p+- = 2 cos(kc*b) +- i(mu + 1/mu) sin(kc*b), s = i(mu - 1/mu) sin(kc*b),
     kc = sqrt(E - potential) and mu = kc/k, so p+*p- + s*s = 4 (det = 1).
     The offset phase off = exp(-i*k*b*(1 + 2j)) at x = j*b gives
     m12 = 0.5*off*s and m21 = -0.5*s/off (off*(0.5*s) rounds otherwise at
-    zero or subnormal s).  The caller checks the potential and the width.
+    zero or subnormal s).  The caller checks the potential and the width;
+    a phase, k*b*reach or Re(kc)*b, past double range is an OverflowGuardError.
     """
     kc = cmath.sqrt(particle.energy - potential)
     if kc == 0:
         raise ValueError("potential equals the energy; internal wave number vanishes")
+    kb = particle.k * width
+    if not math.isfinite(max(kb * reach, abs(kc.real) * width)):
+        raise OverflowGuardError(
+            f"barrier phase k*b*(1 + 2j) = {particle.k:.3e}*{width:.3e}*{reach:.0f} "
+            f"or Re(kc)*b = {kc.real:.3e}*{width:.3e} leaves double range"
+        )
     mu = kc / particle.k
     try:
         cos_cb = cmath.cos(kc * width)
@@ -71,7 +79,6 @@ def _barrier_elements(particle: Particle, potential: complex, width: float) -> t
         cos_cb = sin_cb = cmath.inf
     even = (mu + 1.0 / mu) * sin_cb
     s = 1j * ((mu - 1.0 / mu) * sin_cb)
-    kb = particle.k * width
     diag = cmath.exp(-1j * kb)
     p_plus, p_minus = 2.0 * cos_cb + 1j * even, 2.0 * cos_cb - 1j * even
     m11, m22 = 0.5 * diag * p_plus, 0.5 * p_minus / diag
@@ -93,7 +100,7 @@ def barrier_matrix(
     only multiplies the off-diagonal elements by exp(-+ 2i*k*b*j).  Raises
     ValueError unless the potential is finite, the width finite and > 0 and
     ``offset_index`` an integer >= 0, and OverflowGuardError where the
-    barrier's growth factor exp(|Im(kc)|*b) leaves double range.
+    barrier's growth factor exp(|Im(kc)|*b) or a phase leaves double range.
     """
     if not (isinstance(offset_index, int) and offset_index >= 0):
         raise ValueError(f"offset_index must be an integer >= 0, got {offset_index!r}")
@@ -101,8 +108,9 @@ def barrier_matrix(
         raise ValueError(f"potential must be finite, got {potential!r}")
     if not (cmath.isfinite(width) and width > 0.0):
         raise ValueError(f"width must be finite and > 0, got {width!r}")
-    ikb, m11, m22, s, neg_half_s = _barrier_elements(particle, potential, width)
-    off = cmath.exp(ikb * (1.0 + 2.0 * offset_index))
+    reach = 1.0 + 2.0 * offset_index
+    ikb, m11, m22, s, neg_half_s = _barrier_elements(particle, potential, width, reach)
+    off = cmath.exp(ikb * reach)
     return TransferMatrix(m11, 0.5 * off * s, neg_half_s / off, m22)
 
 
@@ -126,16 +134,17 @@ def lattice_matrix_direct(
     ------
     OverflowGuardError
         If any element magnitude exceeds ELEMENT_GUARD, or a barrier's growth
-        factor leaves double range; in that regime the direct product is no
-        longer a valid oracle and the asymptotic (thick-barrier) path must be
-        used instead.
+        factor or a phase, up to the last offset's k*b*(4N - 1), leaves double
+        range; in that regime the direct product is no longer a valid oracle
+        and the asymptotic (thick-barrier) path must be used instead.
     """
     if n_cells < 0:
         raise ValueError("n_cells must be >= 0")
     if n_cells == 0:
         return IDENTITY
-    ikb, g11, g22, g_s, g_neg_half_s = _barrier_elements(particle, 1j * cell.strength, cell.width)
-    _, l11, l22, l_s, l_neg_half_s = _barrier_elements(particle, -1j * cell.strength, cell.width)
+    reach = 4.0 * n_cells - 1.0  # the loss barrier of the last cell sits at offset 2N - 1
+    ikb, g11, g22, g_s, g_neg_half_s = _barrier_elements(particle, 1j * cell.strength, cell.width, reach)
+    _, l11, l22, l_s, l_neg_half_s = _barrier_elements(particle, -1j * cell.strength, cell.width, reach)
     lg11, lg22 = l11 * g11, l22 * g22  # the same first/second product of c11/c22 in every cell
     # K: the larger row sum of |loss @ gain| with |off| = 1, plus a 1e-12
     # margin for the few ulp of rounding per cell.  An inf or nan K (abs of

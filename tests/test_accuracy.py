@@ -104,7 +104,7 @@ def test_time_where_xi_rounds_to_one_outside_the_band(lattice_reference):
 @pytest.mark.parametrize("n", [1, 3])
 def test_out_of_band_g_where_xi_rounds_to_one(lattice_reference, energy, strength, width, xi, n):
     # xi - 1 = 5.1e-18 and 6.6e-17 > 0, but xi rounds to 1.0 and to just
-    # below it, so the out-of-band G takes cheb_pair's x == 1 and x < 1 branches
+    # below it: t must come from nu, built on xi -+ 1, not from xi itself
     geo = _geometry(Particle(energy), strength)
     assert _cell_scalars(geo, _scaled(geo, width)).xi_minus_1 > 0.0
     record = closed_form(Particle(energy), CellSpec(strength, width), n)
@@ -112,6 +112,24 @@ def test_out_of_band_g_where_xi_rounds_to_one(lattice_reference, energy, strengt
     reference = lattice_reference(energy, strength, width, n, dps=60)
     assert abs(record.t - complex(reference.t)) <= 1e-13 * abs(complex(reference.t))
     assert abs(record.tau - float(reference.tau)) <= 1e-13 * abs(float(reference.tau))
+
+
+@pytest.mark.parametrize(
+    "energy, strength, width, n",
+    [
+        (0.04919750012845098, 63.64544456203512, 0.014177271597968076, 28615),
+        (0.01395473181189, 167.6167008248582, 0.0025492889771252204, 13220),
+        (0.07184178709046536, 161.70895170583134, 0.005884696351462149, 3166),
+    ],
+)
+def test_transmission_just_outside_the_band_matches_reference(lattice_reference, energy, strength,
+                                                               width, n):
+    # xi - 1 < 1e-4 at large N, where acosh and sqrt(x - 1) of the rounded xi
+    # would keep only about ulp(1)/(xi - 1) of nu
+    record = closed_form(Particle(energy), CellSpec(strength, width), n)
+    assert record.path == "out-of-band"
+    reference = complex(lattice_reference(energy, strength, width, n, dps=60).t)
+    assert abs(record.t - reference) <= 1e-10 * abs(reference)
 
 
 # Gate on the conditioning of the problem itself.  kappa is the reference's

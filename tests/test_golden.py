@@ -1,5 +1,5 @@
 """Byte-for-byte guard on the command outputs: the defaults, plus one sweep
-that reaches the log-domain and hartman-limit rows the defaults never do.
+that reaches the underflow and hartman-limit rows the defaults never do.
 
 The files under ``tests/golden/`` are the stdout of each command below.  A
 change that alters any of them alters what users get, so it must come with
@@ -26,7 +26,7 @@ COMMANDS = {
     "sweep-n.json": ["sweep-n", "--format", "json"],
     "point.txt": ["point", "--energy", "1", "--potential", "20", "--width", "0.25", "--cells", "2"],
     "limits.json": ["limits"],
-    # Reaches what the defaults never do: log-domain |t| (Overflow) rows and
+    # Reaches what the defaults never do: underflowed |t| (Overflow) rows and
     # hartman-limit handoff rows, beside a V = 0 control.
     "sweep-b-handoff.csv": [
         "sweep-b", "--energy", "1", "--potential", "20", "--potential", "0",

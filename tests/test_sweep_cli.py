@@ -316,7 +316,7 @@ def test_sweep_rows_equal_point_rows():
             flags.update(row.flags)
             free |= row.strength == 0.0
     documented = set(re.findall(r"``([a-z-]+)`` \(", ClosedForm.__doc__))
-    assert len(documented) == 8
+    assert len(documented) == 7
     assert paths == documented - {"empty", "singular"}
     assert free and "XiAtUnity" in flags
 

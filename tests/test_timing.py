@@ -374,7 +374,6 @@ _PATH_POINTS = {
     "in-band": (4.0, 2.0, 0.3, 3),
     "singular": (0.547149018018704, 1.0, 1.4393530230212068, 7),
     "out-of-band": (1.0, 20.0, 3.0, 1),
-    "log-domain": (1.0, 20.0, 3.0, 39),
     "underflow": (1.0, 20.0, 97.0, 2),
     "handoff": (1.0, 20.0, 120.0, 2),
     "not-evaluated": (100.0, 0.0, 1e307, 1),

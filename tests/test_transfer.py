@@ -208,7 +208,7 @@ def test_norm_bound_skips_no_guard_trip():
     assert repr(lattice_matrix_direct(p, cell, 1)) == repr(_product_by_composition(p, cell, 1))
     huge = Particle(0.016190649747622122), CellSpec(12786.80801883119, 8.801798654145626)
     with pytest.raises(OverflowError):
-        abs(_barrier_elements(huge[0], 1j * huge[1].strength, huge[1].width)[3])
+        abs(_barrier_elements(huge[0], 1j * huge[1].strength, huge[1].width, 1.0)[3])
     deep = Particle(18.627368314647295), CellSpec(25.63453797424473, 0.637503654559822)
     trips = []
     for (p, cell), n_cells in (((p, cell), 4), (huge, 4), (deep, 337)):
@@ -239,6 +239,35 @@ def test_barrier_growth_overflow_is_typed():
         barrier_matrix(p, 100j, 400.0)
     with pytest.raises(OverflowGuardError, match="barrier growth"):
         lattice_matrix_direct(p, CellSpec(100.0, 400.0), 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # k*b = 1e309: cmath.cos(kc*b) would reject the infinite phase
+        (lambda: lattice_matrix_direct(Particle(1e12), CellSpec(0.0, 1e303), 3),
+         "barrier phase k*b*(1 + 2j) = 1.000e+06*1.000e+303*11 "
+         "or Re(kc)*b = 1.000e+06*1.000e+303 leaves double range"),
+        # k*b is finite, but the last offset phase k*b*(4N - 1) = 1.6e311 is not
+        (lambda: lattice_matrix_direct(Particle(1e12), CellSpec(0.0, 1e302), 400),
+         "barrier phase k*b*(1 + 2j) = 1.000e+06*1.000e+302*1599 "
+         "or Re(kc)*b = 1.000e+06*1.000e+302 leaves double range"),
+        (lambda: barrier_matrix(Particle(1e12), 1j, 1e303),
+         "barrier phase k*b*(1 + 2j) = 1.000e+06*1.000e+303*1 "
+         "or Re(kc)*b = 1.000e+06*1.000e+303 leaves double range"),
+        (lambda: barrier_matrix(Particle(1.0), 0.5, 1e300, 10**8),
+         "barrier phase k*b*(1 + 2j) = 1.000e+00*1.000e+300*200000001 "
+         "or Re(kc)*b = 7.071e-01*1.000e+300 leaves double range"),
+        # k*b = 1e200, but Re(kc) = 7e149 takes kc*b past double range
+        (lambda: lattice_matrix_direct(Particle(1.0), CellSpec(1e300, 1e200), 1),
+         "barrier phase k*b*(1 + 2j) = 1.000e+00*1.000e+200*3 "
+         "or Re(kc)*b = 7.071e+149*1.000e+200 leaves double range"),
+    ],
+)
+def test_phase_overflow_is_typed(call, message):
+    with pytest.raises(OverflowGuardError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_barrier_elements_just_below_growth_range_are_typed():
