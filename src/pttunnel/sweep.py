@@ -11,7 +11,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import random
+import stat
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -511,10 +513,29 @@ def rows_to_json(rows: Iterable[SweepRow], columns: tuple[str, ...], mode: str) 
     )
 
 
-def write_text(text: str, destination: str | TextIO) -> None:
-    """Write exactly `text` (LF endings preserved) to a path or stream."""
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
+def _open_without_truncating(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_text(text: str, destination: str | os.PathLike | TextIO) -> None:
+    """Write exactly `text`, UTF-8 with LF endings kept, to a path or stream.
+
+    A path is opened for writing without O_TRUNC: the bytes are written over
+    the file's old head in one call, and a regular file is then cut to their
+    length, so the result is the same bytes, inode and mode (0o666 & ~umask
+    for a new file) that a truncating open gives.  Truncating to zero first
+    is what a rewrite costs most on ext4, which frees the old blocks and
+    then starts writeback at close for a file truncated and rewritten.
+    Devices and pipes (/dev/null, /dev/stdout) are written, never cut.  No
+    fsync is made either way; a write interrupted part way leaves the new
+    head over the old tail, where a truncating open would leave a short
+    file, and the file is never empty in between.
+    """
+    if not isinstance(destination, (str, os.PathLike)):
         destination.write(text)
+        return
+    data = text.encode("utf-8")
+    with open(destination, "wb", opener=_open_without_truncating) as handle:
+        handle.write(data)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(len(data))

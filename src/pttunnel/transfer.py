@@ -91,6 +91,14 @@ def _barrier_elements(particle: Particle, potential: complex, width: float, reac
     return -1j * kb, m11, m22, s, -0.5 * s
 
 
+def _reach(offset_index: int) -> float:
+    """The offset factor 1 + 2j of offset j; inf where it leaves double range."""
+    try:
+        return 1.0 + 2.0 * offset_index
+    except OverflowError:  # an int past 1e308
+        return math.inf
+
+
 def barrier_matrix(
     particle: Particle, potential: complex, width: float, offset_index: int = 0
 ) -> TransferMatrix:
@@ -100,7 +108,8 @@ def barrier_matrix(
     only multiplies the off-diagonal elements by exp(-+ 2i*k*b*j).  Raises
     ValueError unless the potential is finite, the width finite and > 0 and
     ``offset_index`` an integer >= 0, and OverflowGuardError where the
-    barrier's growth factor exp(|Im(kc)|*b) or a phase leaves double range.
+    barrier's growth factor exp(|Im(kc)|*b), a phase or 1 + 2j itself
+    leaves double range.
     """
     if not (isinstance(offset_index, int) and offset_index >= 0):
         raise ValueError(f"offset_index must be an integer >= 0, got {offset_index!r}")
@@ -108,7 +117,7 @@ def barrier_matrix(
         raise ValueError(f"potential must be finite, got {potential!r}")
     if not (cmath.isfinite(width) and width > 0.0):
         raise ValueError(f"width must be finite and > 0, got {width!r}")
-    reach = 1.0 + 2.0 * offset_index
+    reach = _reach(offset_index)
     ikb, m11, m22, s, neg_half_s = _barrier_elements(particle, potential, width, reach)
     off = cmath.exp(ikb * reach)
     return TransferMatrix(m11, 0.5 * off * s, neg_half_s / off, m22)
@@ -142,7 +151,7 @@ def lattice_matrix_direct(
         raise ValueError("n_cells must be >= 0")
     if n_cells == 0:
         return IDENTITY
-    reach = 4.0 * n_cells - 1.0  # the loss barrier of the last cell sits at offset 2N - 1
+    reach = _reach(2 * n_cells - 1)  # the loss barrier of the last cell sits at offset 2N - 1
     ikb, g11, g22, g_s, g_neg_half_s = _barrier_elements(particle, 1j * cell.strength, cell.width, reach)
     _, l11, l22, l_s, l_neg_half_s = _barrier_elements(particle, -1j * cell.strength, cell.width, reach)
     lg11, lg22 = l11 * g11, l22 * g22  # the same first/second product of c11/c22 in every cell

@@ -2,7 +2,9 @@ import argparse
 import json
 import math
 import os
+import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ import pytest
 import pttunnel
 
 from conftest import bisect_width_for_xi
+from test_golden import COMMANDS as GOLDEN_COMMANDS, GOLDEN
 from pttunnel import (
     CellSpec,
     ClosedForm,
@@ -753,6 +756,52 @@ def test_cli_sweep_b_writes_deterministic_file(tmp_path):
     assert header == ",".join(SWEEP_B_COLUMNS)
 
 
+# ---------------------------------------------------------------------------
+# the file write: in place, cut to length
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("as_path", [str, pathlib.Path], ids=["str", "Path"])
+@pytest.mark.parametrize("old", [b"\xff" * 65536, b"x"], ids=["64KiB", "1B"])
+def test_write_text_rewrites_a_file_in_place(old, as_path, tmp_path):
+    text = "E,V,flags\n1,20,\n" * 40
+    path = tmp_path / "rows.csv"
+    path.write_bytes(old)
+    link = tmp_path / "link.csv"
+    os.link(path, link)
+    write_text(text, as_path(path))
+    assert path.read_bytes() == text.encode()
+    assert link.read_bytes() == text.encode()  # the same inode
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN_COMMANDS) - {"point.txt"}))
+def test_cli_output_over_a_longer_file_writes_the_golden(name, tmp_path):
+    # point.txt is the stdout of `point`, not what it writes to --output
+    golden = (GOLDEN / name).read_bytes()
+    out = tmp_path / name
+    out.write_bytes(b"#" * (len(golden) + 65536))
+    assert main([*GOLDEN_COMMANDS[name], "--output", str(out)]) == 0
+    assert out.read_bytes() == golden
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null on this system")
+def test_cli_output_to_dev_null(capsys):
+    assert main(["sweep-b", "--cells", "1", "--grid", "1:2:2", "--output", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("wrote 2 rows to /dev/null\n", "")
+
+
+def test_write_text_creates_a_file_with_the_mode_open_gives(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        write_text("x\n", str(tmp_path / "new.csv"))
+        with open(tmp_path / "beside.csv", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("new.csv", "beside.csv")]
+    assert modes[0] == modes[1]
+
+
 def test_cli_sweep_n_json_stdout(capsys):
     rc = main(
         [
@@ -973,6 +1022,11 @@ _BAD_INPUTS = {
         "sweep-b --cells 1 --grid 1:2:2 --output {tmp}/missing/rows.csv", None,
         2, "",
         "error: InvalidInput: [Errno 2] No such file or directory: '{tmp}/missing/rows.csv'\n",
+    ),
+    "output-is-a-directory": (
+        "sweep-b --cells 1 --grid 1:2:2 --output {tmp}", None,
+        2, "",
+        "error: InvalidInput: [Errno 21] Is a directory: '{tmp}'\n",
     ),
     "point-energy-text": (
         "point --energy x --potential 0 --width 1 --cells 1", None,

@@ -258,6 +258,13 @@ def test_barrier_growth_overflow_is_typed():
         (lambda: barrier_matrix(Particle(1.0), 0.5, 1e300, 10**8),
          "barrier phase k*b*(1 + 2j) = 1.000e+00*1.000e+300*200000001 "
          "or Re(kc)*b = 7.071e-01*1.000e+300 leaves double range"),
+        # 1 + 2j is past double range before any phase is formed
+        (lambda: barrier_matrix(Particle(1.0), 0.5, 1.0, 10**400),
+         "barrier phase k*b*(1 + 2j) = 1.000e+00*1.000e+00*inf "
+         "or Re(kc)*b = 7.071e-01*1.000e+00 leaves double range"),
+        (lambda: lattice_matrix_direct(Particle(1.0), CellSpec(0.5, 1.0), 10**400),
+         "barrier phase k*b*(1 + 2j) = 1.000e+00*1.000e+00*inf "
+         "or Re(kc)*b = 1.029e+00*1.000e+00 leaves double range"),
         # k*b = 1e200, but Re(kc) = 7e149 takes kc*b past double range
         (lambda: lattice_matrix_direct(Particle(1.0), CellSpec(1e300, 1e200), 1),
          "barrier phase k*b*(1 + 2j) = 1.000e+00*1.000e+200*3 "
