@@ -24,7 +24,10 @@ from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, _Validated
 from .timing import (
     _cell_scalars,
     _closed_form,
+    _finite_strength,
+    _hartman_coeffs,
     _limit_time,
+    _record,
     _wrap_phase,
     closed_form,
     free_propagation_time,
@@ -192,8 +195,10 @@ def _make_shared(particle: Particle, strength: float, tau_free: float = _NAN) ->
     with contextlib.suppress(OverflowGuardError):
         geometry = _geometry(particle, strength)
     if strength > 0.0:
+        _finite_strength(strength)  # the ValueError of hartman_coeffs, for V = inf or True
+    if strength > 0.0 and geometry is not None:
         with contextlib.suppress(OverflowGuardError):
-            coeffs = hartman_coeffs(particle, strength)
+            coeffs = _hartman_coeffs(particle, strength, geometry)
             gamma = coeffs.gamma  # a handoff row keeps its phase where tau_inf leaves range
             tau_inf = _limit_time(coeffs, particle.k)
     return _Shared(geometry, gamma, tau_inf, tau_free)
@@ -213,13 +218,16 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
     flagged Overflow.  The row carries tau_inf of its (E, V), nan at V = 0;
     tau_free and rel_gap are nan.  Raises ValueError for N < 0.
     """
-    return _row(particle, _make_shared(particle, cell.strength), cell, n_cells)
+    strength = cell.strength
+    return _row(particle, _make_shared(particle, strength), strength, cell.width, n_cells)
 
 
-def _row(particle: Particle, shared: _Shared, cell: CellSpec, n_cells: int) -> SweepRow:
-    """The row of :func:`evaluate_point` from the (E, V) record it shares with its sweep."""
-    record = _closed_form(shared.geometry, cell.width, n_cells)
-    span = 2.0 * n_cells * cell.width
+def _row(particle: Particle, shared: _Shared, strength: float, width: float,
+         n_cells: int) -> SweepRow:
+    """The row of :func:`evaluate_point` at a cell (strength, width) that
+    CellSpec accepts, from the (E, V) record it shares with its sweep."""
+    record = _closed_form(shared.geometry, width, n_cells)
+    span = 2.0 * n_cells * width
     tau, theta, error = record.tau, record.theta, record.error
     method = METHOD_ANALYTIC
     if record.path == "handoff":
@@ -232,21 +240,29 @@ def _row(particle: Particle, shared: _Shared, cell: CellSpec, n_cells: int) -> S
     elif not math.isfinite(tau):
         flags.append(FLAG_OVERFLOW)
     rel_gap = abs(tau - shared.tau_free) / shared.tau_free
-    return SweepRow(particle.energy, cell.strength, n_cells, cell.width, span, tau, method,
-                    record.t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap)
+    return _record(SweepRow, particle.energy, strength, n_cells, width, span, tau, method,
+                   record.t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap)
 
 
 def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list[SweepRow]:
     """Rows over the config's potentials (outer) and (N, b) ``points``
     (inner, in order), each V's record built once; a fixed ``span`` gives
-    every row its free time tau_free and rel_gap."""
+    every row its free time tau_free and rel_gap.  Each V and each b is
+    checked once, and any but a plain float in range goes to CellSpec, to
+    raise its ValueError for the first (V, b) pair, in row order, it rejects."""
     particle = Particle(config.energy)
     tau_free = _NAN if span is None else free_propagation_time(particle, span)
+    suspects = [b for _, b in points if not (type(b) is float and 0.0 < b < math.inf)]
     rows: list[SweepRow] = []
     for strength in config.potentials:
         shared = _make_shared(particle, strength, tau_free)
+        if points and not (type(strength) is float and 0.0 <= strength < math.inf):
+            CellSpec(strength, points[0][1])
+        for width in suspects:  # V has passed, so the first b CellSpec rejects fails
+            CellSpec(strength, width)
+        suspects = []
         for n_cells, width in points:
-            rows.append(_row(particle, shared, CellSpec(strength, width), n_cells))
+            rows.append(_row(particle, shared, strength, width, n_cells))
     return rows
 
 
@@ -455,9 +471,9 @@ def run_limits() -> LimitsReport:
 # ---------------------------------------------------------------------------
 
 
-# CSV: the columns the package computes as floats, and those that carry the
-# caller's inputs.
-_CSV_FLOAT_COLUMNS = frozenset(("L", "tau", "tau_inf", "tau_free", "rel_gap", "t_abs", "theta"))
+# CSV: the columns the package computes as floats for each row, and those
+# that carry the caller's inputs.
+_CSV_FLOAT_COLUMNS = frozenset(("L", "tau", "rel_gap", "t_abs", "theta"))
 _INPUT_COLUMNS = frozenset(("E", "V", "N", "b"))
 
 
@@ -468,19 +484,42 @@ def _column(rows: list[SweepRow], column: str) -> Iterator:
     return map(attrgetter(_COLUMN_FIELDS[column]), rows)
 
 
+def _input_text(value: float) -> str:
+    # A library caller may pass an int E, V or b (N is one); str keeps
+    # every digit where %.17g would round it past 2**53.
+    return str(value) if isinstance(value, int) else "%.17g" % value
+
+
+def _texts_by_run(values: Iterable, text) -> list[str]:
+    """``text(value)`` of each value, called once per run of the same object
+    (not of == values: 0.0 and -0.0, or two nan objects, keep their own text)."""
+    texts: list[str] = []
+    last = texts  # no value is this list
+    for value in values:
+        if value is not last:
+            last, shared = value, text(value)
+        texts.append(shared)
+    return texts
+
+
 def _csv_column(rows: list[SweepRow], column: str) -> Iterable:
+    # The rows of one (E, V) in a sweep share their E, V, tau_inf and
+    # tau_free objects, and those of one N its int, so these are formatted
+    # once per run; b is its own object on each row.
     values = _column(rows, column)
     if column in _INPUT_COLUMNS:
-        # A library caller may pass an int E, V or b (N is one); str keeps
-        # every digit where %.17g would round it past 2**53.
-        return [str(v) if isinstance(v, int) else "%.17g" % v for v in values]
+        return _texts_by_run(values, _input_text)
+    if column in ("tau_inf", "tau_free"):
+        return _texts_by_run(values, "%.17g".__mod__)
     return values
 
 
 def rows_to_csv(rows: Iterable[SweepRow], columns: tuple[str, ...]) -> str:
     """Render rows as CSV: fixed header, ',' delimiter, 17 significant digits, LF.
 
-    Each row goes through one template for the column set; ``columns``
+    Each row goes through one template for the column set; the E, V, N,
+    tau_inf and tau_free texts are formatted once per run of rows that share
+    the value's object, as the rows of one (E, V) in a sweep do.  ``columns``
     names one or more columns.
     """
     rows = list(rows)
@@ -513,17 +552,14 @@ def rows_to_json(rows: Iterable[SweepRow], columns: tuple[str, ...], mode: str) 
     )
 
 
-def _open_without_truncating(path: str, flags: int) -> int:
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def write_text(text: str, destination: str | os.PathLike | TextIO) -> None:
     """Write exactly `text`, UTF-8 with LF endings kept, to a path or stream.
 
-    A path is opened for writing without O_TRUNC: the bytes are written over
-    the file's old head in one call, and a regular file is then cut to their
-    length, so the result is the same bytes, inode and mode (0o666 & ~umask
-    for a new file) that a truncating open gives.  Truncating to zero first
+    A path is opened for writing without O_TRUNC (mode 0o666 & ~umask for a
+    new file) and the bytes are written over the file's old head, with
+    os.write repeated until all are written; a regular file longer than
+    the bytes is then cut to their length.  The result is the same bytes,
+    inode and mode that a truncating open gives.  Truncating to zero first
     is what a rewrite costs most on ext4, which frees the old blocks and
     then starts writeback at close for a file truncated and rewritten.
     Devices and pipes (/dev/null, /dev/stdout) are written, never cut.  No
@@ -535,7 +571,13 @@ def write_text(text: str, destination: str | os.PathLike | TextIO) -> None:
         destination.write(text)
         return
     data = text.encode("utf-8")
-    with open(destination, "wb", opener=_open_without_truncating) as handle:
-        handle.write(data)
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            handle.truncate(len(data))
+    fd = os.open(destination, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):  # a short write
+            written += os.write(fd, data[written:])
+        status = os.fstat(fd)
+        if stat.S_ISREG(status.st_mode) and status.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

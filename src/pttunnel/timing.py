@@ -128,6 +128,12 @@ class _CellScalars(NamedTuple):
     chi_prime: float
 
 
+def _record(cls: type, *values) -> tuple:
+    """``cls(*values)`` for an unvalidated NamedTuple ``cls`` given every field
+    in order, built in C by tuple.__new__ past its Python-level ``__new__``."""
+    return tuple.__new__(cls, values)
+
+
 def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> _CellScalars:
     alpha, beta, alpha_prime, beta_prime = scaled
     sin_phi = geo.sin_phi
@@ -165,9 +171,8 @@ def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> 
         + 0.5 * geo.u_plus_prime * cos_phi * sin_2a
         + 0.5 * geo.u_minus_prime * sin_phi * sinh_2b
     )
-    return _CellScalars(
-        0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime
-    )
+    return _record(_CellScalars, 0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1,
+                   chi, xi_prime, chi_prime)
 
 
 def _growth_scale(scalars: _CellScalars) -> float:
@@ -298,9 +303,10 @@ def _in_band(scalars: _CellScalars, quad: float, n: int, k: float, length: float
         g = complex(cos_n, -chi * sin_n / sine)
     mag = abs(g)
     if mag < G_SINGULARITY_ABS_TOL:
-        return ClosedForm(tau, _NAN, None, SpectralSingularityError(mag), xi, band_edge, "singular")
+        error = SpectralSingularityError(mag)
+        return _record(ClosedForm, tau, _NAN, None, error, xi, band_edge, "singular")
     t = cmath.exp(-1j * k * length) / g
-    return ClosedForm(tau, cmath.phase(t), t, None, xi, band_edge, "in-band")
+    return _record(ClosedForm, tau, cmath.phase(t), t, None, xi, band_edge, "in-band")
 
 
 def _out_of_band(scalars: _CellScalars, n: int, k: float, length: float, band_edge: bool,
@@ -328,9 +334,9 @@ def _out_of_band(scalars: _CellScalars, n: int, k: float, length: float, band_ed
     if ln_g > _LN_MAX:  # the phase stays well defined through the bounded ratio q*chi
         error = OverflowGuardError(
             f"|G| ~ exp({ln_g:.1f}) exceeds double range; transmission magnitude underflows")
-        return ClosedForm(tau, _wrap_phase(phase), None, error, xi, band_edge, "underflow")
+        return _record(ClosedForm, tau, _wrap_phase(phase), None, error, xi, band_edge, "underflow")
     t = cmath.rect(math.exp(-ln_g), phase)
-    return ClosedForm(tau, cmath.phase(t), t, None, xi, band_edge, "out-of-band")
+    return _record(ClosedForm, tau, cmath.phase(t), t, None, xi, band_edge, "out-of-band")
 
 
 def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> complex:
@@ -419,8 +425,12 @@ def hartman_coeffs(particle: Particle, strength: float) -> HartmanCoeffs:
     """
     if strength <= 0.0:
         raise DegeneratePotentialError("thick-barrier expansion requires strength > 0")
-    geo = _geometry(particle, _finite_strength(strength))
-    k = particle.k
+    return _hartman_coeffs(particle, strength, _geometry(particle, _finite_strength(strength)))
+
+
+def _hartman_coeffs(particle: Particle, strength: float, geo: _Geometry) -> HartmanCoeffs:
+    """:func:`hartman_coeffs` from the (E, V) geometry the caller has already built."""
+    k = geo.k
     v = strength
     sin_phi = geo.sin_phi
     rho3 = _power(geo.rho, 3)

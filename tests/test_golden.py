@@ -1,9 +1,12 @@
 """Byte-for-byte guard on the command outputs: the defaults, plus one sweep
 that reaches the underflow and hartman-limit rows the defaults never do.
 
-The files under ``tests/golden/`` are the stdout of each command below.  A
-change that alters any of them alters what users get, so it must come with
-regenerated files and a stated reason.  Regenerate them all with
+The files under ``tests/golden/`` are the stdout of each command below,
+and ``workloads.sha256`` holds the SHA-256 of each file that the seed-1
+sweep-b-wide and sweep-n-thin commands of ``ptbench/workloads.py`` write
+(``sha256sum -c`` reads it in the directory of those files).  A change that
+alters any of them alters what users get, so it must come with regenerated
+files and a stated reason.  Regenerate them all with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -11,14 +14,19 @@ and review the diff of ``tests/golden/``.
 """
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import pathlib
+import sys
+import tempfile
 
 import pytest
 
 from pttunnel.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "ptbench" / "workloads.py"
 
 COMMANDS = {
     "sweep-b.csv": ["sweep-b"],
@@ -41,13 +49,40 @@ def test_default_output_is_byte_identical(name, capsysbinary):
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
+def _workload_digests(out_dir: str) -> str:
+    """Run every seed-1 sweep-b-wide and sweep-n-thin command, each writing
+    its file into ``out_dir``, and return the files' digests in
+    ``sha256sum`` format, in command order."""
+    spec = importlib.util.spec_from_file_location("ptbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks its module up there
+    spec.loader.exec_module(workloads)
+    commands = workloads.sweep_b_commands(1, out_dir) + workloads.sweep_n_commands(1, out_dir)
+    lines = []
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+        path = pathlib.Path(argv[argv.index("--output") + 1])
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n")
+    return "".join(lines)
+
+
+def test_workload_outputs_are_byte_identical(tmp_path):
+    digests = _workload_digests(str(tmp_path))
+    assert digests.count("\n") == 129
+    assert digests == (GOLDEN / "workloads.sha256").read_text()
+
+
 def _regenerate() -> None:
-    """Write each command's stdout to its file under ``tests/golden/``."""
+    """Write each command's stdout to its file under ``tests/golden/``, and
+    the workload digests to ``workloads.sha256``."""
     for name, argv in COMMANDS.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0, name
         (GOLDEN / name).write_bytes(out.getvalue().encode())
+    with tempfile.TemporaryDirectory() as out_dir:
+        (GOLDEN / "workloads.sha256").write_text(_workload_digests(out_dir))
 
 
 if __name__ == "__main__":

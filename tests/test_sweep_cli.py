@@ -44,6 +44,8 @@ from pttunnel.sweep import (
     rows_to_json,
     write_text,
 )
+from pttunnel.model import _geometry as real_geometry
+from pttunnel.timing import _hartman_coeffs as real_hartman_coeffs_from_geometry
 from pttunnel.timing import hartman_coeffs as real_hartman_coeffs
 
 
@@ -333,6 +335,65 @@ def test_sweep_validation_errors():
         run_sweep_n(SweepConfig(potentials=(1.0,), grid=GridSpec(1, 8, 4)))
 
 
+# A sweep checks each V once and each b once, yet raises the ValueError the
+# per-row CellSpec of the earlier loop raised, for the same first (V, b) pair.
+_CELL_ERRORS = {
+    "negative-V-and-zero-b": (
+        run_sweep_b, SweepConfig(potentials=(-1.0,), cells=(2,), grid=GridSpec(0.0, 1.0, 3)),
+        "strength must be finite and >= 0, got -1.0",
+    ),
+    "bool-b": (
+        run_sweep_b, SweepConfig(potentials=(20.0, -1.0), cells=(1, 2), grid=GridSpec(True, 2.0, 1)),
+        "strength and width must be numbers, got CellSpec(strength=20.0, width=True)",
+    ),
+    "zero-b-from-a-linear-grid": (
+        run_sweep_b, SweepConfig(potentials=(20.0,), cells=(1, 3), grid=GridSpec(0.0, 0.5, 6)),
+        "width must be finite and > 0, got 0.0",
+    ),
+    "nan-V": (
+        run_sweep_b, SweepConfig(potentials=(math.nan,), cells=(1,), grid=GridSpec(0.1, 1.0, 3)),
+        "strength must be finite and >= 0, got nan",
+    ),
+    "second-V-invalid": (
+        run_sweep_b, SweepConfig(potentials=(20.0, -3.0), cells=(1,), grid=GridSpec(0.1, 1.0, 3)),
+        "strength must be finite and >= 0, got -3.0",
+    ),
+    "second-V-invalid-sweep-n": (
+        run_sweep_n, SweepConfig(potentials=(1.0, -math.inf), span=1.0, grid=GridSpec(1, 8, 4)),
+        "strength must be finite and >= 0, got -inf",
+    ),
+    "bool-V": (
+        run_sweep_b, SweepConfig(potentials=(False,), cells=(1,), grid=GridSpec(0.1, 1.0, 3)),
+        "strength and width must be numbers, got CellSpec(strength=False, width=0.1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CELL_ERRORS))
+def test_sweep_rejects_a_cell_as_its_per_row_cellspec_did(name):
+    run, config, message = _CELL_ERRORS[name]
+    with pytest.raises(ValueError) as raised:
+        run(config)
+    assert type(raised.value) is ValueError and str(raised.value) == message
+    # the same error as the CellSpec of the first rejected pair, in row order
+    if run is run_sweep_b:
+        widths = sorted(config.grid.values())
+    else:
+        widths = [config.span / (2.0 * n) for n in config.grid.integer_values()]
+    with pytest.raises(ValueError) as per_row:
+        for strength in config.potentials:
+            for width in widths:
+                CellSpec(strength, width)
+    assert str(per_row.value) == message
+
+
+def test_sweep_rejects_a_true_potential_as_hartman_coeffs_did():
+    # V = True reached hartman_coeffs before any CellSpec, and still fails there
+    config = SweepConfig(potentials=(True,), cells=(1,), grid=GridSpec(0.1, 1.0, 3))
+    with pytest.raises(ValueError, match=r"^strength must be finite and >= 0, got True$"):
+        run_sweep_b(config)
+
+
 # ---------------------------------------------------------------------------
 # output formats and determinism
 # ---------------------------------------------------------------------------
@@ -429,6 +490,32 @@ def test_writers_match_reference_bytes(columns):
         assert rows_to_csv(sample, columns) == _reference_csv(sample, columns)
         for mode in ("sweep-b", "sweep-n", "point"):
             assert rows_to_json(sample, columns, mode) == _reference_json(sample, columns, mode)
+
+
+def test_csv_runs_of_shared_values_are_keyed_on_the_object():
+    # adjacent rows whose shared columns hold 0.0 then -0.0, or two distinct
+    # nan objects, each keep their own text
+    row = run_sweep_b(_PATH_CONFIGS[0])[0]
+    nan_a, nan_b = float("nan"), -float("nan")
+    assert nan_a is not nan_b
+    rows = [
+        row._replace(energy=value, strength=value, tau_inf=value, tau_free=value)
+        for value in (0.0, -0.0, 0.0, nan_a, nan_b, nan_b, -0.0, 1.5)
+    ]
+    for columns in (SWEEP_B_COLUMNS, SWEEP_N_COLUMNS):
+        text = rows_to_csv(rows, columns)
+        assert text == _reference_csv(rows, columns)
+        assert [line[:5] for line in text.splitlines()[1:4]] == ["0,0,3", "-0,-0", "0,0,3"]
+
+
+def test_csv_of_interleaved_sweeps_matches_reference_bytes():
+    # rows of two (E, V) taken in turn break every run of shared objects
+    first = run_sweep_b(_sweep_b_config(energy=1.0, potentials=(20.0,), cells=(2, 3)))
+    second = run_sweep_n(SweepConfig(energy=2.0, potentials=(0.0,), span=1.0, grid=GridSpec(1, 64, 8)))
+    mixed = [row for pair in zip(first, second) for row in pair] + first[len(second):]
+    for rows in (mixed, mixed[::-1], first + second):
+        for columns in (SWEEP_B_COLUMNS, SWEEP_N_COLUMNS, POINT_COLUMNS):
+            assert rows_to_csv(rows, columns) == _reference_csv(rows, columns)
 
 
 def test_sweep_output_is_byte_identical(tmp_path):
@@ -715,13 +802,20 @@ def test_cli_sweep_out_of_range_potential_gives_overflow_rows(mode, tmp_path, ca
 
 
 def test_sweep_n_computes_thick_cell_coefficients_once(monkeypatch, tmp_path):
-    calls = []
+    # the coefficients come from the one (E, V) geometry of the sweep
+    calls, geometries = [], []
 
-    def counted(particle, strength):
+    def counted(particle, strength, geo):
         calls.append(strength)
-        return real_hartman_coeffs(particle, strength)
+        assert geo is geometries[-1]
+        return real_hartman_coeffs_from_geometry(particle, strength, geo)
 
-    monkeypatch.setattr(sweep_mod, "hartman_coeffs", counted)
+    def built(particle, strength):
+        geometries.append(real_geometry(particle, strength))
+        return geometries[-1]
+
+    monkeypatch.setattr(sweep_mod, "_hartman_coeffs", counted)
+    monkeypatch.setattr(sweep_mod, "_geometry", built)
     # span 3000: the four widest cells hand off to the thick-cell limit
     config = _PATH_CONFIGS[2]
     methods = [row.tau_method for row in run_sweep_n(config)]
@@ -735,7 +829,7 @@ def test_sweep_n_computes_thick_cell_coefficients_once(monkeypatch, tmp_path):
     # span 1: no row hands off, but the coefficients are still computed once
     calls.clear()
     assert main([*argv, "--span", "1", "--output", str(out)]) == 0
-    assert calls == [20.0]
+    assert calls == [20.0] and len(geometries) == 3
 
 
 def test_cli_sweep_b_writes_deterministic_file(tmp_path):
@@ -772,6 +866,23 @@ def test_write_text_rewrites_a_file_in_place(old, as_path, tmp_path):
     write_text(text, as_path(path))
     assert path.read_bytes() == text.encode()
     assert link.read_bytes() == text.encode()  # the same inode
+
+
+def test_write_text_finishes_short_writes_and_cuts_only_a_longer_file(tmp_path, monkeypatch):
+    real_write, cuts = os.write, []
+
+    def short_write(fd, data):  # at most 7 bytes a call, as a signal may leave it
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length))
+    text = "E,V,flags\n1,20,Overflow\n" * 3
+    path = tmp_path / "rows.csv"
+    for old in (b"", b"#" * len(text), b"#" * (len(text) + 1)):
+        path.write_bytes(old)
+        write_text(text, str(path))
+        assert path.read_bytes()[: len(text)] == text.encode()
+    assert cuts == [len(text)]
 
 
 @pytest.mark.parametrize("name", sorted(set(GOLDEN_COMMANDS) - {"point.txt"}))

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import random
 
@@ -403,6 +404,28 @@ def test_record_t_abs_matches_the_row_rule_on_every_path(name):
     assert record.path == ("not-evaluated" if point is None else name)
     expected = _t_abs_from_fields(record)
     assert record.t_abs == expected or (math.isnan(record.t_abs) and math.isnan(expected))
+
+
+@pytest.mark.parametrize("name", list(_PATH_POINTS))
+def test_records_built_in_c_equal_keyword_built_ones(name):
+    # the row path builds ClosedForm, _CellScalars and SweepRow by
+    # tuple.__new__ (timing._record), past each NamedTuple's own __new__;
+    # the no-geometry point is one whose (E, V) geometry leaves double range
+    energy, strength, width, n_cells = _PATH_POINTS[name] or (1e-300, 1e10, 1.0, 2)
+    particle = Particle(energy)
+    geo = None
+    with contextlib.suppress(OverflowGuardError):
+        geo = _geometry(particle, strength)
+    assert (geo is None) == (name == "no-geometry")
+    record = _closed_form(geo, width, n_cells)
+    assert record.path == ("not-evaluated" if geo is None else name)
+    records = [record, evaluate_point(particle, CellSpec(strength, width), n_cells)]
+    if record.path in ("empty", "in-band", "singular", "out-of-band", "underflow"):
+        records.append(_cell_scalars(geo, _scaled(geo, width)))
+    for record in records:
+        twin = type(record)(**record._asdict())
+        assert record == twin and len(record) == len(record._fields)
+        assert repr(record) == repr(twin)
 
 
 @pytest.mark.parametrize(
