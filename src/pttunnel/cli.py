@@ -7,8 +7,8 @@ each flag's config-file key.  A flag overrides an optional flat key=value
 config file, which overrides the subcommand's default.  A subcommand reads
 only the config keys it has flags for; an unknown key is invalid input.
 
-Exit codes: 0 success, 2 invalid input, 3 limit-check failure, 4 numeric
-failure on a point query.
+Exit codes: 0 success, 2 invalid input, 3 limit-check failure, 4 a point
+whose tau is not finite (nan or inf).
 """
 
 from __future__ import annotations
@@ -178,9 +178,8 @@ def _run_point(config: SweepConfig) -> int:
     print(f"theta = {row.theta!r}")
     print(f"flags = {flags}")
     _emit_rows("point", [row], config)
-    if math.isnan(row.tau):
-        code = row.flags[0] if row.flags else "NumericFailure"
-        print(f"error: {code}: no finite tunneling time at this point", file=sys.stderr)
+    if not math.isfinite(row.tau):  # the row's last flag says why
+        print(f"error: {row.flags[-1]}: no finite tunneling time at this point", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     return EXIT_OK
 

@@ -24,7 +24,6 @@ from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, _Validated
 from .timing import (
     _cell_scalars,
     _closed_form,
-    _finite_strength,
     _hartman_coeffs,
     _limit_time,
     _record,
@@ -94,6 +93,8 @@ class GridSpec(_Validated, _GridSpecFields):
             raise ValueError("grid endpoints must be finite")
         if log and (start <= 0.0 or stop <= 0.0):
             raise ValueError("log grid requires positive endpoints")
+        if log and not 0.0 < stop / start < math.inf:  # the ratio each value is a power of
+            raise ValueError("log grid requires stop/start in double range")
         return super().__new__(cls, start, stop, count, log)
 
     @classmethod
@@ -190,12 +191,10 @@ class _Shared(NamedTuple):
 
 
 def _make_shared(particle: Particle, strength: float, tau_free: float = _NAN) -> _Shared:
-    """The :class:`_Shared` record at (E, V = strength), built once for all its rows."""
+    """The :class:`_Shared` record at an (E, V) CellSpec accepts, built once for its rows."""
     geometry, gamma, tau_inf = None, _NAN, _NAN
     with contextlib.suppress(OverflowGuardError):
         geometry = _geometry(particle, strength)
-    if strength > 0.0:
-        _finite_strength(strength)  # the ValueError of hartman_coeffs, for V = inf or True
     if strength > 0.0 and geometry is not None:
         with contextlib.suppress(OverflowGuardError):
             coeffs = _hartman_coeffs(particle, strength, geometry)
@@ -239,7 +238,8 @@ def _row(particle: Particle, shared: _Shared, strength: float, width: float,
         flags.append(error.code)
     elif not math.isfinite(tau):
         flags.append(FLAG_OVERFLOW)
-    rel_gap = abs(tau - shared.tau_free) / shared.tau_free
+    # nan where tau_free is nan (no span) or L/2k underflows to 0
+    rel_gap = abs(tau - shared.tau_free) / shared.tau_free if shared.tau_free else _NAN
     return _record(SweepRow, particle.energy, strength, n_cells, width, span, tau, method,
                    record.t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap)
 
@@ -247,22 +247,27 @@ def _row(particle: Particle, shared: _Shared, strength: float, width: float,
 def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list[SweepRow]:
     """Rows over the config's potentials (outer) and (N, b) ``points``
     (inner, in order), each V's record built once; a fixed ``span`` gives
-    every row its free time tau_free and rel_gap.  Each V and each b is
-    checked once, and any but a plain float in range goes to CellSpec, to
-    raise its ValueError for the first (V, b) pair, in row order, it rejects."""
+    every row its free time tau_free and rel_gap.  Each V, b and N is checked
+    once, before any row, for the first error in row order: CellSpec's for
+    the first V or a b, a negative N, then CellSpec's for a later V (a plain
+    float in range skips CellSpec).  No row raises, for N below ~1.3e154."""
     particle = Particle(config.energy)
     tau_free = _NAN if span is None else free_propagation_time(particle, span)
-    suspects = [b for _, b in points if not (type(b) is float and 0.0 < b < math.inf)]
+    first, *later = config.potentials
+    widths = [width for _, width in points if not (type(width) is float and 0.0 < width < math.inf)]
+    if not (type(first) is float and 0.0 <= first < math.inf):
+        widths.insert(0, points[0][1])
+    for width in widths:
+        CellSpec(first, width)
+    if any(n_cells < 0 for n_cells, _ in points):
+        raise ValueError("n_cells must be >= 0")
+    for strength in later:
+        if not (type(strength) is float and 0.0 <= strength < math.inf):
+            CellSpec(strength, points[0][1])  # every b has passed, so only V can fail
     rows: list[SweepRow] = []
     for strength in config.potentials:
         shared = _make_shared(particle, strength, tau_free)
-        if points and not (type(strength) is float and 0.0 <= strength < math.inf):
-            CellSpec(strength, points[0][1])
-        for width in suspects:  # V has passed, so the first b CellSpec rejects fails
-            CellSpec(strength, width)
-        suspects = []
-        for n_cells, width in points:
-            rows.append(_row(particle, shared, strength, width, n_cells))
+        rows += [_row(particle, shared, strength, width, n_cells) for n_cells, width in points]
     return rows
 
 
@@ -349,24 +354,17 @@ def _limit_check(name: str, residual: float, tolerance: float, detail: str) -> L
 
 
 def draw_regular_point(rng: random.Random) -> tuple[Particle, CellSpec, int]:
-    """Draw a random (particle, cell, N <= 20) away from singular sets.
-
-    Rejects points whose direct 2N-barrier product would overflow
-    (beta*N > 200) and points within 1e-6 of a band edge, where the
-    analytic and finite-difference times cannot be compared.
+    """Draw a random (particle, cell, N <= 20) whose direct 2N-barrier
+    product stays in double range, redrawing where beta*N > 200.  Points
+    near a band edge are kept: the analytic time is exact there too.
     """
     while True:
         particle = Particle(rng.uniform(0.1, 50.0))
         cell = CellSpec(rng.uniform(0.0, 100.0), rng.uniform(1e-3, 3.0))
         n_cells = rng.randint(1, 20)
-        geo = _geometry(particle, cell.strength)
-        scaled = _scaled(geo, cell.width)
-        if scaled[1] * n_cells > 200.0:
-            continue
-        xi = _cell_scalars(geo, scaled).xi
-        if abs((xi - 1.0) * (xi + 1.0)) < 1e-6:
-            continue
-        return particle, cell, n_cells
+        beta = _scaled(_geometry(particle, cell.strength), cell.width)[1]
+        if beta * n_cells <= 200.0:
+            return particle, cell, n_cells
 
 
 def oracle_triangle_residuals(

@@ -1,5 +1,6 @@
-"""Byte-for-byte guard on the command outputs: the defaults, plus one sweep
-that reaches the underflow and hartman-limit rows the defaults never do.
+"""Byte-for-byte guard on the command outputs: the defaults, plus two sweeps
+that reach rows the defaults never do (underflowed |t|, hartman-limit
+handoff, and a free time L/2k that underflows to 0).
 
 The files under ``tests/golden/`` are the stdout of each command below,
 and ``workloads.sha256`` holds the SHA-256 of each file that the seed-1
@@ -39,6 +40,10 @@ COMMANDS = {
     "sweep-b-handoff.csv": [
         "sweep-b", "--energy", "1", "--potential", "20", "--potential", "0",
         "--cells", "3", "--cells", "12", "--grid", "1e-3:300:40:log",
+    ],
+    # L/2k = 1e-300 / 2e150 underflows to 0, so rel_gap is nan.
+    "sweep-n-underflow.csv": [
+        "sweep-n", "--span", "1e-300", "--energy", "1e300", "--potential", "1", "--grid", "1:2:2",
     ],
 }
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pttunnel
 
@@ -72,6 +76,10 @@ def test_grid_rejects_malformed():
         GridSpec.parse("0:2:3:log")
     with pytest.raises(ValueError):
         GridSpec(1.0, 2.0, 0)
+    # stop/start overflows or underflows, so no value between the ends is finite and > 0
+    for start, stop in ((5e-324, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="^log grid requires stop/start in double range$"):
+            GridSpec(start, stop, 2, log=True)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +343,8 @@ def test_sweep_validation_errors():
         run_sweep_n(SweepConfig(potentials=(1.0,), grid=GridSpec(1, 8, 4)))
 
 
-# A sweep checks each V once and each b once, yet raises the ValueError the
-# per-row CellSpec of the earlier loop raised, for the same first (V, b) pair.
+# A sweep checks each V once and each b once, before its first row, yet
+# raises the ValueError a per-row CellSpec raises for the same first (V, b) pair.
 _CELL_ERRORS = {
     "negative-V-and-zero-b": (
         run_sweep_b, SweepConfig(potentials=(-1.0,), cells=(2,), grid=GridSpec(0.0, 1.0, 3)),
@@ -366,15 +374,34 @@ _CELL_ERRORS = {
         run_sweep_b, SweepConfig(potentials=(False,), cells=(1,), grid=GridSpec(0.1, 1.0, 3)),
         "strength and width must be numbers, got CellSpec(strength=False, width=0.1)",
     ),
+    "true-V": (
+        run_sweep_b, SweepConfig(potentials=(True,), cells=(1,), grid=GridSpec(0.1, 1.0, 3)),
+        "strength and width must be numbers, got CellSpec(strength=True, width=0.1)",
+    ),
+    "infinite-V": (
+        run_sweep_b, SweepConfig(potentials=(math.inf,), cells=(1,), grid=GridSpec(0.1, 1.0, 3)),
+        "strength must be finite and >= 0, got inf",
+    ),
 }
 
 
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """The number of rows a sweep has evaluated so far, counted on its
+    ``_closed_form`` calls."""
+    calls = []
+    real = sweep_mod._closed_form
+    monkeypatch.setattr(sweep_mod, "_closed_form", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("name", list(_CELL_ERRORS))
-def test_sweep_rejects_a_cell_as_its_per_row_cellspec_did(name):
+def test_sweep_rejects_a_cell_as_its_per_row_cellspec_did(name, closed_form_calls):
     run, config, message = _CELL_ERRORS[name]
     with pytest.raises(ValueError) as raised:
         run(config)
     assert type(raised.value) is ValueError and str(raised.value) == message
+    assert closed_form_calls == []  # no row was evaluated first
     # the same error as the CellSpec of the first rejected pair, in row order
     if run is run_sweep_b:
         widths = sorted(config.grid.values())
@@ -387,11 +414,24 @@ def test_sweep_rejects_a_cell_as_its_per_row_cellspec_did(name):
     assert str(per_row.value) == message
 
 
-def test_sweep_rejects_a_true_potential_as_hartman_coeffs_did():
-    # V = True reached hartman_coeffs before any CellSpec, and still fails there
-    config = SweepConfig(potentials=(True,), cells=(1,), grid=GridSpec(0.1, 1.0, 3))
-    with pytest.raises(ValueError, match=r"^strength must be finite and >= 0, got True$"):
+# A negative N raises after the first V and every b are checked, and before
+# any later V is: the order in which the rows of a sweep meet them.
+_ORDERED_ERRORS = {
+    "negative-N-after-a-row": ((20.0,), (2, -1), 0.1, "n_cells must be >= 0"),
+    "negative-N-before-a-later-V": ((20.0, -3.0), (2, -1), 0.1, "n_cells must be >= 0"),
+    "first-V-before-negative-N": ((-3.0, 20.0), (2, -1), 0.1,
+                                  "strength must be finite and >= 0, got -3.0"),
+    "b-before-negative-N": ((20.0,), (-1,), 0.0, "width must be finite and > 0, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORDERED_ERRORS))
+def test_sweep_raises_its_first_error_before_any_row(name, closed_form_calls):
+    potentials, cells, start, message = _ORDERED_ERRORS[name]
+    config = SweepConfig(potentials=potentials, cells=cells, grid=GridSpec(start, 1.0, 3))
+    with pytest.raises(ValueError) as raised:
         run_sweep_b(config)
+    assert (type(raised.value), str(raised.value), closed_form_calls) == (ValueError, message, [])
 
 
 # ---------------------------------------------------------------------------
@@ -1000,9 +1040,9 @@ def test_cli_config_keys_a_command_does_not_declare_are_ignored(mode, tmp_path, 
 
 
 # Inputs that must end in a typed error, or, where a flag overrides a bad
-# config value, in a row: command, config-file text (written to
-# {tmp}/run.cfg) or None, exit code, stdout and stderr, where {tmp} stands for
-# the test's own folder.
+# config value, in a row, or, for a point without a finite tau, in its row
+# and exit 4: command, config-file text (written to {tmp}/run.cfg) or None,
+# exit code, stdout and stderr, where {tmp} stands for the test's own folder.
 _BAD_INPUTS = {
     "point-no-energy": (
         "point --potential 1 --width 1 --cells 1", None,
@@ -1108,6 +1148,11 @@ _BAD_INPUTS = {
         2, "",
         "error: InvalidInput: log grid requires positive endpoints\n",
     ),
+    "grid-log-ratio-out-of-range": (
+        "sweep-n --grid 5e-324:1:2:log", None,
+        2, "",
+        "error: InvalidInput: log grid requires stop/start in double range\n",
+    ),
     "grid-zero-count": (
         "sweep-n --grid 1:2:0", None,
         2, "",
@@ -1147,6 +1192,26 @@ _BAD_INPUTS = {
         "                      [--config CONFIG] [--width WIDTH]\n"
         "pttunnel point: error: argument --energy: invalid float value: 'x'\n",
     ),
+    "point-infinite-tau": (
+        "point --energy 1e-6 --potential 1e4 --width 4.935605332928882 --cells 3", None,
+        4,
+        "E = 1e-06  V = 10000  N = 3  b = 4.93561  L = 29.6136\ntau   = inf  [analytic]\n"
+        "|t|   = 0.0\ntheta = -1.6003958166568464\nflags = Overflow\n"
+        "E,V,N,b,L,tau,tau_method,t_abs,theta,flags\n9.9999999999999995e-07,10000,3,"
+        "4.9356053329288816,29.61363199757329,inf,analytic,0,-1.6003958166568464,Overflow\n",
+        "error: Overflow: no finite tunneling time at this point\n",
+    ),
+    "point-nan-tau-on-a-band-edge": (
+        "point --energy 5.5205975777660905e+280 --potential 2.091927076106252e+225"
+        " --width 1.3370782596999076e-140 --cells 3", None,
+        4,
+        "E = 5.5206e+280  V = 2.09193e+225  N = 3  b = 1.33708e-140  L = 8.02247e-140\n"
+        "tau   = nan  [analytic]\n|t|   = 1.0\ntheta = 2.6645352591003757e-15\n"
+        "flags = XiAtUnity;Overflow\nE,V,N,b,L,tau,tau_method,t_abs,theta,flags\n"
+        "5.5205975777660905e+280,2.0919270761062521e+225,3,1.3370782596999076e-140,"
+        "8.0224695581994458e-140,nan,analytic,1,2.6645352591003757e-15,XiAtUnity;Overflow\n",
+        "error: Overflow: no finite tunneling time at this point\n",
+    ),
     "point-no-width": (
         "point --energy 1 --potential 0 --cells 1", None,
         2, "",
@@ -1180,6 +1245,48 @@ def test_cli_bad_input_exit_code_and_messages(name, tmp_path, capsys, monkeypatc
         (tmp_path / "run.cfg").write_text(config)
     assert main([arg.replace("{tmp}", tmp) for arg in command.split()]) == code
     assert capsys.readouterr() == (stdout.replace("{tmp}", tmp), stderr.replace("{tmp}", tmp))
+
+
+# Every double, nan and the infinities among them; half the draws are positive
+# and finite, so that most commands get as far as their rows.
+_DOUBLES = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.floats())
+
+
+@st.composite
+def _commands(draw):
+    """A point, sweep-b or sweep-n command: E, V, b, L and the width grid's
+    ends over every double, N and the repetition grid's ends up to 1e12, and
+    grids of one to three points.  A value goes as --flag=value, so that
+    argparse takes -1e-300 as a value and not as a flag."""
+    mode = draw(st.sampled_from(("point", "sweep-b", "sweep-n")))
+    argv = [mode, f"--energy={draw(_DOUBLES)!r}", f"--potential={draw(_DOUBLES)!r}"]
+    cells = f"--cells={draw(st.integers(-1, 10**12))}"
+    if mode == "point":
+        return argv + [f"--width={draw(_DOUBLES)!r}", cells]
+    ends = _DOUBLES if mode == "sweep-b" else st.floats(-1.0, 1e12)
+    grid = f"--grid={draw(ends)!r}:{draw(ends)!r}:{draw(st.integers(1, 3))}"
+    grid += draw(st.sampled_from(("", ":log")))
+    return argv + [grid, cells if mode == "sweep-b" else f"--span={draw(_DOUBLES)!r}"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_commands())
+# L/2k underflows to 0, which rel_gap divided by
+@example(["sweep-n", "--span=1e-300", "--energy=1e300", "--potential=1", "--grid=1:2:2"])
+# tau = inf, flagged Overflow
+@example(["point", "--energy=1e-6", "--potential=1e4", "--width=4.935605332928882", "--cells=3"])
+def test_cli_ends_every_command_in_a_row_or_a_typed_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 4)
+    if argv[0] == "point" and code != 2:
+        header, line = out.getvalue().splitlines()[-2:]
+        row = dict(zip(header.split(","), line.split(",")))
+        assert (code == 4) == (not math.isfinite(float(row["tau"])))
+        if code == 4:  # the last flag says why
+            flag = row["flags"].split(";")[-1]
+            assert err.getvalue() == f"error: {flag}: no finite tunneling time at this point\n"
 
 
 # Two values for every flag a subcommand may have; --config is checked above.
