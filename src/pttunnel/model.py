@@ -17,6 +17,12 @@ __all__ = [
 ]
 
 
+# _record(cls, values) builds the NamedTuple `cls` from the tuple of all its
+# field values, in order, in C: tuple.__new__ itself, with no Python frame and
+# past cls's own __new__, so only for records that do not validate.
+_record = tuple.__new__
+
+
 class _Validated:
     """Base of the records that validate in ``__new__``; ``_make`` and ``_replace`` go through it."""
 
@@ -130,22 +136,22 @@ def _geometry(particle: Particle, strength: float) -> _Geometry:
     phi = 0.5 * math.atan2(v, k2)
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
-    return _Geometry(
-        k=k,
-        rho=rho,
-        rho3=rho * rho2,
-        sin_phi=sin_phi,
-        cos_phi=cos_phi,
-        sin_2phi=math.sin(2.0 * phi),
-        cos_2phi=math.cos(2.0 * phi),
-        u_plus=k / rho + rho / k,
-        u_minus=k / rho - rho / k,
-        phi_prime=-k * v / rho4,
-        u_plus_prime=v * v / rho5 * (1.0 - rho2_k2),
-        u_minus_prime=v * v / rho5 * (1.0 + rho2_k2),
-        alpha_rate=v * sin_phi + k2 * cos_phi,
-        beta_rate=k2 * sin_phi - v * cos_phi,
-    )
+    return _record(_Geometry, (
+        k,
+        rho,
+        rho * rho2,  # rho3
+        sin_phi,
+        cos_phi,
+        math.sin(2.0 * phi),  # sin_2phi
+        math.cos(2.0 * phi),  # cos_2phi
+        k / rho + rho / k,  # u_plus
+        k / rho - rho / k,  # u_minus
+        -k * v / rho4,  # phi_prime
+        v * v / rho5 * (1.0 - rho2_k2),  # u_plus_prime
+        v * v / rho5 * (1.0 + rho2_k2),  # u_minus_prime
+        v * sin_phi + k2 * cos_phi,  # alpha_rate
+        k2 * sin_phi - v * cos_phi,  # beta_rate
+    ))
 
 
 def _scaled(g: _Geometry, width: float) -> tuple[float, float, float, float]:

@@ -14,19 +14,19 @@ import math
 import os
 import random
 import stat
+import sys
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .chebyshev import cheb_pair
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle, _Geometry, _geometry, _scaled, _Validated
+from .model import CellSpec, Particle, _Geometry, _geometry, _record, _scaled, _Validated
 from .timing import (
     _cell_scalars,
     _closed_form,
     _hartman_coeffs,
     _limit_time,
-    _record,
     _wrap_phase,
     closed_form,
     free_propagation_time,
@@ -73,6 +73,10 @@ FLAG_OVERFLOW = "Overflow"
 _NAN = float("nan")
 _LIMITS_SEED = 20210614
 
+# The largest N a row takes: its float, L = 2*N*b and N^2 exist up to here
+# (inf at worst), where a larger int raises OverflowError.
+_MAX_CELLS = sys.float_info.max
+
 
 class _GridSpecFields(NamedTuple):
     start: float
@@ -95,6 +99,8 @@ class GridSpec(_Validated, _GridSpecFields):
             raise ValueError("log grid requires positive endpoints")
         if log and not 0.0 < stop / start < math.inf:  # the ratio each value is a power of
             raise ValueError("log grid requires stop/start in double range")
+        if not log and not math.isfinite(stop - start):  # the span each step is a part of
+            raise ValueError("linear grid requires stop - start in double range")
         return super().__new__(cls, start, stop, count, log)
 
     @classmethod
@@ -240,8 +246,9 @@ def _row(particle: Particle, shared: _Shared, strength: float, width: float,
         flags.append(FLAG_OVERFLOW)
     # nan where tau_free is nan (no span) or L/2k underflows to 0
     rel_gap = abs(tau - shared.tau_free) / shared.tau_free if shared.tau_free else _NAN
-    return _record(SweepRow, particle.energy, strength, n_cells, width, span, tau, method,
-                   record.t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free, rel_gap)
+    return _record(SweepRow, (particle.energy, strength, n_cells, width, span, tau, method,
+                              record.t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free,
+                              rel_gap))
 
 
 def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list[SweepRow]:
@@ -249,8 +256,9 @@ def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list
     (inner, in order), each V's record built once; a fixed ``span`` gives
     every row its free time tau_free and rel_gap.  Each V, b and N is checked
     once, before any row, for the first error in row order: CellSpec's for
-    the first V or a b, a negative N, then CellSpec's for a later V (a plain
-    float in range skips CellSpec).  No row raises, for N below ~1.3e154."""
+    the first V or a b, an N below 0 or past the largest double, then
+    CellSpec's for a later V (a plain float in range skips CellSpec).  No
+    row raises."""
     particle = Particle(config.energy)
     tau_free = _NAN if span is None else free_propagation_time(particle, span)
     first, *later = config.potentials
@@ -259,8 +267,10 @@ def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list
         widths.insert(0, points[0][1])
     for width in widths:
         CellSpec(first, width)
-    if any(n_cells < 0 for n_cells, _ in points):
-        raise ValueError("n_cells must be >= 0")
+    for n_cells, _ in points:
+        if not 0 <= n_cells <= _MAX_CELLS:
+            raise ValueError("n_cells must be >= 0" if n_cells < 0 else
+                             f"n_cells must be at most {_MAX_CELLS!r}, the largest double")
     for strength in later:
         if not (type(strength) is float and 0.0 <= strength < math.inf):
             CellSpec(strength, points[0][1])  # every b has passed, so only V can fail

@@ -37,7 +37,7 @@ from .errors import (
     PtTunnelError,
     SpectralSingularityError,
 )
-from .model import CellSpec, Particle, _Geometry, _geometry, _scaled
+from .model import CellSpec, Particle, _Geometry, _geometry, _record, _scaled
 
 __all__ = [
     "BETA_MAX",
@@ -68,6 +68,8 @@ BAND_EDGE_TOL = 1e-10
 # ln of the largest representable double, slightly rounded down.
 _LN_MAX = 709.0
 
+_LN2 = math.log(2.0)
+
 _NAN = float("nan")
 
 # Below this angle x, the parts of dq/dxi that vanish as x^3 are summed as
@@ -86,10 +88,10 @@ _A_SERIES, _B_SERIES = zip(
 
 
 def _horner(series: tuple[float, ...], y: float) -> float:
-    total = 0.0
-    for coefficient in series:
-        total = total * y + coefficient
-    return total
+    """The 11-term series at y, highest order first, from c0 itself (y is finite at every caller)."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = series
+    return ((((((((((c0 * y + c1) * y + c2) * y + c3) * y + c4) * y + c5) * y + c6) * y + c7) * y
+              + c8) * y + c9) * y + c10)
 
 
 def _wrap_phase(raw: float) -> float:
@@ -126,12 +128,6 @@ class _CellScalars(NamedTuple):
     chi: float
     xi_prime: float
     chi_prime: float
-
-
-def _record(cls: type, *values) -> tuple:
-    """``cls(*values)`` for an unvalidated NamedTuple ``cls`` given every field
-    in order, built in C by tuple.__new__ past its Python-level ``__new__``."""
-    return tuple.__new__(cls, values)
 
 
 def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> _CellScalars:
@@ -171,8 +167,8 @@ def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> 
         + 0.5 * geo.u_plus_prime * cos_phi * sin_2a
         + 0.5 * geo.u_minus_prime * sin_phi * sinh_2b
     )
-    return _record(_CellScalars, 0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1,
-                   chi, xi_prime, chi_prime)
+    return _record(_CellScalars, (0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1,
+                                  chi, xi_prime, chi_prime))
 
 
 def _growth_scale(scalars: _CellScalars) -> float:
@@ -257,7 +253,8 @@ def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedFor
     scaled = _scaled(geo, width)
     alpha, beta = scaled[0], scaled[1]
     k = geo.k
-    length = 2.0 * n_cells * width
+    n = float(n_cells)  # the same bits below 2**53, and N^2 past 1.3e154 is inf, not an OverflowError
+    length = 2.0 * n * width
     if beta > BETA_MAX:
         return _unevaluated(f"growth exponent beta = {beta:.3f} exceeds {BETA_MAX:.0f}; exp(2*beta) "
                             "leaves double range -- use the thick-barrier limit", "handoff")
@@ -267,16 +264,16 @@ def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedFor
         return _unevaluated(f"lattice phase k*L = {k:.3e}*{length:.3e} leaves double range")
     scalars = _cell_scalars(geo, scaled)
     quad = scalars.xi_minus_1 * scalars.xi_plus_1  # inf far outside the band is fine
-    band_edge = n_cells * n_cells * abs(quad) < BAND_EDGE_TOL
+    band_edge = n * n * abs(quad) < BAND_EDGE_TOL
     # xi + 1 >= 2 cos^2(alpha) >= 0 for every cell (0 < cos 2phi <= 1), so
     # outside the band xi > 1 and T_N > 0.  The side is read off xi - 1, whose
     # sign quad shares: just outside the band xi itself can round to 1.0.
     if scalars.xi_minus_1 > 0.0:
-        return _out_of_band(scalars, n_cells, k, length, band_edge, beta)
-    return _in_band(scalars, quad, n_cells, k, length, band_edge)
+        return _out_of_band(scalars, n, k, length, band_edge, beta)
+    return _in_band(scalars, quad, n, k, length, band_edge)
 
 
-def _in_band(scalars: _CellScalars, quad: float, n: int, k: float, length: float,
+def _in_band(scalars: _CellScalars, quad: float, n: float, k: float, length: float,
              band_edge: bool) -> ClosedForm:
     """The record of a cell with |xi| <= 1, from its band angle psi."""
     xi, chi = scalars.xi, scalars.chi
@@ -296,7 +293,10 @@ def _in_band(scalars: _CellScalars, quad: float, n: int, k: float, length: float
     a_part = _horner(_A_SERIES, -y) if psi1 < _SERIES_X else (sinc1 - math.cos(psi1)) / y
     b_part = n * n * _horner(_B_SERIES, -x * x) if x < _SERIES_X else (x - sin_x * cos_x) / (x * y)
     dq_dxi = -n * (a_part + abs(xi) * b_part) / (sinc1**3 * cos_x * cos_x)
-    tau = (q * scalars.chi_prime + chi * scalars.xi_prime * dq_dxi) / (2.0 * k * (1.0 + (q * chi) ** 2))
+    try:
+        tau = (q * scalars.chi_prime + chi * scalars.xi_prime * dq_dxi) / (2.0 * k * (1.0 + (q * chi) ** 2))
+    except OverflowError:  # q ~ N/psi in a thin cell: (q*chi)^2 leaves double range for a huge N
+        tau = _NAN
     if sine == 0.0:  # exactly on a band edge, where U_{N-1} = q T_N
         g = complex(cos_n, -chi * q * cos_n)
     else:
@@ -304,12 +304,12 @@ def _in_band(scalars: _CellScalars, quad: float, n: int, k: float, length: float
     mag = abs(g)
     if mag < G_SINGULARITY_ABS_TOL:
         error = SpectralSingularityError(mag)
-        return _record(ClosedForm, tau, _NAN, None, error, xi, band_edge, "singular")
+        return _record(ClosedForm, (tau, _NAN, None, error, xi, band_edge, "singular"))
     t = cmath.exp(-1j * k * length) / g
-    return _record(ClosedForm, tau, cmath.phase(t), t, None, xi, band_edge, "in-band")
+    return _record(ClosedForm, (tau, cmath.phase(t), t, None, xi, band_edge, "in-band"))
 
 
-def _out_of_band(scalars: _CellScalars, n: int, k: float, length: float, band_edge: bool,
+def _out_of_band(scalars: _CellScalars, n: float, k: float, length: float, band_edge: bool,
                  beta: float) -> ClosedForm:
     """The record of a cell with xi > 1, from its growth rate nu = acosh(xi)."""
     scale = _growth_scale(scalars)
@@ -329,14 +329,14 @@ def _out_of_band(scalars: _CellScalars, n: int, k: float, length: float, band_ed
     tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
     q_chi = chi * (tt / scale)
     # t = exp(-ln|G| - i(k*L + arg G)), G = T_N (1 - i q chi) and T_N = cosh(N nu)
-    ln_g = nu - math.log(2.0) + math.log1p(decay) + 0.5 * math.log1p(q_chi**2)
+    ln_g = nu - _LN2 + math.log1p(decay) + 0.5 * math.log1p(q_chi**2)
     phase = -k * length - math.atan2(-q_chi, 1.0)
     if ln_g > _LN_MAX:  # the phase stays well defined through the bounded ratio q*chi
         error = OverflowGuardError(
             f"|G| ~ exp({ln_g:.1f}) exceeds double range; transmission magnitude underflows")
-        return _record(ClosedForm, tau, _wrap_phase(phase), None, error, xi, band_edge, "underflow")
+        return _record(ClosedForm, (tau, _wrap_phase(phase), None, error, xi, band_edge, "underflow"))
     t = cmath.rect(math.exp(-ln_g), phase)
-    return _record(ClosedForm, tau, cmath.phase(t), t, None, xi, band_edge, "out-of-band")
+    return _record(ClosedForm, (tau, cmath.phase(t), t, None, xi, band_edge, "out-of-band"))
 
 
 def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> complex:

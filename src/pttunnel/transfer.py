@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle
+from .model import CellSpec, Particle, _record
 
 __all__ = [
     "TransferMatrix",
@@ -50,28 +50,32 @@ class TransferMatrix(NamedTuple):
 IDENTITY = TransferMatrix(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
-def _barrier_elements(particle: Particle, potential: complex, width: float, reach: float) -> tuple:
-    """(-i*k*b, m11, m22, s, -0.5*s) of one barrier of complex height
-    `potential` and width `width`, placed at offsets j with 1 + 2j <= `reach`.
+def _barrier_elements(
+    energy: float, k: float, diag: complex, potential: complex, width: float, reach: float
+) -> tuple:
+    """(m11, m22, s, -0.5*s) of one barrier of complex height `potential` and
+    width `width`, placed at offsets j with 1 + 2j <= `reach`, at energy
+    E = k**2 with diag = exp(-i*k*b).
 
-    m11 = 0.5*exp(-i*k*b)*p+ and m22 = 0.5*exp(i*k*b)*p-, with
+    m11 = 0.5*diag*p+ and m22 = 0.5*p-/diag, with
     p+- = 2 cos(kc*b) +- i(mu + 1/mu) sin(kc*b), s = i(mu - 1/mu) sin(kc*b),
     kc = sqrt(E - potential) and mu = kc/k, so p+*p- + s*s = 4 (det = 1).
     The offset phase off = exp(-i*k*b*(1 + 2j)) at x = j*b gives
     m12 = 0.5*off*s and m21 = -0.5*s/off (off*(0.5*s) rounds otherwise at
     zero or subnormal s).  The caller checks the potential and the width;
-    a phase, k*b*reach or Re(kc)*b, past double range is an OverflowGuardError.
+    a phase, k*b*reach or Re(kc)*b, past double range is an OverflowGuardError,
+    raised before `diag` is read (it is nan where k*b is inf).
     """
-    kc = cmath.sqrt(particle.energy - potential)
+    kc = cmath.sqrt(energy - potential)
     if kc == 0:
         raise ValueError("potential equals the energy; internal wave number vanishes")
-    kb = particle.k * width
+    kb = k * width
     if not math.isfinite(max(kb * reach, abs(kc.real) * width)):
         raise OverflowGuardError(
-            f"barrier phase k*b*(1 + 2j) = {particle.k:.3e}*{width:.3e}*{reach:.0f} "
+            f"barrier phase k*b*(1 + 2j) = {k:.3e}*{width:.3e}*{reach:.0f} "
             f"or Re(kc)*b = {kc.real:.3e}*{width:.3e} leaves double range"
         )
-    mu = kc / particle.k
+    mu = kc / k
     try:
         cos_cb = cmath.cos(kc * width)
         sin_cb = cmath.sin(kc * width)
@@ -79,7 +83,6 @@ def _barrier_elements(particle: Particle, potential: complex, width: float, reac
         cos_cb = sin_cb = cmath.inf
     even = (mu + 1.0 / mu) * sin_cb
     s = 1j * ((mu - 1.0 / mu) * sin_cb)
-    diag = cmath.exp(-1j * kb)
     p_plus, p_minus = 2.0 * cos_cb + 1j * even, 2.0 * cos_cb - 1j * even
     m11, m22 = 0.5 * diag * p_plus, 0.5 * p_minus / diag
     # Just below |Im(kc)|*b ~ 710, where cos and sin overflow, the couplings
@@ -88,7 +91,7 @@ def _barrier_elements(particle: Particle, potential: complex, width: float, reac
         raise OverflowGuardError(
             f"barrier growth |Im(kc)|*b = {abs((kc * width).imag):.3e} leaves double range"
         )
-    return -1j * kb, m11, m22, s, -0.5 * s
+    return m11, m22, s, -0.5 * s
 
 
 def _reach(offset_index: int) -> float:
@@ -118,7 +121,9 @@ def barrier_matrix(
     if not (cmath.isfinite(width) and width > 0.0):
         raise ValueError(f"width must be finite and > 0, got {width!r}")
     reach = _reach(offset_index)
-    ikb, m11, m22, s, neg_half_s = _barrier_elements(particle, potential, width, reach)
+    k = particle.k
+    ikb = -1j * (k * width)
+    m11, m22, s, neg_half_s = _barrier_elements(particle.energy, k, cmath.exp(ikb), potential, width, reach)
     off = cmath.exp(ikb * reach)
     return TransferMatrix(m11, 0.5 * off * s, neg_half_s / off, m22)
 
@@ -152,8 +157,11 @@ def lattice_matrix_direct(
     if n_cells == 0:
         return IDENTITY
     reach = _reach(2 * n_cells - 1)  # the loss barrier of the last cell sits at offset 2N - 1
-    ikb, g11, g22, g_s, g_neg_half_s = _barrier_elements(particle, 1j * cell.strength, cell.width, reach)
-    _, l11, l22, l_s, l_neg_half_s = _barrier_elements(particle, -1j * cell.strength, cell.width, reach)
+    energy, k, strength, width = particle.energy, particle.k, cell.strength, cell.width
+    ikb = -1j * (k * width)
+    diag = cmath.exp(ikb)
+    g11, g22, g_s, g_neg_half_s = _barrier_elements(energy, k, diag, 1j * strength, width, reach)
+    l11, l22, l_s, l_neg_half_s = _barrier_elements(energy, k, diag, -1j * strength, width, reach)
     lg11, lg22 = l11 * g11, l22 * g22  # the same first/second product of c11/c22 in every cell
     # K: the larger row sum of |loss @ gain| with |off| = 1, plus a 1e-12
     # margin for the few ulp of rounding per cell.  An inf or nan K (abs of
@@ -166,9 +174,14 @@ def lattice_matrix_direct(
         norm = cmath.inf
     bound = 1.0
     a11, a12, a21, a22 = IDENTITY.m11, IDENTITY.m12, IDENTITY.m21, IDENTITY.m22
+    exp = cmath.exp
+    # the offset factors 1 + 2j of cell m, 4m + 1 (gain) and 4m + 3 (loss),
+    # counted in a float: exact while 4m + 3 < 2**53, far past any N the loop reaches
+    r = 1.0
     for m in range(n_cells):
-        off_gain = cmath.exp(ikb * (1.0 + 2.0 * (2 * m)))
-        off_loss = cmath.exp(ikb * (1.0 + 2.0 * (2 * m + 1)))
+        off_gain = exp(ikb * r)
+        off_loss = exp(ikb * (r + 2.0))
+        r += 4.0
         g12, g21 = 0.5 * off_gain * g_s, g_neg_half_s / off_gain
         l12, l21 = 0.5 * off_loss * l_s, l_neg_half_s / off_loss
         c11, c12 = lg11 + l12 * g21, l11 * g12 + l12 * g22
@@ -184,7 +197,7 @@ def lattice_matrix_direct(
                     f"direct lattice product exceeds {ELEMENT_GUARD:.0e} "
                     f"after {m + 1} of {n_cells} cells (peak {peak:.3e})"
                 )
-    return TransferMatrix(a11, a12, a21, a22)
+    return _record(TransferMatrix, (a11, a12, a21, a22))
 
 
 def transmission_from_matrix(matrix: TransferMatrix) -> complex:

@@ -80,6 +80,10 @@ def test_grid_rejects_malformed():
     for start, stop in ((5e-324, 1.0), (1e300, 1e-300)):
         with pytest.raises(ValueError, match="^log grid requires stop/start in double range$"):
             GridSpec(start, stop, 2, log=True)
+    # stop - start overflows, so the step is inf and the values nan or inf
+    for text in ("-1e308:1e308:3", "1e308:-1e308:3"):
+        with pytest.raises(ValueError, match="^linear grid requires stop - start in double range$"):
+            GridSpec.parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,6 +1231,21 @@ _BAD_INPUTS = {
         2, "",
         "error: InvalidEnergy: energy must be positive, got 0.0\n",
     ),
+    "sweep-n-linear-grid-overflow": (
+        "sweep-n --grid=-1e308:1e308:3", None,
+        2, "",
+        "error: InvalidInput: linear grid requires stop - start in double range\n",
+    ),
+    "sweep-b-linear-grid-overflow": (
+        "sweep-b --grid=1e308:-1e308:3", None,
+        2, "",
+        "error: InvalidInput: linear grid requires stop - start in double range\n",
+    ),
+    "cells-past-the-largest-double": (
+        f"point --energy 1 --potential 1 --width 1 --cells {2**1024}", None,
+        2, "",
+        "error: InvalidInput: n_cells must be at most 1.7976931348623157e+308, the largest double\n",
+    ),
     "sweep-n-cells": (
         "sweep-n --cells 5 --potential 0 --grid 1:8:4", None,
         2, "",
@@ -1254,17 +1273,16 @@ _DOUBLES = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=F
 
 @st.composite
 def _commands(draw):
-    """A point, sweep-b or sweep-n command: E, V, b, L and the width grid's
-    ends over every double, N and the repetition grid's ends up to 1e12, and
+    """A point, sweep-b or sweep-n command: E, V, b, L and both grids' ends
+    over every double, N from -1 to 2**1024 (past the largest double), and
     grids of one to three points.  A value goes as --flag=value, so that
     argparse takes -1e-300 as a value and not as a flag."""
     mode = draw(st.sampled_from(("point", "sweep-b", "sweep-n")))
     argv = [mode, f"--energy={draw(_DOUBLES)!r}", f"--potential={draw(_DOUBLES)!r}"]
-    cells = f"--cells={draw(st.integers(-1, 10**12))}"
+    cells = f"--cells={draw(st.integers(-1, 2**1024))}"
     if mode == "point":
         return argv + [f"--width={draw(_DOUBLES)!r}", cells]
-    ends = _DOUBLES if mode == "sweep-b" else st.floats(-1.0, 1e12)
-    grid = f"--grid={draw(ends)!r}:{draw(ends)!r}:{draw(st.integers(1, 3))}"
+    grid = f"--grid={draw(_DOUBLES)!r}:{draw(_DOUBLES)!r}:{draw(st.integers(1, 3))}"
     grid += draw(st.sampled_from(("", ":log")))
     return argv + [grid, cells if mode == "sweep-b" else f"--span={draw(_DOUBLES)!r}"]
 
@@ -1275,6 +1293,11 @@ def _commands(draw):
 @example(["sweep-n", "--span=1e-300", "--energy=1e300", "--potential=1", "--grid=1:2:2"])
 # tau = inf, flagged Overflow
 @example(["point", "--energy=1e-6", "--potential=1e4", "--width=4.935605332928882", "--cells=3"])
+# N^2 past double range, which escaped as OverflowError from the int N
+@example(["sweep-n", "--grid=1e200:1e200:1", "--span=1"])
+@example(["point", "--energy=1", "--potential=1", "--width=1e-200", f"--cells={10**190}"])
+# q ~ N/psi in a thin cell, so (q*chi)^2 leaves double range
+@example(["point", "--energy=1e-300", "--potential=1", "--width=1e-200", f"--cells={10**221}"])
 def test_cli_ends_every_command_in_a_row_or_a_typed_error(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -408,9 +408,10 @@ def test_record_t_abs_matches_the_row_rule_on_every_path(name):
 
 @pytest.mark.parametrize("name", list(_PATH_POINTS))
 def test_records_built_in_c_equal_keyword_built_ones(name):
-    # the row path builds ClosedForm, _CellScalars and SweepRow by
-    # tuple.__new__ (timing._record), past each NamedTuple's own __new__;
-    # the no-geometry point is one whose (E, V) geometry leaves double range
+    # the row path builds _Geometry, ClosedForm, _CellScalars and SweepRow,
+    # and the direct product its TransferMatrix, by tuple.__new__
+    # (model._record), past each NamedTuple's own __new__; the no-geometry
+    # point is one whose (E, V) geometry leaves double range
     energy, strength, width, n_cells = _PATH_POINTS[name] or (1e-300, 1e10, 1.0, 2)
     particle = Particle(energy)
     geo = None
@@ -420,8 +421,12 @@ def test_records_built_in_c_equal_keyword_built_ones(name):
     record = _closed_form(geo, width, n_cells)
     assert record.path == ("not-evaluated" if geo is None else name)
     records = [record, evaluate_point(particle, CellSpec(strength, width), n_cells)]
+    if geo is not None:
+        records.append(geo)
     if record.path in ("empty", "in-band", "singular", "out-of-band", "underflow"):
         records.append(_cell_scalars(geo, _scaled(geo, width)))
+    with contextlib.suppress(OverflowGuardError):  # no product past the element guard or double range
+        records.append(lattice_matrix_direct(particle, CellSpec(strength, width), n_cells))
     for record in records:
         twin = type(record)(**record._asdict())
         assert record == twin and len(record) == len(record._fields)

@@ -177,6 +177,10 @@ def test_direct_product_is_bitwise_the_composed_product():
         strength = rng.choice((0.0, rng.uniform(0.0, 100.0)))
         width = 10.0 ** rng.uniform(-4.0, math.log10(3.0))
         cases.append((rng.uniform(0.01, 80.0), strength, width, rng.randint(120, 400)))
+    for _ in range(400):  # tiny and subnormal V, where s is too: off*(0.5*s) rounds otherwise
+        strength = rng.choice((5e-324, 1e-320, 3e-310, 2.2e-308, 1e-300))
+        width = 10.0 ** rng.uniform(-4.0, math.log10(3.0))
+        cases.append((rng.uniform(0.01, 80.0), strength, width, rng.randint(0, 120)))
     for energy, strength, width, n_cells in cases:
         p, cell = Particle(energy), CellSpec(strength, width)
         try:
@@ -207,8 +211,9 @@ def test_norm_bound_skips_no_guard_trip():
     assert abs(loss.m11) * abs(gain.m11) >= ELEMENT_GUARD
     assert repr(lattice_matrix_direct(p, cell, 1)) == repr(_product_by_composition(p, cell, 1))
     huge = Particle(0.016190649747622122), CellSpec(12786.80801883119, 8.801798654145626)
+    k, b = huge[0].k, huge[1].width
     with pytest.raises(OverflowError):
-        abs(_barrier_elements(huge[0], 1j * huge[1].strength, huge[1].width, 1.0)[3])
+        abs(_barrier_elements(huge[0].energy, k, cmath.exp(-1j * (k * b)), 1j * huge[1].strength, b, 1.0)[2])
     deep = Particle(18.627368314647295), CellSpec(25.63453797424473, 0.637503654559822)
     trips = []
     for (p, cell), n_cells in (((p, cell), 4), (huge, 4), (deep, 337)):
