@@ -14,7 +14,6 @@ import math
 import os
 import random
 import stat
-import sys
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -24,6 +23,7 @@ from .errors import OverflowGuardError, SpectralSingularityError
 from .model import CellSpec, Particle, _Geometry, _geometry, _record, _scaled, _Validated
 from .timing import (
     _cell_scalars,
+    _check_cells,
     _closed_form,
     _hartman_coeffs,
     _limit_time,
@@ -54,8 +54,6 @@ __all__ = [
     "rows_to_csv",
     "rows_to_json",
     "write_text",
-    "oracle_triangle_residuals",
-    "draw_regular_point",
 ]
 
 SCHEMA_VERSION = "1"
@@ -72,10 +70,6 @@ FLAG_OVERFLOW = "Overflow"
 
 _NAN = float("nan")
 _LIMITS_SEED = 20210614
-
-# The largest N a row takes: its float, L = 2*N*b and N^2 exist up to here
-# (inf at worst), where a larger int raises OverflowError.
-_MAX_CELLS = sys.float_info.max
 
 
 class _GridSpecFields(NamedTuple):
@@ -221,7 +215,8 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
     SpectralSingularity; any other row with an error or without a finite tau
     (every row whose (E, V) geometry leaves double range among them) is
     flagged Overflow.  The row carries tau_inf of its (E, V), nan at V = 0;
-    tau_free and rel_gap are nan.  Raises ValueError for N < 0.
+    tau_free and rel_gap are nan.  Raises ValueError for an N below 0 or past
+    the largest double.
     """
     strength = cell.strength
     return _row(particle, _make_shared(particle, strength), strength, cell.width, n_cells)
@@ -268,9 +263,7 @@ def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list
     for width in widths:
         CellSpec(first, width)
     for n_cells, _ in points:
-        if not 0 <= n_cells <= _MAX_CELLS:
-            raise ValueError("n_cells must be >= 0" if n_cells < 0 else
-                             f"n_cells must be at most {_MAX_CELLS!r}, the largest double")
+        _check_cells(n_cells)
     for strength in later:
         if not (type(strength) is float and 0.0 <= strength < math.inf):
             CellSpec(strength, points[0][1])  # every b has passed, so only V can fail

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import (
@@ -231,10 +232,23 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     outside, t = exp(-ln|G| - i(k*L + arg G)) with ln|G| = ln cosh(N nu) +
     ln|1 - i q chi| and arg G = -arctan(q chi), from the same nu, so no
     component of G has to fit in a double.  The record's ``path`` names the
-    branch.  Raises ValueError for N < 0 and OverflowGuardError where the
-    cell geometry itself leaves double range (see :func:`model._geometry`).
+    branch.  Raises ValueError for an N below 0 or past the largest double,
+    and OverflowGuardError where the cell geometry itself leaves double range
+    (see :func:`model._geometry`).
     """
     return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
+
+
+# The largest N the closed forms take: its float, L = 2*N*b and N^2 exist up
+# to here (inf at worst), where a larger int raises OverflowError.
+_MAX_CELLS = sys.float_info.max
+
+
+def _check_cells(n_cells: int) -> None:
+    """Raise ValueError for an N below 0 or past the largest double."""
+    if not 0 <= n_cells <= _MAX_CELLS:
+        raise ValueError("n_cells must be >= 0" if n_cells < 0 else
+                         f"n_cells must be at most {_MAX_CELLS!r}, the largest double")
 
 
 def _unevaluated(message: str, path: str = "not-evaluated") -> ClosedForm:
@@ -244,8 +258,7 @@ def _unevaluated(message: str, path: str = "not-evaluated") -> ClosedForm:
 def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedForm:
     """:func:`closed_form` on a (k, V) geometry that many widths share, or on
     None where that geometry leaves double range."""
-    if n_cells < 0:
-        raise ValueError("n_cells must be >= 0")
+    _check_cells(n_cells)
     if geo is None:
         return _unevaluated("cell geometry leaves double range")
     if n_cells == 0:
@@ -384,17 +397,23 @@ def tunneling_time_fd(
     The phase is that of :func:`transmission_closed`, so this shares G with
     the closed form and checks only the analytic k-derivative behind tau
     (dq/dxi, xi', chi'); :func:`transfer.lattice_matrix_direct` is the
-    independent check of t itself.
+    independent check of t itself.  Raises ValueError for an N below 0 or
+    past the largest double, and OverflowGuardError where the upper stencil
+    energy leaves double range.
     """
     if not (1e-9 <= rel_step <= 1e-3):
         raise ValueError("rel_step must lie in [1e-9, 1e-3]")
-    if n_cells < 0:
-        raise ValueError("n_cells must be >= 0")
+    _check_cells(n_cells)
     if n_cells == 0:
         return 0.0
     k = particle.k
     dk = rel_step * k
-    t_hi = transmission_closed(Particle((k + dk) ** 2), cell, n_cells)
+    try:  # a float ** raises where the upper stencil energy leaves double range
+        e_hi = (k + dk) ** 2
+    except OverflowError:
+        raise OverflowGuardError(
+            f"FD stencil energy (k + dk)^2 = {k + dk!r}^2 leaves double range") from None
+    t_hi = transmission_closed(Particle(e_hi), cell, n_cells)
     t_lo = transmission_closed(Particle((k - dk) ** 2), cell, n_cells)
     dtheta = math.remainder(cmath.phase(t_hi) - cmath.phase(t_lo), math.tau)
     length = 2.0 * n_cells * cell.width

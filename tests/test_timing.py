@@ -433,6 +433,9 @@ def test_records_built_in_c_equal_keyword_built_ones(name):
         assert repr(record) == repr(twin)
 
 
+_HUGE_N = "n_cells must be at most 1.7976931348623157e+308, the largest double"
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -462,12 +465,29 @@ def test_records_built_in_c_equal_keyword_built_ones(name):
          ValueError, "offset_index must be an integer >= 0, got 1.5"),
         (lambda: barrier_matrix(Particle(1.0), 1j, 1.0, -1),
          ValueError, "offset_index must be an integer >= 0, got -1"),
+        # an N past the largest double has no float, L or N^2
+        (lambda: closed_form(Particle(1.0), CellSpec(1.0, 1.0), 10**400),
+         ValueError, _HUGE_N),
+        (lambda: transmission_closed(Particle(1.0), CellSpec(1.0, 1.0), 10**400),
+         ValueError, _HUGE_N),
+        (lambda: tunneling_time(Particle(1.0), CellSpec(1.0, 1.0), 10**400),
+         ValueError, _HUGE_N),
+        (lambda: tunneling_time_fd(Particle(1.0), CellSpec(1.0, 1.0), 10**400),
+         ValueError, _HUGE_N),
+        (lambda: evaluate_point(Particle(1.0), CellSpec(1.0, 1.0), 10**400),
+         ValueError, _HUGE_N),
+        # (k + dk)^2 leaves double range within 2e-6 of the largest double
+        (lambda: tunneling_time_fd(Particle(1.7976931348623e308), CellSpec(1.0, 1e-160), 1),
+         OverflowGuardError,
+         "FD stencil energy (k + dk)^2 = 1.3407821337750466e+154^2 leaves double range"),
     ],
     ids=["closed-form-n", "direct-product-n", "fd-time-n",
          "bracket-span-0", "bracket-span-inf", "square-barrier-span",
          "barrier-width-nan", "barrier-width-inf", "barrier-width-0",
          "barrier-potential-nan", "barrier-potential-inf",
-         "barrier-offset-fraction", "barrier-offset-negative"],
+         "barrier-offset-fraction", "barrier-offset-negative",
+         "closed-form-huge-n", "transmission-huge-n", "time-huge-n", "fd-time-huge-n",
+         "evaluate-point-huge-n", "fd-stencil-overflow"],
 )
 def test_public_input_checks(call, error, message):
     with pytest.raises(error) as raised:
