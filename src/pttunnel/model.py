@@ -7,6 +7,7 @@ k = sqrt(E) and a free particle crosses a length L in time L/(2k).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import InvalidEnergyError, OverflowGuardError
@@ -76,14 +77,46 @@ class CellSpec(_Validated, _CellSpecFields):
     __slots__ = ()
 
     def __new__(cls, strength: float, width: float) -> CellSpec:
-        self = super().__new__(cls, strength, width)
-        if isinstance(strength, bool) or isinstance(width, bool):
-            raise ValueError(f"strength and width must be numbers, got {self!r}")
-        if not (math.isfinite(strength) and strength >= 0.0):
-            raise ValueError(f"strength must be finite and >= 0, got {strength!r}")
-        if not (math.isfinite(width) and width > 0.0):
-            raise ValueError(f"width must be finite and > 0, got {width!r}")
-        return self
+        _check_cell_spec(strength, width)
+        return super().__new__(cls, strength, width)
+
+
+# The input rules of a cell, each stated once: CellSpec, the sweeps and every
+# entry point that takes V, b or N alone raise these ValueErrors.  A cell of
+# (V, b) raises for a bool in either first, then for V, then for b; V must be
+# a finite number >= 0 and b a finite number > 0, neither a bool.  The checks
+# of V and of N return the value they pass.
+
+
+def _check_cell_spec(strength: float, width: float) -> None:
+    if isinstance(strength, bool) or isinstance(width, bool):
+        raise ValueError(f"strength and width must be numbers, got CellSpec({strength=!r}, {width=!r})")
+    _check_strength(strength)
+    _check_width(width)
+
+
+def _check_strength(strength: float) -> float:
+    if isinstance(strength, bool) or not (math.isfinite(strength) and strength >= 0.0):
+        raise ValueError(f"strength must be finite and >= 0, got {strength!r}")
+    return strength
+
+
+def _check_width(width: float) -> None:
+    if isinstance(width, bool) or not (math.isfinite(width) and width > 0.0):
+        raise ValueError(f"width must be finite and > 0, got {width!r}")
+
+
+# The largest N the closed forms take: its float, L = 2*N*b and N^2 exist up
+# to here (inf at worst), where a larger int raises OverflowError.  An N below
+# 0 or past it raises ValueError.
+_MAX_CELLS = sys.float_info.max
+
+
+def _check_cells(n_cells: int) -> int:
+    if not 0 <= n_cells <= _MAX_CELLS:
+        raise ValueError("n_cells must be >= 0" if n_cells < 0 else
+                         f"n_cells must be at most {_MAX_CELLS!r}, the largest double")
+    return n_cells
 
 
 class _Geometry(NamedTuple):

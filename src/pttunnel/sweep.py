@@ -20,10 +20,10 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .chebyshev import cheb_pair
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle, _Geometry, _geometry, _record, _scaled, _Validated
+from .model import (CellSpec, Particle, _check_cell_spec, _check_cells, _Geometry, _geometry,
+                    _record, _scaled, _Validated)
 from .timing import (
     _cell_scalars,
-    _check_cells,
     _closed_form,
     _hartman_coeffs,
     _limit_time,
@@ -218,6 +218,7 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
     tau_free and rel_gap are nan.  Raises ValueError for an N below 0 or past
     the largest double.
     """
+    _check_cells(n_cells)
     strength = cell.strength
     return _row(particle, _make_shared(particle, strength), strength, cell.width, n_cells)
 
@@ -249,24 +250,19 @@ def _row(particle: Particle, shared: _Shared, strength: float, width: float,
 def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list[SweepRow]:
     """Rows over the config's potentials (outer) and (N, b) ``points``
     (inner, in order), each V's record built once; a fixed ``span`` gives
-    every row its free time tau_free and rel_gap.  Each V, b and N is checked
-    once, before any row, for the first error in row order: CellSpec's for
-    the first V or a b, an N below 0 or past the largest double, then
-    CellSpec's for a later V (a plain float in range skips CellSpec).  No
-    row raises."""
+    every row its free time tau_free and rel_gap.  Before any row, each V, b
+    and N is checked once, for the first error in row order: CellSpec's for
+    the first V with each b, then each N, then CellSpec's for each later V.
+    No row raises."""
     particle = Particle(config.energy)
     tau_free = _NAN if span is None else free_propagation_time(particle, span)
     first, *later = config.potentials
-    widths = [width for _, width in points if not (type(width) is float and 0.0 < width < math.inf)]
-    if not (type(first) is float and 0.0 <= first < math.inf):
-        widths.insert(0, points[0][1])
-    for width in widths:
-        CellSpec(first, width)
+    for _, width in points:
+        _check_cell_spec(first, width)
     for n_cells, _ in points:
         _check_cells(n_cells)
     for strength in later:
-        if not (type(strength) is float and 0.0 <= strength < math.inf):
-            CellSpec(strength, points[0][1])  # every b has passed, so only V can fail
+        _check_cell_spec(strength, points[0][1])  # every b has passed, so only V can fail
     rows: list[SweepRow] = []
     for strength in config.potentials:
         shared = _make_shared(particle, strength, tau_free)

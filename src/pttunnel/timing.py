@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from typing import NamedTuple
 
 from .errors import (
@@ -38,7 +37,8 @@ from .errors import (
     PtTunnelError,
     SpectralSingularityError,
 )
-from .model import CellSpec, Particle, _Geometry, _geometry, _record, _scaled
+from .model import (CellSpec, Particle, _check_cells, _check_strength, _Geometry, _geometry, _record,
+                    _scaled)
 
 __all__ = [
     "BETA_MAX",
@@ -236,19 +236,7 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     and OverflowGuardError where the cell geometry itself leaves double range
     (see :func:`model._geometry`).
     """
-    return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
-
-
-# The largest N the closed forms take: its float, L = 2*N*b and N^2 exist up
-# to here (inf at worst), where a larger int raises OverflowError.
-_MAX_CELLS = sys.float_info.max
-
-
-def _check_cells(n_cells: int) -> None:
-    """Raise ValueError for an N below 0 or past the largest double."""
-    if not 0 <= n_cells <= _MAX_CELLS:
-        raise ValueError("n_cells must be >= 0" if n_cells < 0 else
-                         f"n_cells must be at most {_MAX_CELLS!r}, the largest double")
+    return _closed_form(_geometry(particle, cell.strength), cell.width, _check_cells(n_cells))
 
 
 def _unevaluated(message: str, path: str = "not-evaluated") -> ClosedForm:
@@ -257,8 +245,7 @@ def _unevaluated(message: str, path: str = "not-evaluated") -> ClosedForm:
 
 def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedForm:
     """:func:`closed_form` on a (k, V) geometry that many widths share, or on
-    None where that geometry leaves double range."""
-    _check_cells(n_cells)
+    None where that geometry leaves double range.  Its callers check N."""
     if geo is None:
         return _unevaluated("cell geometry leaves double range")
     if n_cells == 0:
@@ -439,12 +426,13 @@ class HartmanCoeffs(NamedTuple):
 def hartman_coeffs(particle: Particle, strength: float) -> HartmanCoeffs:
     """Thick-cell expansion coefficients for potential strength V > 0.
 
-    Raises OverflowGuardError when rho^3 leaves double range or sin(phi)
-    underflows to 0.
+    Raises DegeneratePotentialError for V <= 0, ValueError for a V CellSpec
+    rejects, and OverflowGuardError when rho^3 leaves double range or
+    sin(phi) underflows to 0.
     """
     if strength <= 0.0:
         raise DegeneratePotentialError("thick-barrier expansion requires strength > 0")
-    return _hartman_coeffs(particle, strength, _geometry(particle, _finite_strength(strength)))
+    return _hartman_coeffs(particle, strength, _geometry(particle, _check_strength(strength)))
 
 
 def _hartman_coeffs(particle: Particle, strength: float, geo: _Geometry) -> HartmanCoeffs:
@@ -488,14 +476,6 @@ def _limit_time(c: HartmanCoeffs, k: float) -> float:
     return tau
 
 
-def _finite_strength(strength: float) -> float:
-    """strength, or the ValueError of CellSpec where it is not a finite
-    number; each (E, V) entry point rejects negatives its own way first."""
-    if isinstance(strength, bool) or not math.isfinite(strength):
-        raise ValueError(f"strength must be finite and >= 0, got {strength!r}")
-    return strength
-
-
 def _power(x: float, exponent: int) -> float:
     """x**exponent, or OverflowGuardError where it leaves double range."""
     try:
@@ -519,13 +499,13 @@ def n_infinity_bracket(particle: Particle, strength: float, span: float) -> floa
     value equals the free-propagation time L/(2k) identically.  Keeping the
     unsimplified form makes the cancellation itself testable.
 
-    Raises OverflowGuardError where a term of the bracket leaves double range.
+    Raises ValueError for a V that CellSpec rejects or a span not finite and
+    > 0, and OverflowGuardError where a term of the bracket leaves double range.
     """
-    if strength < 0.0:
-        raise ValueError("strength must be >= 0")
+    _check_strength(strength)
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and > 0, got {span!r}")
-    geo = _geometry(particle, _finite_strength(strength))
+    geo = _geometry(particle, strength)
     k = particle.k
     rho3 = _power(geo.rho, 3)
     bracket = (
@@ -548,7 +528,8 @@ def square_barrier_time(particle: Particle, barrier_height: float, span: float) 
 
         d(tau)/dL at L = 0  =  (V^2 + k^2 (V - 2E)) / (4 k^3 q^2)
 
-    (5.5 at E = 1, V = 20).
+    (5.5 at E = 1, V = 20).  Raises OverflowGuardError where (kq)^3 leaves
+    double range or underflows to 0.
     """
     energy = particle.energy
     if barrier_height <= energy:
@@ -558,6 +539,9 @@ def square_barrier_time(particle: Particle, barrier_height: float, span: float) 
     k = particle.k
     q = math.sqrt(barrier_height - energy)
     kq = k * q
+    kq3 = _power(kq, 3)
+    if kq3 == 0.0:  # kq itself may not: it is at least sqrt(E*(V - E)) ~ 5e-324
+        raise OverflowGuardError(f"denominator 4*(kq)^3 underflows to 0 at E = {energy!r}, V = {barrier_height!r}")
     x = q * span
     if x > _LN_MAX:  # tanh is 1.0 and sech^2 underflows to 0.0 well before
         th = 1.0
@@ -569,7 +553,7 @@ def square_barrier_time(particle: Particle, barrier_height: float, span: float) 
     two_e_minus_v = 2.0 * energy - barrier_height
     g = two_e_minus_v * th / (2.0 * kq)
     g_prime = (
-        barrier_height * barrier_height * th / (4.0 * kq**3)
+        barrier_height * barrier_height * th / (4.0 * kq3)
         - two_e_minus_v * span * sech2 / (4.0 * k * q * q)
     )
     return g_prime / (1.0 + g * g)

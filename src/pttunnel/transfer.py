@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle, _record
+from .model import CellSpec, Particle, _check_width, _record
 
 __all__ = [
     "TransferMatrix",
@@ -109,17 +109,16 @@ def barrier_matrix(
 
     ``offset_index`` places the barrier at x in [j*b, (j+1)*b]; translation
     only multiplies the off-diagonal elements by exp(-+ 2i*k*b*j).  Raises
-    ValueError unless the potential is finite, the width finite and > 0 and
-    ``offset_index`` an integer >= 0, and OverflowGuardError where the
-    barrier's growth factor exp(|Im(kc)|*b), a phase or 1 + 2j itself
-    leaves double range.
+    ValueError unless the potential is finite, the width one that CellSpec
+    accepts (finite and > 0, not a bool) and ``offset_index`` an integer
+    >= 0, and OverflowGuardError where the barrier's growth factor
+    exp(|Im(kc)|*b), a phase or 1 + 2j itself leaves double range.
     """
     if not (isinstance(offset_index, int) and offset_index >= 0):
         raise ValueError(f"offset_index must be an integer >= 0, got {offset_index!r}")
     if not cmath.isfinite(potential):
         raise ValueError(f"potential must be finite, got {potential!r}")
-    if not (cmath.isfinite(width) and width > 0.0):
-        raise ValueError(f"width must be finite and > 0, got {width!r}")
+    _check_width(width)
     reach = _reach(offset_index)
     k = particle.k
     ikb = -1j * (k * width)

@@ -1,5 +1,6 @@
 """The public records are NamedTuples: immutable, equal by value, and checked
-on every way of building them; importing the CLI loads no ``dataclasses``."""
+on every way of building them; importing the CLI loads no ``dataclasses``.
+Each cell input rule has one text at every entry point that takes the input."""
 
 import copy
 import math
@@ -14,6 +15,7 @@ import pttunnel
 from pttunnel import (
     CellSpec,
     ClosedForm,
+    DegeneratePotentialError,
     GridSpec,
     HartmanCoeffs,
     InvalidEnergyError,
@@ -22,6 +24,11 @@ from pttunnel import (
     SweepConfig,
     SweepRow,
     TransferMatrix,
+    barrier_matrix,
+    hartman_coeffs,
+    n_infinity_bracket,
+    run_point,
+    run_sweep_b,
 )
 from pttunnel.sweep import LimitCheck
 
@@ -104,3 +111,59 @@ def test_validated_record_rejects_bad_input_on_every_path(record, changes, error
         with pytest.raises(error) as raised:
             build()
         assert str(raised.value) == message, path
+
+
+# One rule, one text: every entry point that takes V or b raises the
+# ValueError of the rule in pttunnel.model that owns the input.  The bad
+# value sits in a cell of V = 20.0 and b = 0.25.
+_V_TEXT = "strength must be finite and >= 0, got {!r}"
+_B_TEXT = "width must be finite and > 0, got {!r}"
+_BOOL_TEXT = "strength and width must be numbers, got CellSpec(strength={!r}, width={!r})"
+_BAD_V = (math.nan, math.inf, -1.0, True)
+_BAD_B = (0.0, -1.0, math.nan, math.inf, True)
+
+
+def _sweep_b(strength, width):
+    return run_sweep_b(SweepConfig(potentials=(strength,), cells=(1,), grid=GridSpec(width, width, 1)))
+
+
+def _point(strength, width):
+    return run_point(SweepConfig(potentials=(strength,), cells=(1,), width=width))
+
+
+# entry point -> call at (V, b); the cell entry points take both, and a bool
+# in either gets CellSpec's text that names both
+_CELL_ENTRIES = {
+    "CellSpec": CellSpec,
+    "run_sweep_b": _sweep_b,
+    "run_point": _point,
+}
+_V_ENTRIES = {
+    **_CELL_ENTRIES,
+    "hartman_coeffs": lambda strength, width: hartman_coeffs(Particle(1.0), strength),
+    "n_infinity_bracket": lambda strength, width: n_infinity_bracket(Particle(1.0), strength, 1.0),
+}
+_B_ENTRIES = {
+    **_CELL_ENTRIES,
+    "barrier_matrix": lambda strength, width: barrier_matrix(Particle(1.0), 1j, width),
+}
+# GridSpec rejects a nan or inf endpoint before run_sweep_b sees a width
+_RULE_CASES = [
+    *(("V", entry, value) for entry in _V_ENTRIES for value in _BAD_V),
+    *(("b", entry, value) for entry in _B_ENTRIES for value in _BAD_B
+      if entry != "run_sweep_b" or math.isfinite(value)),
+]
+
+
+@pytest.mark.parametrize("kind, entry, value", _RULE_CASES,
+                         ids=[f"{entry}-{kind}={value!r}" for kind, entry, value in _RULE_CASES])
+def test_each_input_rule_raises_one_text_everywhere(kind, entry, value):
+    strength, width = (value, 0.25) if kind == "V" else (20.0, value)
+    error, message = ValueError, (_V_TEXT if kind == "V" else _B_TEXT).format(value)
+    if isinstance(value, bool) and entry in _CELL_ENTRIES:
+        message = _BOOL_TEXT.format(strength, width)
+    elif entry == "hartman_coeffs" and value < 0.0:  # its own V > 0 rule comes first
+        error, message = DegeneratePotentialError, "thick-barrier expansion requires strength > 0"
+    with pytest.raises(ValueError) as raised:
+        (_V_ENTRIES if kind == "V" else _B_ENTRIES)[entry](strength, width)
+    assert (type(raised.value), str(raised.value)) == (error, message)

@@ -457,6 +457,8 @@ _HUGE_N = "n_cells must be at most 1.7976931348623157e+308, the largest double"
          ValueError, "width must be finite and > 0, got inf"),
         (lambda: barrier_matrix(Particle(1.0), 1j, 0.0),
          ValueError, "width must be finite and > 0, got 0.0"),
+        (lambda: barrier_matrix(Particle(1.0), 1j, True),
+         ValueError, "width must be finite and > 0, got True"),
         (lambda: barrier_matrix(Particle(1.0), complex("nan"), 1.0),
          ValueError, "potential must be finite, got (nan+0j)"),
         (lambda: barrier_matrix(Particle(1.0), 1e400j, 1.0),
@@ -480,14 +482,21 @@ _HUGE_N = "n_cells must be at most 1.7976931348623157e+308, the largest double"
         (lambda: tunneling_time_fd(Particle(1.7976931348623e308), CellSpec(1.0, 1e-160), 1),
          OverflowGuardError,
          "FD stencil energy (k + dk)^2 = 1.3407821337750466e+154^2 leaves double range"),
+        # (kq)^3 underflows to 0, or leaves double range
+        (lambda: square_barrier_time(Particle(5e-324), 1e-300, 5e-324),
+         OverflowGuardError,
+         "denominator 4*(kq)^3 underflows to 0 at E = 5e-324, V = 1e-300"),
+        (lambda: square_barrier_time(Particle(1e-10), 1e300, 5e-324),
+         OverflowGuardError, "1.000e+145**3 leaves double range"),
     ],
     ids=["closed-form-n", "direct-product-n", "fd-time-n",
          "bracket-span-0", "bracket-span-inf", "square-barrier-span",
-         "barrier-width-nan", "barrier-width-inf", "barrier-width-0",
+         "barrier-width-nan", "barrier-width-inf", "barrier-width-0", "barrier-width-bool",
          "barrier-potential-nan", "barrier-potential-inf",
          "barrier-offset-fraction", "barrier-offset-negative",
          "closed-form-huge-n", "transmission-huge-n", "time-huge-n", "fd-time-huge-n",
-         "evaluate-point-huge-n", "fd-stencil-overflow"],
+         "evaluate-point-huge-n", "fd-stencil-overflow",
+         "square-barrier-underflow", "square-barrier-overflow"],
 )
 def test_public_input_checks(call, error, message):
     with pytest.raises(error) as raised:
