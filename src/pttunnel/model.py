@@ -23,6 +23,11 @@ __all__ = [
 # past cls's own __new__, so only for records that do not validate.
 _record = tuple.__new__
 
+# The largest double.  The input rules compare with it rather than convert:
+# nan, the infinities and an int past it then fail the comparison, where
+# math.isfinite would raise OverflowError for the int.
+_LARGEST = sys.float_info.max
+
 
 class _Validated:
     """Base of the records that validate in ``__new__``; ``_make`` and ``_replace`` go through it."""
@@ -48,9 +53,7 @@ class Particle(_Validated, _ParticleFields):
     __slots__ = ()
 
     def __new__(cls, energy: float) -> Particle:
-        if isinstance(energy, bool) or not (
-            isinstance(energy, (int, float)) and math.isfinite(energy)
-        ):
+        if isinstance(energy, bool) or not (isinstance(energy, (int, float)) and -_LARGEST <= energy <= _LARGEST):
             raise InvalidEnergyError(f"energy must be a finite number, got {energy!r}")
         if energy <= 0.0:
             raise InvalidEnergyError(f"energy must be positive, got {energy!r}")
@@ -81,41 +84,34 @@ class CellSpec(_Validated, _CellSpecFields):
         return super().__new__(cls, strength, width)
 
 
-# The input rules of a cell, each stated once: CellSpec, the sweeps and every
-# entry point that takes V, b or N alone raise these ValueErrors.  A cell of
-# (V, b) raises for a bool in either first, then for V, then for b; V must be
-# a finite number >= 0 and b a finite number > 0, neither a bool.  The checks
-# of V and of N return the value they pass.
+# The input rules, each stated once: every entry point that takes E, V, b, N,
+# a span L or a barrier height raises these ValueErrors (E its own
+# InvalidEnergyError, in Particle).  A real input must be a number in
+# [0, _LARGEST], or (0, _LARGEST] where it must be positive, and not a bool;
+# V is >= 0, b and the barrier height > 0, and a span >= 0 except where the
+# entry point needs it > 0.  A cell of (V, b) raises for a bool in either
+# first, then for V, then for b.  N is an int in [0, _LARGEST], where its
+# float, L = 2*N*b and N^2 exist (inf at worst).  _check_real and
+# _check_cells return the value they pass.
+
+
+def _check_real(name: str, value: float, positive: bool = False) -> float:
+    if isinstance(value, bool) or not (0.0 < value <= _LARGEST if positive else 0.0 <= value <= _LARGEST):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return value
 
 
 def _check_cell_spec(strength: float, width: float) -> None:
     if isinstance(strength, bool) or isinstance(width, bool):
         raise ValueError(f"strength and width must be numbers, got CellSpec({strength=!r}, {width=!r})")
-    _check_strength(strength)
-    _check_width(width)
-
-
-def _check_strength(strength: float) -> float:
-    if isinstance(strength, bool) or not (math.isfinite(strength) and strength >= 0.0):
-        raise ValueError(f"strength must be finite and >= 0, got {strength!r}")
-    return strength
-
-
-def _check_width(width: float) -> None:
-    if isinstance(width, bool) or not (math.isfinite(width) and width > 0.0):
-        raise ValueError(f"width must be finite and > 0, got {width!r}")
-
-
-# The largest N the closed forms take: its float, L = 2*N*b and N^2 exist up
-# to here (inf at worst), where a larger int raises OverflowError.  An N below
-# 0 or past it raises ValueError.
-_MAX_CELLS = sys.float_info.max
+    _check_real("strength", strength)
+    _check_real("width", width, positive=True)
 
 
 def _check_cells(n_cells: int) -> int:
-    if not 0 <= n_cells <= _MAX_CELLS:
+    if not 0 <= n_cells <= _LARGEST:
         raise ValueError("n_cells must be >= 0" if n_cells < 0 else
-                         f"n_cells must be at most {_MAX_CELLS!r}, the largest double")
+                         f"n_cells must be at most {_LARGEST!r}, the largest double")
     return n_cells
 
 
@@ -166,6 +162,7 @@ def _geometry(particle: Particle, strength: float) -> _Geometry:
         raise OverflowGuardError(
             f"the cell's k-derivatives leave double range at E = {particle.energy!r}, V = {v!r}"
         )
+    v2 = float(v) * v  # as a double: an int V's exact square may pass the largest double and not convert
     phi = 0.5 * math.atan2(v, k2)
     sin_phi = math.sin(phi)
     cos_phi = math.cos(phi)
@@ -180,8 +177,8 @@ def _geometry(particle: Particle, strength: float) -> _Geometry:
         k / rho + rho / k,  # u_plus
         k / rho - rho / k,  # u_minus
         -k * v / rho4,  # phi_prime
-        v * v / rho5 * (1.0 - rho2_k2),  # u_plus_prime
-        v * v / rho5 * (1.0 + rho2_k2),  # u_minus_prime
+        v2 / rho5 * (1.0 - rho2_k2),  # u_plus_prime
+        v2 / rho5 * (1.0 + rho2_k2),  # u_minus_prime
         v * sin_phi + k2 * cos_phi,  # alpha_rate
         k2 * sin_phi - v * cos_phi,  # beta_rate
     ))

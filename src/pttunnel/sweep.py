@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .chebyshev import cheb_pair
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import (CellSpec, Particle, _check_cell_spec, _check_cells, _Geometry, _geometry,
-                    _record, _scaled, _Validated)
+from .model import (_LARGEST, CellSpec, Particle, _check_cell_spec, _check_cells, _Geometry,
+                    _geometry, _record, _scaled, _Validated)
 from .timing import (
     _cell_scalars,
     _closed_form,
@@ -87,13 +87,13 @@ class GridSpec(_Validated, _GridSpecFields):
     def __new__(cls, start: float, stop: float, count: int, log: bool = False) -> GridSpec:
         if count < 1:
             raise ValueError("grid count must be >= 1")
-        if not (math.isfinite(start) and math.isfinite(stop)):
+        if not (abs(start) <= _LARGEST and abs(stop) <= _LARGEST):
             raise ValueError("grid endpoints must be finite")
         if log and (start <= 0.0 or stop <= 0.0):
             raise ValueError("log grid requires positive endpoints")
         if log and not 0.0 < stop / start < math.inf:  # the ratio each value is a power of
             raise ValueError("log grid requires stop/start in double range")
-        if not log and not math.isfinite(stop - start):  # the span each step is a part of
+        if not log and not abs(stop - start) <= _LARGEST:  # the span each step is a part of
             raise ValueError("linear grid requires stop - start in double range")
         return super().__new__(cls, start, stop, count, log)
 
@@ -124,7 +124,9 @@ class GridSpec(_Validated, _GridSpecFields):
         """Grid rounded to unique ascending integers (for repetition counts)."""
         seen: list[int] = []
         for v in sorted(self.values()):
-            n = int(round(v))
+            # every exact grid value lies between the endpoints, so one that
+            # rounding took past the largest double counts as that double
+            n = int(round(min(max(v, 0.0), _LARGEST)))
             if n >= 1 and (not seen or seen[-1] != n):
                 seen.append(n)
         return seen
@@ -249,13 +251,15 @@ def _row(particle: Particle, shared: _Shared, strength: float, width: float,
 
 def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list[SweepRow]:
     """Rows over the config's potentials (outer) and (N, b) ``points``
-    (inner, in order), each V's record built once; a fixed ``span`` gives
-    every row its free time tau_free and rel_gap.  Before any row, each V, b
-    and N is checked once, for the first error in row order: CellSpec's for
-    the first V with each b, then each N, then CellSpec's for each later V.
-    No row raises."""
+    (inner, in order), each V's record built once; a fixed ``span`` makes
+    ``points`` the N of each row, with b = L/(2N), and gives every row its
+    tau_free and rel_gap.  Before any row, E, L, then each V, b and N are
+    checked once, for the first error in row order: CellSpec's for the first
+    V with each b, then each N, then CellSpec's for each later V.  No row raises."""
     particle = Particle(config.energy)
     tau_free = _NAN if span is None else free_propagation_time(particle, span)
+    if span is not None:  # b = L/(2N), formed once the span rule has passed L
+        points = [(n_cells, span / (2.0 * n_cells)) for n_cells in points]
     first, *later = config.potentials
     for _, width in points:
         _check_cell_spec(first, width)
@@ -310,11 +314,10 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
         raise ValueError("sweep-n requires a positive span")
     if not config.potentials:
         raise ValueError("sweep-n requires at least one potential strength")
-    span = config.span
     counts = config.grid.integer_values()
     if not counts:
         raise ValueError("sweep-n grid holds no repetition count N >= 1")
-    return _sweep(config, [(n_cells, span / (2.0 * n_cells)) for n_cells in counts], span)
+    return _sweep(config, counts, config.span)
 
 
 # ---------------------------------------------------------------------------

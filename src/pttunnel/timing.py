@@ -37,7 +37,7 @@ from .errors import (
     PtTunnelError,
     SpectralSingularityError,
 )
-from .model import (CellSpec, Particle, _check_cells, _check_strength, _Geometry, _geometry, _record,
+from .model import (CellSpec, Particle, _check_cells, _check_real, _Geometry, _geometry, _record,
                     _scaled)
 
 __all__ = [
@@ -432,7 +432,7 @@ def hartman_coeffs(particle: Particle, strength: float) -> HartmanCoeffs:
     """
     if strength <= 0.0:
         raise DegeneratePotentialError("thick-barrier expansion requires strength > 0")
-    return _hartman_coeffs(particle, strength, _geometry(particle, _check_strength(strength)))
+    return _hartman_coeffs(particle, strength, _geometry(particle, _check_real("strength", strength)))
 
 
 def _hartman_coeffs(particle: Particle, strength: float, geo: _Geometry) -> HartmanCoeffs:
@@ -485,10 +485,8 @@ def _power(x: float, exponent: int) -> float:
 
 
 def free_propagation_time(particle: Particle, span: float) -> float:
-    """Time L/(2k) for a free particle to traverse a length L."""
-    if not (math.isfinite(span) and span >= 0.0):
-        raise ValueError(f"span must be finite and >= 0, got {span!r}")
-    return span / (2.0 * particle.k)
+    """Time L/(2k) to cross a length L; ValueError for an L that the span rule rejects."""
+    return _check_real("span", span) / (2.0 * particle.k)
 
 
 def n_infinity_bracket(particle: Particle, strength: float, span: float) -> float:
@@ -499,21 +497,24 @@ def n_infinity_bracket(particle: Particle, strength: float, span: float) -> floa
     value equals the free-propagation time L/(2k) identically.  Keeping the
     unsimplified form makes the cancellation itself testable.
 
-    Raises ValueError for a V that CellSpec rejects or a span not finite and
-    > 0, and OverflowGuardError where a term of the bracket leaves double range.
+    Raises ValueError for a V, or an L > 0, that the input rules reject, and
+    OverflowGuardError where the geometry or a term of the bracket leaves
+    double range or the denominator 4*k*rho^3 underflows to 0.
     """
-    _check_strength(strength)
-    if not (math.isfinite(span) and span > 0.0):
-        raise ValueError(f"span must be finite and > 0, got {span!r}")
+    _check_real("strength", strength)
+    _check_real("span", span, positive=True)
     geo = _geometry(particle, strength)
     k = particle.k
     rho3 = _power(geo.rho, 3)
     bracket = (
         rho3
-        + (_power(k, 4) - strength * strength) / (k * k) * geo.rho * geo.cos_2phi
+        + (_power(k, 4) - float(strength) * strength) / (k * k) * geo.rho * geo.cos_2phi
         + 2.0 * strength * geo.rho * geo.sin_2phi
     )
-    value = span / (4.0 * k * rho3) * bracket
+    if (denominator := 4.0 * k * rho3) == 0.0:  # rho^5 > 0 (the geometry's guard) does not keep it from 0
+        raise OverflowGuardError(
+            f"denominator 4*k*rho^3 underflows to 0 at E = {particle.energy!r}, V = {strength!r}")
+    value = span / denominator * bracket
     if not math.isfinite(value):
         raise OverflowGuardError(f"thin-cell bracket {bracket!r} leaves double range")
     return value
@@ -528,14 +529,15 @@ def square_barrier_time(particle: Particle, barrier_height: float, span: float) 
 
         d(tau)/dL at L = 0  =  (V^2 + k^2 (V - 2E)) / (4 k^3 q^2)
 
-    (5.5 at E = 1, V = 20).  Raises OverflowGuardError where (kq)^3 leaves
-    double range or underflows to 0.
+    (5.5 at E = 1, V = 20).  Raises ValueError for V <= E, then for a V > 0
+    or an L >= 0 that the input rules reject, and OverflowGuardError where
+    (kq)^3 or V^2 leaves double range or (kq)^3 underflows to 0.
     """
     energy = particle.energy
     if barrier_height <= energy:
         raise ValueError("square_barrier_time requires barrier_height > energy")
-    if not (math.isfinite(span) and span >= 0.0):
-        raise ValueError(f"span must be finite and >= 0, got {span!r}")
+    _check_real("barrier_height", barrier_height, positive=True)
+    _check_real("span", span)
     k = particle.k
     q = math.sqrt(barrier_height - energy)
     kq = k * q
@@ -550,10 +552,13 @@ def square_barrier_time(particle: Particle, barrier_height: float, span: float) 
         th = math.tanh(x)
         sech = 1.0 / math.cosh(x)
         sech2 = sech * sech
+    # V^2 as a product of doubles: pow() may differ from it in the last bit
+    if (height2 := float(barrier_height) * barrier_height) == math.inf:
+        raise OverflowGuardError(f"{barrier_height:.3e}**2 leaves double range")
     two_e_minus_v = 2.0 * energy - barrier_height
     g = two_e_minus_v * th / (2.0 * kq)
     g_prime = (
-        barrier_height * barrier_height * th / (4.0 * kq3)
+        height2 * th / (4.0 * kq3)
         - two_e_minus_v * span * sech2 / (4.0 * k * q * q)
     )
     return g_prime / (1.0 + g * g)

@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import CellSpec, Particle, _check_width, _record
+from .model import _LARGEST, CellSpec, Particle, _check_real, _record
 
 __all__ = [
     "TransferMatrix",
@@ -96,10 +96,7 @@ def _barrier_elements(
 
 def _reach(offset_index: int) -> float:
     """The offset factor 1 + 2j of offset j; inf where it leaves double range."""
-    try:
-        return 1.0 + 2.0 * offset_index
-    except OverflowError:  # an int past 1e308
-        return math.inf
+    return 1.0 + 2.0 * offset_index if offset_index <= _LARGEST else math.inf
 
 
 def barrier_matrix(
@@ -116,9 +113,9 @@ def barrier_matrix(
     """
     if not (isinstance(offset_index, int) and offset_index >= 0):
         raise ValueError(f"offset_index must be an integer >= 0, got {offset_index!r}")
-    if not cmath.isfinite(potential):
+    if not (abs(potential.real) <= _LARGEST and abs(potential.imag) <= _LARGEST):
         raise ValueError(f"potential must be finite, got {potential!r}")
-    _check_width(width)
+    _check_real("width", width, positive=True)
     reach = _reach(offset_index)
     k = particle.k
     ikb = -1j * (k * width)

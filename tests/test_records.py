@@ -1,6 +1,6 @@
 """The public records are NamedTuples: immutable, equal by value, and checked
 on every way of building them; importing the CLI loads no ``dataclasses``.
-Each cell input rule has one text at every entry point that takes the input."""
+Each real input rule has one text at every entry point that takes the input."""
 
 import copy
 import math
@@ -25,10 +25,13 @@ from pttunnel import (
     SweepRow,
     TransferMatrix,
     barrier_matrix,
+    free_propagation_time,
     hartman_coeffs,
     n_infinity_bracket,
     run_point,
     run_sweep_b,
+    run_sweep_n,
+    square_barrier_time,
 )
 from pttunnel.sweep import LimitCheck
 
@@ -167,3 +170,76 @@ def test_each_input_rule_raises_one_text_everywhere(kind, entry, value):
     with pytest.raises(ValueError) as raised:
         (_V_ENTRIES if kind == "V" else _B_ENTRIES)[entry](strength, width)
     assert (type(raised.value), str(raised.value)) == (error, message)
+
+
+# One rule for every real input: each bad value, at each entry point that
+# takes it, raises the type and text of the rule that owns the input.  The
+# rules compare rather than convert, so an int past the largest double gets
+# the same text as inf, not an OverflowError.
+_BAD_REALS = {"nan": math.nan, "inf": math.inf, "-1.0": -1.0, "True": True, "10**400": 10**400}
+_SPAN_TEXT = "span must be finite and >= 0, got {!r}"
+
+
+def _sweep_n(span):
+    return run_sweep_n(SweepConfig(potentials=(20.0,), span=span, grid=GridSpec(1.0, 4.0, 4)))
+
+
+# (entry point, input) -> (call at the value, the owning rule's type and text)
+_REAL_ENTRIES = {
+    ("Particle", "E"): (Particle, InvalidEnergyError, "energy must be a finite number, got {!r}"),
+    ("CellSpec", "V"): (lambda value: CellSpec(value, 0.25), ValueError, _V_TEXT),
+    ("CellSpec", "b"): (lambda value: CellSpec(20.0, value), ValueError, _B_TEXT),
+    ("hartman_coeffs", "V"): (lambda value: hartman_coeffs(Particle(1.0), value), ValueError, _V_TEXT),
+    ("n_infinity_bracket", "V"): (lambda value: n_infinity_bracket(Particle(1.0), value, 1.0), ValueError,
+                                  _V_TEXT),
+    ("n_infinity_bracket", "L"): (lambda value: n_infinity_bracket(Particle(1.0), 20.0, value), ValueError,
+                                  "span must be finite and > 0, got {!r}"),
+    ("free_propagation_time", "L"): (lambda value: free_propagation_time(Particle(1.0), value), ValueError,
+                                     _SPAN_TEXT),
+    ("square_barrier_time", "V"): (lambda value: square_barrier_time(Particle(0.5), value, 1.0), ValueError,
+                                   "barrier_height must be finite and > 0, got {!r}"),
+    ("square_barrier_time", "L"): (lambda value: square_barrier_time(Particle(1.0), 20.0, value), ValueError,
+                                   _SPAN_TEXT),
+    ("barrier_matrix", "b"): (lambda value: barrier_matrix(Particle(2.0), 1j, value), ValueError, _B_TEXT),
+    ("barrier_matrix", "potential"): (lambda value: barrier_matrix(Particle(2.0), value, 1.0), ValueError,
+                                      "potential must be finite, got {!r}"),
+    ("GridSpec", "start"): (lambda value: GridSpec(value, 5.0, 3), ValueError, "grid endpoints must be finite"),
+    ("run_sweep_b", "V"): (lambda value: _sweep_b(value, 0.25), ValueError, _V_TEXT),
+    ("run_sweep_b", "b"): (lambda value: _sweep_b(20.0, value), ValueError, _B_TEXT),
+    ("run_sweep_n", "L"): (_sweep_n, ValueError, _SPAN_TEXT),
+}
+# (entry point, input, value) -> the type and text of a rule that comes
+# first, or None where the value is a valid input there: a potential and a
+# linear grid's start may be any finite number.
+_FIRST_RULES = {
+    ("Particle", "E", "-1.0"): (InvalidEnergyError, "energy must be positive, got -1.0"),
+    ("CellSpec", "V", "True"): (ValueError, _BOOL_TEXT.format(True, 0.25)),
+    ("CellSpec", "b", "True"): (ValueError, _BOOL_TEXT.format(20.0, True)),
+    ("hartman_coeffs", "V", "-1.0"): (DegeneratePotentialError, "thick-barrier expansion requires strength > 0"),
+    ("square_barrier_time", "V", "-1.0"): (ValueError, "square_barrier_time requires barrier_height > energy"),
+    ("barrier_matrix", "potential", "-1.0"): None,
+    ("barrier_matrix", "potential", "True"): None,
+    ("GridSpec", "start", "-1.0"): None,
+    ("GridSpec", "start", "True"): None,
+    ("run_sweep_b", "V", "True"): (ValueError, _BOOL_TEXT.format(True, 0.25)),
+    ("run_sweep_b", "b", "True"): (ValueError, _BOOL_TEXT.format(20.0, True)),
+    # GridSpec checks the width grid's endpoints before run_sweep_b sees a width
+    **{("run_sweep_b", "b", name): (ValueError, "grid endpoints must be finite")
+       for name in ("nan", "inf", "10**400")},
+    ("run_sweep_n", "L", "-1.0"): (ValueError, "sweep-n requires a positive span"),
+}
+_REAL_CASES = [(*entry, name) for entry in _REAL_ENTRIES for name in _BAD_REALS]
+
+
+@pytest.mark.parametrize("entry, kind, name", _REAL_CASES,
+                         ids=[f"{entry}-{kind}={name}" for entry, kind, name in _REAL_CASES])
+def test_every_real_input_rule_raises_one_text_everywhere(entry, kind, name):
+    call, error, text = _REAL_ENTRIES[entry, kind]
+    value = _BAD_REALS[name]
+    expected = _FIRST_RULES.get((entry, kind, name), (error, text.format(value)))
+    if expected is None:
+        call(value)
+        return
+    with pytest.raises(Exception) as raised:
+        call(value)
+    assert (type(raised.value), str(raised.value)) == expected

@@ -1312,6 +1312,86 @@ def test_cli_ends_every_command_in_a_row_or_a_typed_error(argv):
             assert err.getvalue() == f"error: {flag}: no finite tunneling time at this point\n"
 
 
+# Every real input as a library caller may pass it: every double (nan, the
+# infinities, the subnormals and the largest double among them), the bools,
+# and ints from -1 to 10**400, past the largest double, at every magnitude.
+_REALS = st.one_of(
+    st.floats(),
+    st.sampled_from((5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308)),
+    st.booleans(),
+    st.integers(-1, 10**400),
+    st.integers(0, 400).map(lambda digits: 10**digits),
+)
+_INPUTS = {
+    "real": _REALS,
+    "N": st.integers(-1, 10**400) | st.integers(0, 400).map(lambda digits: 10**digits),
+    "small N": st.integers(-1, 64),  # the direct product takes O(N) time
+    "potential": _REALS | st.complex_numbers(),
+    "count": st.integers(1, 3),
+    "log": st.booleans(),
+}
+
+
+def _sweep_config(energy, strength, start, stop, count, log, **setting):
+    return SweepConfig(energy=energy, potentials=(strength,), grid=GridSpec(start, stop, count, log), **setting)
+
+
+def _at_point(function):
+    return lambda energy, strength, width, n_cells: function(Particle(energy), CellSpec(strength, width), n_cells)
+
+
+# entry point -> (call, the inputs it takes, in order)
+_LIBRARY_CALLS = {
+    "Particle": (Particle, ("real",)),
+    "CellSpec": (CellSpec, ("real", "real")),
+    "hartman_coeffs": (lambda e, v: pttunnel.hartman_coeffs(Particle(e), v), ("real", "real")),
+    "hartman_limit_time": (lambda e, v: hartman_limit_time(Particle(e), v), ("real", "real")),
+    "n_infinity_bracket": (lambda e, v, span: pttunnel.n_infinity_bracket(Particle(e), v, span),
+                           ("real", "real", "real")),
+    "free_propagation_time": (lambda e, span: free_propagation_time(Particle(e), span), ("real", "real")),
+    "square_barrier_time": (lambda e, v, span: pttunnel.square_barrier_time(Particle(e), v, span),
+                            ("real", "real", "real")),
+    "barrier_matrix": (lambda e, potential, b: pttunnel.barrier_matrix(Particle(e), potential, b),
+                       ("real", "potential", "real")),
+    "GridSpec": (GridSpec, ("real", "real", "count", "log")),
+    "run_sweep_b": (lambda e, v, n, *grid: run_sweep_b(_sweep_config(e, v, *grid, cells=(n,))),
+                    ("real", "real", "N", "real", "real", "count", "log")),
+    "run_sweep_n": (lambda e, v, span, *grid: run_sweep_n(_sweep_config(e, v, *grid, span=span)),
+                    ("real", "real", "real", "real", "real", "count", "log")),
+    "closed_form": (_at_point(closed_form), ("real", "real", "real", "N")),
+    "evaluate_point": (_at_point(evaluate_point), ("real", "real", "real", "N")),
+    "transmission_closed": (_at_point(pttunnel.transmission_closed), ("real", "real", "real", "N")),
+    "tunneling_time": (_at_point(tunneling_time), ("real", "real", "real", "N")),
+    "tunneling_time_fd": (_at_point(pttunnel.tunneling_time_fd), ("real", "real", "real", "N")),
+    "lattice_matrix_direct": (_at_point(lattice_matrix_direct), ("real", "real", "real", "small N")),
+}
+
+
+@st.composite
+def _library_calls(draw):
+    name = draw(st.sampled_from(sorted(_LIBRARY_CALLS)))
+    return name, tuple(draw(_INPUTS[kind]) for kind in _LIBRARY_CALLS[name][1])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_library_calls())
+# an int past the largest double, which math.isfinite could not convert
+@example(("CellSpec", (10**400, 1.0)))
+@example(("barrier_matrix", (1.0, 10**400, 1.0)))
+# an int V whose exact square passes the largest double
+@example(("hartman_coeffs", (1.0, 10**200)))
+@example(("square_barrier_time", (1.0, 10**200, 1.0)))
+# 4*k*rho^3 underflows to 0, which the bracket divided by
+@example(("n_infinity_bracket", (1e-300, 1.5536935964664274e-122, 1.0)))
+# the last value of the log grid rounds past the largest double, which no N can be
+@example(("run_sweep_n", (1.0, 1.0, 1.0, 3, 1.7976931348623157e308, 3, True)))
+def test_library_ends_every_call_in_a_value_or_a_typed_error(call):
+    # a bare OverflowError or ZeroDivisionError, or any other exception, fails
+    name, args = call
+    with contextlib.suppress(pttunnel.PtTunnelError, ValueError):
+        _LIBRARY_CALLS[name][0](*args)
+
+
 # Two values for every flag a subcommand may have; --config is checked above.
 _FLAG_VALUES = {
     "--energy": ("1", "2"),

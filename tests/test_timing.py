@@ -488,6 +488,13 @@ _HUGE_N = "n_cells must be at most 1.7976931348623157e+308, the largest double"
          "denominator 4*(kq)^3 underflows to 0 at E = 5e-324, V = 1e-300"),
         (lambda: square_barrier_time(Particle(1e-10), 1e300, 5e-324),
          OverflowGuardError, "1.000e+145**3 leaves double range"),
+        # V^2 leaves double range where (kq)^3 does not
+        (lambda: square_barrier_time(Particle(1.0), 1e200, 1.0),
+         OverflowGuardError, "1.000e+200**2 leaves double range"),
+        # 4*k*rho^3 underflows to 0, though the geometry's rho^5 does not
+        (lambda: n_infinity_bracket(Particle(1e-300), 1.5536935964664274e-122, 1.0),
+         OverflowGuardError,
+         "denominator 4*k*rho^3 underflows to 0 at E = 1e-300, V = 1.5536935964664274e-122"),
     ],
     ids=["closed-form-n", "direct-product-n", "fd-time-n",
          "bracket-span-0", "bracket-span-inf", "square-barrier-span",
@@ -496,7 +503,8 @@ _HUGE_N = "n_cells must be at most 1.7976931348623157e+308, the largest double"
          "barrier-offset-fraction", "barrier-offset-negative",
          "closed-form-huge-n", "transmission-huge-n", "time-huge-n", "fd-time-huge-n",
          "evaluate-point-huge-n", "fd-stencil-overflow",
-         "square-barrier-underflow", "square-barrier-overflow"],
+         "square-barrier-underflow", "square-barrier-overflow", "square-barrier-height-squared",
+         "bracket-denominator-underflow"],
 )
 def test_public_input_checks(call, error, message):
     with pytest.raises(error) as raised:
