@@ -19,10 +19,9 @@ values, and t itself comes from ln|G| and arg G on the growth rate nu that
 the time uses; the exact path refuses beta > BETA_MAX, beyond which the
 thick-barrier limit is the only honest answer.
 
-The finite-difference time (:func:`tunneling_time_fd`) differentiates
-:func:`transmission_closed`, so it shares G with the closed form: it checks
-the derivative algebra of tau, not t.  The independent check of t is the
-direct 2N-barrier product :func:`transfer.lattice_matrix_direct`.
+The independent check of t and tau is :func:`transfer.lattice_oracle`, the
+2N-barrier product with its exact k-derivative.  :func:`tunneling_time_fd`
+differentiates :func:`transmission_closed`, so it shares G with the closed form.
 """
 
 from __future__ import annotations
@@ -254,7 +253,7 @@ def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedFor
     alpha, beta = scaled[0], scaled[1]
     k = geo.k
     n = float(n_cells)  # the same bits below 2**53, and N^2 past 1.3e154 is inf, not an OverflowError
-    length = 2.0 * n * width
+    length = 2.0 * (n * width)  # 2N itself is inf past half the largest double
     if beta > BETA_MAX:
         return _unevaluated(f"growth exponent beta = {beta:.3f} exceeds {BETA_MAX:.0f}; exp(2*beta) "
                             "leaves double range -- use the thick-barrier limit", "handoff")
@@ -382,11 +381,11 @@ def tunneling_time_fd(
         tau = (dtheta/dk + L) / (2k).
 
     The phase is that of :func:`transmission_closed`, so this shares G with
-    the closed form and checks only the analytic k-derivative behind tau
-    (dq/dxi, xi', chi'); :func:`transfer.lattice_matrix_direct` is the
-    independent check of t itself.  Raises ValueError for an N below 0 or
-    past the largest double, and OverflowGuardError where the upper stencil
-    energy leaves double range.
+    the closed form and checks only the analytic k-derivative behind tau;
+    :func:`sweep.run_limits` no longer uses it, as :func:`transfer.lattice_oracle`
+    gives t and tau exactly.  Raises ValueError for an N below 0 or past the
+    largest double, and OverflowGuardError where the upper stencil energy
+    leaves double range.
     """
     if not (1e-9 <= rel_step <= 1e-3):
         raise ValueError("rel_step must lie in [1e-9, 1e-3]")

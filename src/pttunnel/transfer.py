@@ -3,15 +3,16 @@
 The 2x2 matrix maps plane-wave amplitudes on the left of a scatterer to the
 amplitudes on its right and composes by matrix product (later scatterer on
 the left of the product).  Its determinant is exactly 1 for any complex
-potential, which the tests use as a global conservation check.  The direct
-product over all 2N barriers built here is the brute-force oracle for the
-closed-form transmission in :mod:`pttunnel.timing`.
+potential, which the tests use as a global conservation check.  The product
+of the 2N barriers of a lattice, by repeated squaring, and its exact
+k-derivative are the oracle of t and tau in :mod:`pttunnel.timing`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import OverflowGuardError, SpectralSingularityError
@@ -22,12 +23,13 @@ __all__ = [
     "IDENTITY",
     "barrier_matrix",
     "lattice_matrix_direct",
+    "lattice_oracle",
     "transmission_from_matrix",
 ]
 
-# Any matrix element beyond this magnitude aborts the direct product: the
-# result would saturate to inf a few compositions later and silently poison
-# downstream comparisons.
+# A lattice product whose element moduli sum past this aborts: the result
+# would saturate to inf a few products later and silently poison downstream
+# comparisons.
 ELEMENT_GUARD = 1e280
 
 # |m22| below this fraction of max|element| counts as a spectral singularity.
@@ -50,20 +52,16 @@ class TransferMatrix(NamedTuple):
 IDENTITY = TransferMatrix(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
-def _barrier_elements(
-    energy: float, k: float, diag: complex, potential: complex, width: float, reach: float
-) -> tuple:
-    """(m11, m22, s, -0.5*s) of one barrier of complex height `potential` and
-    width `width`, placed at offsets j with 1 + 2j <= `reach`, at energy
-    E = k**2 with diag = exp(-i*k*b).
-
-    m11 = 0.5*diag*p+ and m22 = 0.5*p-/diag, with
+def _barrier_elements(energy: float, k: float, diag: complex, potential: complex, width: float,
+                      reach: float) -> tuple:
+    """(m11, m22, s, -0.5*s) and (kc, mu, cos(kc*b), sin(kc*b)) of one barrier of complex
+    height `potential` and width `width` at E = k**2, diag = exp(-i*k*b) (1.0 for P**-1 @ B0):
+    m11 = 0.5*diag*p+ and m22 = 0.5*p-/diag, where
     p+- = 2 cos(kc*b) +- i(mu + 1/mu) sin(kc*b), s = i(mu - 1/mu) sin(kc*b),
     kc = sqrt(E - potential) and mu = kc/k, so p+*p- + s*s = 4 (det = 1).
-    The offset phase off = exp(-i*k*b*(1 + 2j)) at x = j*b gives
-    m12 = 0.5*off*s and m21 = -0.5*s/off (off*(0.5*s) rounds otherwise at
-    zero or subnormal s).  The caller checks the potential and the width;
-    a phase, k*b*reach or Re(kc)*b, past double range is an OverflowGuardError,
+    At offset j, m12 = 0.5*off*s and m21 = -0.5*s/off, off = exp(-i*k*b*(1 + 2j)).
+    The caller checks the potential and the width; a phase k*b*`reach` (1 + 2j
+    of the last offset) or Re(kc)*b past double range is an OverflowGuardError,
     raised before `diag` is read (it is nan where k*b is inf).
     """
     kc = cmath.sqrt(energy - potential)
@@ -91,7 +89,7 @@ def _barrier_elements(
         raise OverflowGuardError(
             f"barrier growth |Im(kc)|*b = {abs((kc * width).imag):.3e} leaves double range"
         )
-    return m11, m22, s, -0.5 * s
+    return (m11, m22, s, -0.5 * s), (kc, mu, cos_cb, sin_cb)
 
 
 def _reach(offset_index: int) -> float:
@@ -99,9 +97,8 @@ def _reach(offset_index: int) -> float:
     return 1.0 + 2.0 * offset_index if offset_index <= _LARGEST else math.inf
 
 
-def barrier_matrix(
-    particle: Particle, potential: complex, width: float, offset_index: int = 0
-) -> TransferMatrix:
+def barrier_matrix(particle: Particle, potential: complex, width: float,
+                   offset_index: int = 0) -> TransferMatrix:
     """Transfer matrix of a single rectangular barrier.
 
     ``offset_index`` places the barrier at x in [j*b, (j+1)*b]; translation
@@ -119,81 +116,99 @@ def barrier_matrix(
     reach = _reach(offset_index)
     k = particle.k
     ikb = -1j * (k * width)
-    m11, m22, s, neg_half_s = _barrier_elements(particle.energy, k, cmath.exp(ikb), potential, width, reach)
+    m11, m22, s, neg_half_s = _barrier_elements(particle.energy, k, cmath.exp(ikb), potential, width, reach)[0]
     off = cmath.exp(ikb * reach)
     return TransferMatrix(m11, 0.5 * off * s, neg_half_s / off, m22)
 
 
-def lattice_matrix_direct(
-    particle: Particle, cell: CellSpec, n_cells: int
-) -> TransferMatrix:
-    """Brute-force product of all 2*N barrier matrices of the lattice.
+def _phase_free(energy: float, k: float, potential: complex, width: float, reach: float,
+                jet: bool) -> tuple:
+    """P**-1 @ B0 = 0.5 [[p+, s], [-s, p-]] of one barrier, P = diag(exp(-ikb), exp(ikb)), followed
+    where `jet` is set by its k-derivative, from dkc/dk = k/kc and dmu/dk = U/(kc k**2)."""
+    (m11, m22, s, m21), (kc, mu, cos_cb, sin_cb) = _barrier_elements(energy, k, 1.0, potential, width, reach)
+    if not jet:
+        return m11, 0.5 * s, m21, m22
+    dkc, dmu = k / kc, potential / kc / k / k  # kc*k*k may underflow to 0
+    d_cos, d_sin = -width * dkc * sin_cb, width * dkc * cos_cb
+    d_even = dmu * (1.0 - 1.0 / (mu * mu)) * sin_cb + (mu + 1.0 / mu) * d_sin
+    d12 = 0.5j * (dmu * (1.0 + 1.0 / (mu * mu)) * sin_cb + (mu - 1.0 / mu) * d_sin)
+    return m11, 0.5 * s, m21, m22, d_cos + 0.5j * d_even, d12, -d12, d_cos - 0.5j * d_even
 
-    Cell m occupies [2m*b, (2m+2)*b], i.e. barrier offsets 2m and 2m+1, so
-    the lattice starts at x = 0 and spans L = 2*N*b.  Only the offset phases
-    are formed per barrier; each cell multiplies the running product on the
-    left by loss @ gain, the same matrix-product expressions, in the same
-    order, as one barrier_matrix per barrier multiplied in turn.
 
-    The offset phases have modulus 1, so one K bounds the row sums of every
-    cell's |loss @ gain|, and K**m every element of the product after m
-    cells.  The exact peak is checked only from the first cell where K**m
-    could pass ELEMENT_GUARD; before it no element can trip it or overflow.
+def _mul(a: tuple, b: tuple) -> tuple:
+    """a @ b, each matrix as (m11, m12, m21, m22)."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
 
-    Raises
-    ------
-    OverflowGuardError
-        If any element magnitude exceeds ELEMENT_GUARD, or a barrier's growth
-        factor or a phase, up to the last offset's k*b*(4N - 1), leaves double
-        range; in that regime the direct product is no longer a valid oracle
-        and the asymptotic (thick-barrier) path must be used instead.
-    """
+
+def _mul_jet(a: tuple, b: tuple) -> tuple:
+    """(A, A') @ (B, B') = (AB, A'B + AB'), each pair as one 8-tuple."""
+    return (*_mul(a[:4], b[:4]), *map(operator.add, _mul(a[4:], b[:4]), _mul(a[:4], b[4:])))
+
+
+def _power(base: tuple, n_cells: int, mul) -> tuple:
+    """base**N (N >= 1) under `mul` by repeated squaring (Knuth, TAOCP vol. 2, 4.6.3),
+    with the matrix half of the base, each square and the result checked against ELEMENT_GUARD."""
+    result, n = None, n_cells
+    while True:
+        try:  # a sum of moduli, as nan and inf propagate through it and not through max()
+            norm = sum(map(abs, (base if n else result)[:4]))
+        except OverflowError:  # the modulus of an element with finite parts leaves double range
+            norm = math.inf
+        if not norm <= ELEMENT_GUARD:
+            raise OverflowGuardError(f"direct lattice product of {n_cells} cells exceeds "
+                                     f"{ELEMENT_GUARD:.0e} (sum of |elements| {norm:.3e})")
+        if not n:
+            return result
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+
+
+def _lattice(particle: Particle, cell: CellSpec, n_cells: int, jet: bool) -> tuple:
+    """(M, A**N) of the lattice M = P**(2N) @ A**N with A = (P**-1 L0) @ (P**-1 G0), as barrier j
+    is P**j @ B0 @ P**-j; A**N carries its k-derivative as elements 4 to 7 where `jet` is set."""
     if n_cells < 0:
         raise ValueError("n_cells must be >= 0")
-    if n_cells == 0:
-        return IDENTITY
-    reach = _reach(2 * n_cells - 1)  # the loss barrier of the last cell sits at offset 2N - 1
     energy, k, strength, width = particle.energy, particle.k, cell.strength, cell.width
-    ikb = -1j * (k * width)
-    diag = cmath.exp(ikb)
-    g11, g22, g_s, g_neg_half_s = _barrier_elements(energy, k, diag, 1j * strength, width, reach)
-    l11, l22, l_s, l_neg_half_s = _barrier_elements(energy, k, diag, -1j * strength, width, reach)
-    lg11, lg22 = l11 * g11, l22 * g22  # the same first/second product of c11/c22 in every cell
-    # K: the larger row sum of |loss @ gain| with |off| = 1, plus a 1e-12
-    # margin for the few ulp of rounding per cell.  An inf or nan K (abs of
-    # an element past double range) checks every cell.
-    try:
-        g_row1, g_row2, l_half = abs(g11) + abs(g_s) / 2, abs(g_s) / 2 + abs(g22), abs(l_s) / 2
-        norm = max(abs(l11) * g_row1 + l_half * g_row2, l_half * g_row1 + abs(l22) * g_row2)
-        norm *= 1.0 + 1e-12
-    except OverflowError:
-        norm = cmath.inf
-    bound = 1.0
-    a11, a12, a21, a22 = IDENTITY.m11, IDENTITY.m12, IDENTITY.m21, IDENTITY.m22
-    exp = cmath.exp
-    # the offset factors 1 + 2j of cell m, 4m + 1 (gain) and 4m + 3 (loss),
-    # counted in a float: exact while 4m + 3 < 2**53, far past any N the loop reaches
-    r = 1.0
-    for m in range(n_cells):
-        off_gain = exp(ikb * r)
-        off_loss = exp(ikb * (r + 2.0))
-        r += 4.0
-        g12, g21 = 0.5 * off_gain * g_s, g_neg_half_s / off_gain
-        l12, l21 = 0.5 * off_loss * l_s, l_neg_half_s / off_loss
-        c11, c12 = lg11 + l12 * g21, l11 * g12 + l12 * g22
-        c21, c22 = l21 * g11 + l22 * g21, l21 * g12 + lg22
-        # column by column, so that no 4-tuple is built per cell
-        a11, a21 = c11 * a11 + c12 * a21, c21 * a11 + c22 * a21
-        a12, a22 = c11 * a12 + c12 * a22, c21 * a12 + c22 * a22
-        bound *= norm
-        if not bound <= ELEMENT_GUARD:  # inf or nan too
-            peak = max(abs(a11), abs(a12), abs(a21), abs(a22))
-            if not peak <= ELEMENT_GUARD:  # a nan peak trips it too
-                raise OverflowGuardError(
-                    f"direct lattice product exceeds {ELEMENT_GUARD:.0e} "
-                    f"after {m + 1} of {n_cells} cells (peak {peak:.3e})"
-                )
-    return _record(TransferMatrix, (a11, a12, a21, a22))
+    reach = _reach(2 * n_cells - 1)  # the loss barrier of the last cell sits at offset 2N - 1
+    loss, gain = (_phase_free(energy, k, sign * strength, width, reach, jet) for sign in (-1j, 1j))
+    mul = _mul_jet if jet else _mul
+    power = _power(mul(loss, gain), n_cells, mul)
+    phase = cmath.exp(-1j * k * (2.0 * (n_cells * width)))
+    matrix = (phase * power[0], phase * power[1], power[2] / phase, power[3] / phase)
+    return _record(TransferMatrix, matrix), power
+
+
+def lattice_matrix_direct(particle: Particle, cell: CellSpec, n_cells: int) -> TransferMatrix:
+    """Transfer matrix of the N-cell lattice (gain on [2m*b, (2m+1)*b], loss on
+    [(2m+1)*b, (2m+2)*b]) by repeated squaring of the package's own barriers.
+
+    Raises ValueError for N < 0, and OverflowGuardError where a barrier's growth
+    factor or a phase up to k*b*(4N - 1) leaves double range, or the product
+    passes ELEMENT_GUARD (the thick-barrier limit is the answer there).
+    """
+    return _lattice(particle, cell, n_cells, False)[0] if n_cells else IDENTITY
+
+
+def lattice_oracle(particle: Particle, cell: CellSpec, n_cells: int) -> tuple[complex, float]:
+    """(t, tau) of the N-cell lattice, the oracle of :func:`timing.closed_form`:
+    lattice_matrix_direct's product on (M, dM/dk) pairs.  With G = (A**N)_22,
+    t = exp(-ikL)/G and tau = -Im(G'/G)/(2k), with no step size.  Raises where
+    lattice_matrix_direct or transmission_from_matrix does, and OverflowGuardError
+    where dM/dk (unguarded) leaves double range and tau with it.
+    """
+    if n_cells == 0:
+        return 1.0 + 0.0j, 0.0
+    matrix, power = _lattice(particle, cell, n_cells, True)
+    t, tau = transmission_from_matrix(matrix), -(power[7] / power[3]).imag / (2.0 * particle.k)
+    if not math.isfinite(tau):
+        raise OverflowGuardError(f"k-derivative of the {n_cells}-cell lattice leaves double range")
+    return t, tau
 
 
 def transmission_from_matrix(matrix: TransferMatrix) -> complex:

@@ -39,12 +39,12 @@ def test_criterion_1_oracle_triangle():
     rng = random.Random(424242)
     worst_t, worst_tau, used = oracle_triangle_residuals(rng, 500)
     elapsed = time.perf_counter() - started
-    ok = worst_t < 1e-9 and worst_tau < 1e-5 and used >= 500 and elapsed < 10.0
+    ok = worst_t < 1e-9 and worst_tau < 1e-10 and used >= 500 and elapsed < 10.0
     assert _report(
         "criterion 1 (oracle triangle)",
         ok,
         f"{used} points, |t| residual {worst_t:.2e} < 1e-9, "
-        f"tau residual {worst_tau:.2e} < 1e-5, {elapsed:.2f}s < 10s",
+        f"tau residual {worst_tau:.2e} < 1e-10, {elapsed:.2f}s < 10s",
     )
 
 

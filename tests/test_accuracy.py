@@ -19,7 +19,8 @@ from pttunnel import (
 from pttunnel.chebyshev import cheb_pair
 from pttunnel.model import _geometry, _scaled
 from pttunnel.sweep import draw_regular_point
-from pttunnel.timing import _cell_scalars, closed_form
+from pttunnel.timing import _cell_scalars, closed_form, tunneling_time_fd
+from pttunnel.transfer import lattice_oracle
 
 # (E, V, N, j, lo, hi): the width in (lo, hi) puts xi on the j-th root
 # cos((2j + 1) pi / 2N) of T_N, where the arctan parameterization of the
@@ -258,3 +259,25 @@ def test_time_within_conditioning_of_reference(lattice_reference, family, energy
         free = free_propagation_time(Particle(energy), 2 * n * width)
         offset = float(reference) - free
         assert abs(tau - float(reference)) <= max(1e-2 * abs(offset), 64 * sys.float_info.epsilon * free)
+
+
+# (E, V, b, N) for lattice_oracle's exact k-derivative: the point where the
+# finite-difference time misses by 3.7e-5 (a sharp resonance at N = 111,
+# where its 1e-6 k step truncates), and thin cells at E = 1, L = 1.  Measured
+# worst misses: tau 2.6e-13 at the first point and 4 ulp on the thin cells;
+# |t| 1.4e-13 at the first point and 3e-10 at N = 1e6, where the squaring's
+# rounding grows like N eps.
+ORACLE_POINTS = [(45.667742177795965, 5.160145779125491, 2.7966499917121364, 111, 1e-12)] + [
+    (1.0, strength, 1.0 / (2 * n), n, 1e-14) for strength, n in ((5.0, 4096), (0.5, 200000), (5.0, 1000000))
+]
+
+
+@pytest.mark.parametrize("energy, strength, width, n, tau_tol", ORACLE_POINTS)
+def test_lattice_oracle_time_matches_reference(lattice_reference, energy, strength, width, n, tau_tol):
+    p, cell = Particle(energy), CellSpec(strength, width)
+    t, tau = lattice_oracle(p, cell, n)
+    reference = lattice_reference(energy, strength, width, n, dps=60)
+    assert abs(tau - reference.tau) <= tau_tol * abs(reference.tau)
+    assert abs(abs(t) - reference.t_abs) <= 1e-9 * reference.t_abs
+    if n == 111:  # where the finite-difference time is 3.7e-5 off
+        assert abs(tunneling_time_fd(p, cell, n) - reference.tau) > 1e-5 * abs(reference.tau)
