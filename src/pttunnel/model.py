@@ -20,7 +20,8 @@ __all__ = [
 
 # _record(cls, values) builds the NamedTuple `cls` from the tuple of all its
 # field values, in order, in C: tuple.__new__ itself, with no Python frame and
-# past cls's own __new__, so only for records that do not validate.
+# past cls's own __new__, so only for records that do not validate, or to end
+# the __new__ of one that has.
 _record = tuple.__new__
 
 # The largest double.  The input rules compare with it rather than convert:
@@ -57,7 +58,7 @@ class Particle(_Validated, _ParticleFields):
             raise InvalidEnergyError(f"energy must be a finite number, got {energy!r}")
         if energy <= 0.0:
             raise InvalidEnergyError(f"energy must be positive, got {energy!r}")
-        return super().__new__(cls, energy)
+        return _record(cls, (energy,))
 
     @property
     def k(self) -> float:
@@ -81,7 +82,7 @@ class CellSpec(_Validated, _CellSpecFields):
 
     def __new__(cls, strength: float, width: float) -> CellSpec:
         _check_cell_spec(strength, width)
-        return super().__new__(cls, strength, width)
+        return _record(cls, (strength, width))
 
 
 # The input rules, each stated once: every entry point that takes E, V, b, N,
@@ -186,11 +187,12 @@ def _geometry(particle: Particle, strength: float) -> _Geometry:
 
 def _scaled(g: _Geometry, width: float) -> tuple[float, float, float, float]:
     """(alpha, beta, alpha', beta') at barrier width b."""
-    bk = width * g.k
+    k, rho, rho3, sin_phi, cos_phi, _, _, _, _, _, _, _, alpha_rate, beta_rate = g
+    bk = width * k
     return (
-        width * g.rho * g.cos_phi,
-        width * g.rho * g.sin_phi,
-        bk * g.alpha_rate / g.rho3,
-        bk * g.beta_rate / g.rho3,
+        width * rho * cos_phi,
+        width * rho * sin_phi,
+        bk * alpha_rate / rho3,
+        bk * beta_rate / rho3,
     )
 

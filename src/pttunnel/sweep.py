@@ -516,24 +516,39 @@ def rows_to_csv(rows: Iterable[SweepRow], columns: tuple[str, ...]) -> str:
     return "\n".join([",".join(columns), *map(template.__mod__, cells)]) + "\n"
 
 
+# JSON: one encoder for every value, with '\n' between a list's items.
+_json_text = json.JSONEncoder(separators=("\n", ":")).encode
+
+# The columns whose objects the rows of one (E, V) in a sweep share.
+_JSON_SHARED_COLUMNS = frozenset(("E", "V", "tau_inf", "tau_free"))
+
+
 def rows_to_json(rows: Iterable[SweepRow], columns: tuple[str, ...], mode: str) -> str:
     """Render rows as the document ``json.dumps(payload, indent=2)`` gives for
     {"schema": {mode, version, columns}, "rows": [{column: value}, ...]}.
 
-    json's C encoder turns every value into its JSON text in one pass (an
-    indent would send json to its pure-Python encoder); '\\n' never occurs
-    inside that text, so it separates the values, which a row template for
-    the column set then lays out.  ``columns`` names one or more columns.
+    json's C encoder turns the values into their JSON texts (an indent would
+    send json to its pure-Python encoder): the E, V, tau_inf and tau_free of
+    each column once per run of rows that share the value's object, as the
+    rows of one (E, V) in a sweep do, and every other value in one pass over
+    a flat list, where '\\n', which never occurs inside a text, separates
+    them.  A row template for the column set then lays the texts out.
+    ``columns`` names one or more columns.
     """
     rows = list(rows)
+    flat = [c for c in columns if c not in _JSON_SHARED_COLUMNS]
     values = [mode, SCHEMA_VERSION, *columns]
-    values += chain.from_iterable(zip(*(_column(rows, c) for c in columns)))
-    mode_text, version_text, *texts = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+    values += chain.from_iterable(_column(rows, c) for c in flat)
+    mode_text, version_text, *texts = _json_text(values)[1:-1].split("\n")
     keys, texts = texts[: len(columns)], texts[len(columns) :]
+    n = len(rows)
+    by_column = {c: texts[j * n : (j + 1) * n] for j, c in enumerate(flat)}
+    cells = zip(*(by_column[c] if c in by_column else _texts_by_run(_column(rows, c), _json_text)
+                  for c in columns))
     row_template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
     row_list = "[]"
     if rows:
-        row_list = "[\n" + ",\n".join([row_template] * len(rows)) % tuple(texts) + "\n  ]"
+        row_list = "[\n" + ",\n".join([row_template] * n) % tuple(chain.from_iterable(cells)) + "\n  ]"
     return (
         '{\n  "schema": {\n    "mode": %s,\n    "version": %s,\n    "columns": [\n      %s\n    ]\n'
         '  },\n  "rows": %s\n}\n' % (mode_text, version_text, ",\n      ".join(keys), row_list)

@@ -132,9 +132,8 @@ class _CellScalars(NamedTuple):
 
 def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> _CellScalars:
     alpha, beta, alpha_prime, beta_prime = scaled
-    sin_phi = geo.sin_phi
-    cos_phi = geo.cos_phi
-    cos_2phi = geo.cos_2phi
+    (_, _, _, sin_phi, cos_phi, sin_2phi, cos_2phi, u_plus, u_minus, phi_prime, u_plus_prime,
+     u_minus_prime, _, _) = geo
     sin_a = math.sin(alpha)
     cos_a = math.cos(alpha)
     sinh_b = math.sinh(beta)
@@ -153,27 +152,27 @@ def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> 
     xi_plus_1 = cos_a2 * (1.0 - cos_2phi * sinh_b2) + cosh_b2 * (
         1.0 - cos_2phi * sin_a2
     )
-    chi = 0.5 * (geo.u_plus * cos_phi * sin_2a + geo.u_minus * sin_phi * sinh_2b)
+    chi = 0.5 * (u_plus * cos_phi * sin_2a + u_minus * sin_phi * sinh_2b)
     xi_prime = (
         2.0 * beta_prime * sin_phi * sin_phi * sinh_2b
         - 2.0 * alpha_prime * cos_phi * cos_phi * sin_2a
-        + 2.0 * geo.phi_prime * geo.sin_2phi * (sinh_b2 + sin_a2)
+        + 2.0 * phi_prime * sin_2phi * (sinh_b2 + sin_a2)
     )
     chi_prime = (
-        geo.u_plus
-        * (alpha_prime * cos_2a * cos_phi - 0.5 * geo.phi_prime * sin_phi * sin_2a)
-        + geo.u_minus
-        * (beta_prime * cosh_2b * sin_phi + 0.5 * geo.phi_prime * cos_phi * sinh_2b)
-        + 0.5 * geo.u_plus_prime * cos_phi * sin_2a
-        + 0.5 * geo.u_minus_prime * sin_phi * sinh_2b
+        u_plus
+        * (alpha_prime * cos_2a * cos_phi - 0.5 * phi_prime * sin_phi * sin_2a)
+        + u_minus
+        * (beta_prime * cosh_2b * sin_phi + 0.5 * phi_prime * cos_phi * sinh_2b)
+        + 0.5 * u_plus_prime * cos_phi * sin_2a
+        + 0.5 * u_minus_prime * sin_phi * sinh_2b
     )
     return _record(_CellScalars, (0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1,
                                   chi, xi_prime, chi_prime))
 
 
-def _growth_scale(scalars: _CellScalars) -> float:
+def _growth_scale(xi_minus_1: float, xi_plus_1: float) -> float:
     """sqrt(xi^2 - 1) for |xi| > 1 without forming xi^2."""
-    return math.sqrt(abs(scalars.xi_minus_1)) * math.sqrt(abs(scalars.xi_plus_1))
+    return math.sqrt(abs(xi_minus_1)) * math.sqrt(abs(xi_plus_1))
 
 
 class ClosedForm(NamedTuple):
@@ -250,7 +249,7 @@ def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedFor
     if n_cells == 0:
         return ClosedForm(tau=0.0, theta=0.0, t=1.0 + 0.0j, path="empty")
     scaled = _scaled(geo, width)
-    alpha, beta = scaled[0], scaled[1]
+    alpha, beta, _, _ = scaled
     k = geo.k
     n = float(n_cells)  # the same bits below 2**53, and N^2 past 1.3e154 is inf, not an OverflowError
     length = 2.0 * (n * width)  # 2N itself is inf past half the largest double
@@ -261,21 +260,21 @@ def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedFor
         return _unevaluated(f"cell phase 2*alpha = 2*{alpha:.3e} leaves double range")
     if not math.isfinite(k * length):
         return _unevaluated(f"lattice phase k*L = {k:.3e}*{length:.3e} leaves double range")
-    scalars = _cell_scalars(geo, scaled)
-    quad = scalars.xi_minus_1 * scalars.xi_plus_1  # inf far outside the band is fine
+    xi, xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime = _cell_scalars(geo, scaled)
+    quad = xi_minus_1 * xi_plus_1  # inf far outside the band is fine
     band_edge = n * n * abs(quad) < BAND_EDGE_TOL
     # xi + 1 >= 2 cos^2(alpha) >= 0 for every cell (0 < cos 2phi <= 1), so
     # outside the band xi > 1 and T_N > 0.  The side is read off xi - 1, whose
     # sign quad shares: just outside the band xi itself can round to 1.0.
-    if scalars.xi_minus_1 > 0.0:
-        return _out_of_band(scalars, n, k, length, band_edge, beta)
-    return _in_band(scalars, quad, n, k, length, band_edge)
+    if xi_minus_1 > 0.0:
+        return _out_of_band(xi, xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime,
+                            n, k, length, band_edge, beta)
+    return _in_band(xi, chi, xi_prime, chi_prime, quad, n, k, length, band_edge)
 
 
-def _in_band(scalars: _CellScalars, quad: float, n: float, k: float, length: float,
-             band_edge: bool) -> ClosedForm:
+def _in_band(xi: float, chi: float, xi_prime: float, chi_prime: float, quad: float, n: float,
+             k: float, length: float, band_edge: bool) -> ClosedForm:
     """The record of a cell with |xi| <= 1, from its band angle psi."""
-    xi, chi = scalars.xi, scalars.chi
     # sin psi from the cancellation-free offsets stays consistent with chi.
     # q (odd in xi) and dq/dxi (even) take psi1 = arccos|xi| <= pi/2, where
     # N A(psi) + cos(psi) B(N psi) does not cancel as it does near psi = pi;
@@ -293,7 +292,7 @@ def _in_band(scalars: _CellScalars, quad: float, n: float, k: float, length: flo
     b_part = n * n * _horner(_B_SERIES, -x * x) if x < _SERIES_X else (x - sin_x * cos_x) / (x * y)
     dq_dxi = -n * (a_part + abs(xi) * b_part) / (sinc1**3 * cos_x * cos_x)
     try:
-        tau = (q * scalars.chi_prime + chi * scalars.xi_prime * dq_dxi) / (2.0 * k * (1.0 + (q * chi) ** 2))
+        tau = (q * chi_prime + chi * xi_prime * dq_dxi) / (2.0 * k * (1.0 + (q * chi) ** 2))
     except OverflowError:  # q ~ N/psi in a thin cell: (q*chi)^2 leaves double range for a huge N
         tau = _NAN
     if sine == 0.0:  # exactly on a band edge, where U_{N-1} = q T_N
@@ -308,13 +307,13 @@ def _in_band(scalars: _CellScalars, quad: float, n: float, k: float, length: flo
     return _record(ClosedForm, (tau, cmath.phase(t), t, None, xi, band_edge, "in-band"))
 
 
-def _out_of_band(scalars: _CellScalars, n: float, k: float, length: float, band_edge: bool,
+def _out_of_band(xi: float, xi_minus_1: float, xi_plus_1: float, chi: float, xi_prime: float,
+                 chi_prime: float, n: float, k: float, length: float, band_edge: bool,
                  beta: float) -> ClosedForm:
     """The record of a cell with xi > 1, from its growth rate nu = acosh(xi)."""
-    scale = _growth_scale(scalars)
+    scale = _growth_scale(xi_minus_1, xi_plus_1)
     if scale == 0.0:  # xi + 1 > 2 here: it lost every digit, as where cos 2phi rounds to 1
         return _unevaluated(f"xi + 1 cancels to 0 at beta = {beta:.3f}")
-    xi, chi = scalars.xi, scalars.chi
     nu1 = math.asinh(scale)
     nu = n * nu1
     tt = math.tanh(nu)
@@ -324,7 +323,7 @@ def _out_of_band(scalars: _CellScalars, n: float, k: float, length: float, band_
     coth_part = y * (nu1 / scale) * _horner(_A_SERIES, y) if nu1 < _SERIES_X else nu1 * rs - 1.0
     tanh_part = nu**3 * _horner(_B_SERIES, nu * nu) * sech2 if nu < _SERIES_X else tt - nu * sech2
     minus_s2_dq = n * sech2 * coth_part + rs * tanh_part
-    bracket = tt * (scalars.chi_prime / scale) - cs * (scalars.xi_prime / scale) * minus_s2_dq
+    bracket = tt * (chi_prime / scale) - cs * (xi_prime / scale) * minus_s2_dq
     tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
     q_chi = chi * (tt / scale)
     # t = exp(-ln|G| - i(k*L + arg G)), G = T_N (1 - i q chi) and T_N = cosh(N nu)
@@ -402,7 +401,7 @@ def tunneling_time_fd(
     t_hi = transmission_closed(Particle(e_hi), cell, n_cells)
     t_lo = transmission_closed(Particle((k - dk) ** 2), cell, n_cells)
     dtheta = math.remainder(cmath.phase(t_hi) - cmath.phase(t_lo), math.tau)
-    length = 2.0 * n_cells * cell.width
+    length = 2.0 * (n_cells * cell.width)  # 2N itself is inf past half the largest double
     return (dtheta / (2.0 * dk) + length) / (2.0 * k)
 
 

@@ -74,13 +74,14 @@ def _barrier_elements(energy: float, k: float, diag: complex, potential: complex
             f"or Re(kc)*b = {kc.real:.3e}*{width:.3e} leaves double range"
         )
     mu = kc / k
+    inv_mu = 1.0 / mu
     try:
         cos_cb = cmath.cos(kc * width)
         sin_cb = cmath.sin(kc * width)
     except OverflowError:  # the elements come out non-finite and raise below
         cos_cb = sin_cb = cmath.inf
-    even = (mu + 1.0 / mu) * sin_cb
-    s = 1j * ((mu - 1.0 / mu) * sin_cb)
+    even = (mu + inv_mu) * sin_cb
+    s = 1j * ((mu - inv_mu) * sin_cb)
     p_plus, p_minus = 2.0 * cos_cb + 1j * even, 2.0 * cos_cb - 1j * even
     m11, m22 = 0.5 * diag * p_plus, 0.5 * p_minus / diag
     # Just below |Im(kc)|*b ~ 710, where cos and sin overflow, the couplings
@@ -153,8 +154,9 @@ def _power(base: tuple, n_cells: int, mul) -> tuple:
     with the matrix half of the base, each square and the result checked against ELEMENT_GUARD."""
     result, n = None, n_cells
     while True:
-        try:  # a sum of moduli, as nan and inf propagate through it and not through max()
-            norm = sum(map(abs, (base if n else result)[:4]))
+        m = base if n else result
+        try:  # a sum of moduli, left to right, as nan and inf propagate through it and not through max()
+            norm = abs(m[0]) + abs(m[1]) + abs(m[2]) + abs(m[3])
         except OverflowError:  # the modulus of an element with finite parts leaves double range
             norm = math.inf
         if not norm <= ELEMENT_GUARD:
@@ -176,7 +178,8 @@ def _lattice(particle: Particle, cell: CellSpec, n_cells: int, jet: bool) -> tup
         raise ValueError("n_cells must be >= 0")
     energy, k, strength, width = particle.energy, particle.k, cell.strength, cell.width
     reach = _reach(2 * n_cells - 1)  # the loss barrier of the last cell sits at offset 2N - 1
-    loss, gain = (_phase_free(energy, k, sign * strength, width, reach, jet) for sign in (-1j, 1j))
+    loss = _phase_free(energy, k, -1j * strength, width, reach, jet)
+    gain = _phase_free(energy, k, 1j * strength, width, reach, jet)
     mul = _mul_jet if jet else _mul
     power = _power(mul(loss, gain), n_cells, mul)
     phase = cmath.exp(-1j * k * (2.0 * (n_cells * width)))

@@ -10,6 +10,21 @@ from pttunnel import Particle
 from pttunnel.model import _geometry, _scaled
 from pttunnel.timing import _cell_scalars
 
+# One (E, V, b, N) point per path of the kernel; None is a geometry that
+# leaves double range, which only the sweeps hand to the kernel.  The
+# timing tests walk every path, and tests/test_golden.py pins the bits of
+# the oracle point at each.
+PATH_POINTS = {
+    "empty": (1.0, 20.0, 0.25, 0),
+    "in-band": (4.0, 2.0, 0.3, 3),
+    "singular": (0.547149018018704, 1.0, 1.4393530230212068, 7),
+    "out-of-band": (1.0, 20.0, 3.0, 1),
+    "underflow": (1.0, 20.0, 97.0, 2),
+    "handoff": (1.0, 20.0, 120.0, 2),
+    "not-evaluated": (100.0, 0.0, 1e307, 1),
+    "no-geometry": None,
+}
+
 _REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "ptbench" / "reference.py"
 
 

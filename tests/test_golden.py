@@ -5,7 +5,11 @@ handoff, and a free time L/2k that underflows to 0).
 The files under ``tests/golden/`` are the stdout of each command below,
 and ``workloads.sha256`` holds the SHA-256 of each file that the seed-1
 sweep-b-wide and sweep-n-thin commands of ``ptbench/workloads.py`` write
-(``sha256sum -c`` reads it in the directory of those files).  A change that
+(``sha256sum -c`` reads it in the directory of those files).
+``oracle-points.sha256`` pins the bits of the oracle point, what ptbench's
+oracle-limits workload computes per lattice: one SHA-256 per (E, V, b, N)
+over the ``repr`` of each result (or of the error raised), for the oracle
+lattices of seeds 1-3 and one point per ``ClosedForm.path``.  A change that
 alters any of them alters what users get, so it must come with regenerated
 files and a stated reason.  Regenerate them all with
 
@@ -24,6 +28,9 @@ import tempfile
 
 import pytest
 
+from conftest import PATH_POINTS
+from pttunnel import (CellSpec, Particle, PtTunnelError, closed_form, lattice_matrix_direct,
+                      lattice_oracle, transmission_from_matrix, tunneling_time_fd)
 from pttunnel.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -54,14 +61,19 @@ def test_default_output_is_byte_identical(name, capsysbinary):
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
-def _workload_digests(out_dir: str) -> str:
-    """Run every seed-1 sweep-b-wide and sweep-n-thin command, each writing
-    its file into ``out_dir``, and return the files' digests in
-    ``sha256sum`` format, in command order."""
+def _workloads():
     spec = importlib.util.spec_from_file_location("ptbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses looks its module up there
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _workload_digests(out_dir: str) -> str:
+    """Run every seed-1 sweep-b-wide and sweep-n-thin command, each writing
+    its file into ``out_dir``, and return the files' digests in
+    ``sha256sum`` format, in command order."""
+    workloads = _workloads()
     commands = workloads.sweep_b_commands(1, out_dir) + workloads.sweep_n_commands(1, out_dir)
     lines = []
     for argv in commands:
@@ -78,9 +90,40 @@ def test_workload_outputs_are_byte_identical(tmp_path):
     assert digests == (GOLDEN / "workloads.sha256").read_text()
 
 
+def _oracle_results(energy: float, strength: float, width: float, n_cells: int) -> str:
+    """The repr of each oracle-point result at one lattice, or of what it raised."""
+    particle, cell = Particle(energy), CellSpec(strength, width)
+    calls = (closed_form, lattice_matrix_direct, lattice_oracle, tunneling_time_fd,
+             lambda *args: transmission_from_matrix(lattice_matrix_direct(*args)))
+    texts = []
+    for call in calls:
+        try:
+            texts.append(repr(call(particle, cell, n_cells)))
+        except (PtTunnelError, ValueError) as exc:
+            texts.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(texts)
+
+
+def _oracle_point_digests() -> str:
+    """One ``sha256sum``-style line per pinned lattice, labelled by its source."""
+    workloads = _workloads()
+    points = [(f"seed-{seed}-lattice-{j}", (lat.energy, lat.strength, lat.width, lat.n_cells))
+              for seed in (1, 2, 3) for j, lat in enumerate(workloads.oracle_lattices(seed))]
+    points += [(f"path-{name}", point) for name, point in PATH_POINTS.items() if point is not None]
+    return "".join(f"{hashlib.sha256(_oracle_results(*point).encode()).hexdigest()}  {label}\n"
+                   for label, point in points)
+
+
+def test_oracle_point_bits_are_pinned():
+    digests = _oracle_point_digests()
+    assert digests.count("\n") == 3 * 24 + 7
+    assert digests == (GOLDEN / "oracle-points.sha256").read_text()
+
+
 def _regenerate() -> None:
-    """Write each command's stdout to its file under ``tests/golden/``, and
-    the workload digests to ``workloads.sha256``."""
+    """Write each command's stdout to its file under ``tests/golden/``, the
+    workload digests to ``workloads.sha256`` and the oracle point's to
+    ``oracle-points.sha256``."""
     for name, argv in COMMANDS.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -88,6 +131,7 @@ def _regenerate() -> None:
         (GOLDEN / name).write_bytes(out.getvalue().encode())
     with tempfile.TemporaryDirectory() as out_dir:
         (GOLDEN / "workloads.sha256").write_text(_workload_digests(out_dir))
+    (GOLDEN / "oracle-points.sha256").write_text(_oracle_point_digests())
 
 
 if __name__ == "__main__":

@@ -600,6 +600,23 @@ def test_csv_of_interleaved_sweeps_matches_reference_bytes():
             assert rows_to_csv(rows, columns) == _reference_csv(rows, columns)
 
 
+def test_json_runs_of_shared_values_match_reference_bytes():
+    # rows_to_json renders E, V, tau_inf and tau_free once per run of the
+    # same object: runs of 0.0, -0.0 and distinct nan objects, and rows of
+    # two (E, V) taken in turn, which break every run
+    row = run_sweep_b(_PATH_CONFIGS[0])[0]
+    runs = [
+        row._replace(energy=value, strength=value, tau_inf=value, tau_free=value)
+        for value in (0.0, -0.0, 0.0, float("nan"), -float("nan"), 2**60 + 1, -0.0, 1.5)
+    ]
+    first = run_sweep_b(_sweep_b_config(energy=1.0, potentials=(20.0,), cells=(2, 3)))
+    second = run_sweep_n(SweepConfig(energy=2.0, potentials=(0.0,), span=1.0, grid=GridSpec(1, 64, 8)))
+    mixed = [row for pair in zip(first, second) for row in pair] + first[len(second):]
+    for rows in (runs, mixed, mixed[::-1], first + second):
+        for columns in (SWEEP_B_COLUMNS, SWEEP_N_COLUMNS, ("tau_free", "V", "E", "tau_inf")):
+            assert rows_to_json(rows, columns, "sweep-n") == _reference_json(rows, columns, "sweep-n")
+
+
 def test_sweep_output_is_byte_identical(tmp_path):
     config = _sweep_b_config()
     path_a = tmp_path / "a.csv"

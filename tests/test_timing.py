@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_width_for_xi
+from conftest import PATH_POINTS, bisect_width_for_xi
 from pttunnel import (
     CellSpec,
     DegeneratePotentialError,
@@ -259,6 +259,12 @@ def test_finite_difference_rejects_bad_step():
         tunneling_time_fd(p, CellSpec(1.0, 1.0), 1, rel_step=1e-10)
 
 
+def test_finite_difference_span_is_formed_as_the_kernel_forms_it():
+    # L = 2*(N*b) is about 2 here, where 2*N alone is inf
+    tau = tunneling_time_fd(Particle(1.0), CellSpec(5.0, 1e-308), 10**308)
+    assert math.isfinite(tau)
+
+
 def test_time_at_band_edge_matches_reference(lattice_reference):
     p = Particle(1.0)
     width = bisect_width_for_xi(p, 20.0, 1.0, 0.15, 0.2)
@@ -359,27 +365,13 @@ def test_closed_form_cancelled_growth_scale_is_typed():
     cell = CellSpec(1e150, 120.0)
     geo = _geometry(p, cell.strength)
     scalars = _cell_scalars(geo, _scaled(geo, cell.width))
-    assert scalars.xi_minus_1 > 0.0 and _growth_scale(scalars) == 0.0
+    assert scalars.xi_minus_1 > 0.0 and _growth_scale(scalars.xi_minus_1, scalars.xi_plus_1) == 0.0
     cf = closed_form(p, cell, 10**9)
     assert isinstance(cf.error, OverflowGuardError) and cf.path != "handoff"
     assert cf.t is None and math.isnan(cf.tau) and math.isnan(cf.theta)
     for project in (transmission_closed, tunneling_time):
         with pytest.raises(OverflowGuardError):
             project(p, cell, 10**9)
-
-
-# One (E, V, b, N) point per path of the kernel; None is a geometry that
-# leaves double range, which only the sweeps hand to the kernel.
-_PATH_POINTS = {
-    "empty": (1.0, 20.0, 0.25, 0),
-    "in-band": (4.0, 2.0, 0.3, 3),
-    "singular": (0.547149018018704, 1.0, 1.4393530230212068, 7),
-    "out-of-band": (1.0, 20.0, 3.0, 1),
-    "underflow": (1.0, 20.0, 97.0, 2),
-    "handoff": (1.0, 20.0, 120.0, 2),
-    "not-evaluated": (100.0, 0.0, 1e307, 1),
-    "no-geometry": None,
-}
 
 
 def _t_abs_from_fields(record):
@@ -393,9 +385,9 @@ def _t_abs_from_fields(record):
     return 0.0 if math.isfinite(record.theta) else math.nan
 
 
-@pytest.mark.parametrize("name", list(_PATH_POINTS))
+@pytest.mark.parametrize("name", list(PATH_POINTS))
 def test_record_t_abs_matches_the_row_rule_on_every_path(name):
-    point = _PATH_POINTS[name]
+    point = PATH_POINTS[name]
     if point is None:
         record = _closed_form(None, 1.0, 2)
     else:
@@ -406,13 +398,13 @@ def test_record_t_abs_matches_the_row_rule_on_every_path(name):
     assert record.t_abs == expected or (math.isnan(record.t_abs) and math.isnan(expected))
 
 
-@pytest.mark.parametrize("name", list(_PATH_POINTS))
+@pytest.mark.parametrize("name", list(PATH_POINTS))
 def test_records_built_in_c_equal_keyword_built_ones(name):
     # the row path builds _Geometry, ClosedForm, _CellScalars and SweepRow,
     # and the direct product its TransferMatrix, by tuple.__new__
     # (model._record), past each NamedTuple's own __new__; the no-geometry
     # point is one whose (E, V) geometry leaves double range
-    energy, strength, width, n_cells = _PATH_POINTS[name] or (1e-300, 1e10, 1.0, 2)
+    energy, strength, width, n_cells = PATH_POINTS[name] or (1e-300, 1e10, 1.0, 2)
     particle = Particle(energy)
     geo = None
     with contextlib.suppress(OverflowGuardError):
