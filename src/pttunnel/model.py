@@ -91,9 +91,11 @@ class CellSpec(_Validated, _CellSpecFields):
 # [0, _LARGEST], or (0, _LARGEST] where it must be positive, and not a bool;
 # V is >= 0, b and the barrier height > 0, and a span >= 0 except where the
 # entry point needs it > 0.  A cell of (V, b) raises for a bool in either
-# first, then for V, then for b.  N is an int in [0, _LARGEST], where its
-# float, L = 2*N*b and N^2 exist (inf at worst).  _check_real and
-# _check_cells return the value they pass.
+# first, then for V, then for b.  N is an int, not a bool (its type is int
+# itself), in [0, _LARGEST], where its float, L = 2*N*b and N^2 exist (inf
+# at worst); _check_cells is its only check, which every entry point that
+# takes N makes before it builds a cell geometry or a barrier.  _check_real
+# and _check_cells return the value they pass.
 
 
 def _check_real(name: str, value: float, positive: bool = False) -> float:
@@ -110,6 +112,8 @@ def _check_cell_spec(strength: float, width: float) -> None:
 
 
 def _check_cells(n_cells: int) -> int:
+    if type(n_cells) is not int:  # so not a bool, nor any other subclass of int
+        raise ValueError(f"n_cells must be an int, got {n_cells!r}")
     if not 0 <= n_cells <= _LARGEST:
         raise ValueError("n_cells must be >= 0" if n_cells < 0 else
                          f"n_cells must be at most {_LARGEST!r}, the largest double")

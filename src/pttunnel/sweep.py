@@ -191,19 +191,6 @@ class _Shared(NamedTuple):
     tau_free: float
 
 
-def _make_shared(particle: Particle, strength: float, tau_free: float = _NAN) -> _Shared:
-    """The :class:`_Shared` record at an (E, V) CellSpec accepts, built once for its rows."""
-    geometry, gamma, tau_inf = None, _NAN, _NAN
-    with contextlib.suppress(OverflowGuardError):
-        geometry = _geometry(particle, strength)
-    if strength > 0.0 and geometry is not None:
-        with contextlib.suppress(OverflowGuardError):
-            coeffs = _hartman_coeffs(particle, strength, geometry)
-            gamma = coeffs.gamma  # a handoff row keeps its phase where tau_inf leaves range
-            tau_inf = _limit_time(coeffs, particle.k)
-    return _Shared(geometry, gamma, tau_inf, tau_free)
-
-
 def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow:
     """Evaluate tau, |t| and theta at one point, downgrading failures to flags.
 
@@ -216,18 +203,17 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
     SpectralSingularity; any other row with an error or without a finite tau
     (every row whose (E, V) geometry leaves double range among them) is
     flagged Overflow.  The row carries tau_inf of its (E, V), nan at V = 0;
-    tau_free and rel_gap are nan.  Raises ValueError for an N below 0 or past
-    the largest double.
+    tau_free and rel_gap are nan.  Raises ValueError unless N is an int, not
+    a bool, in [0, the largest double].
     """
-    _check_cells(n_cells)
-    strength = cell.strength
-    return _row(particle, _make_shared(particle, strength), strength, cell.width, n_cells)
+    return _rows(particle, (cell.strength,), [(n_cells, cell.width)])[0]
 
 
 def _row(particle: Particle, shared: _Shared, strength: float, width: float,
          n_cells: int) -> SweepRow:
     """The row of :func:`evaluate_point` at a cell (strength, width) that
-    CellSpec accepts, from the (E, V) record it shares with its sweep."""
+    CellSpec accepts and a checked N, from the (E, V) record it shares with
+    its sweep."""
     record = _closed_form(shared.geometry, width, n_cells)
     span = 2.0 * (n_cells * width)  # 2N itself is inf past half the largest double
     tau, theta, error = record.tau, record.theta, record.error
@@ -248,18 +234,14 @@ def _row(particle: Particle, shared: _Shared, strength: float, width: float,
                               rel_gap))
 
 
-def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list[SweepRow]:
-    """Rows over the config's potentials (outer) and (N, b) ``points``
-    (inner, in order), each V's record built once; a fixed ``span`` makes
-    ``points`` the N of each row, with b = L/(2N), and gives every row its
-    tau_free and rel_gap.  Before any row, E, L, then each V, b and N are
-    checked once, for the first error in row order: CellSpec's for the first
-    V with each b, then each N, then CellSpec's for each later V.  No row raises."""
-    particle = Particle(config.energy)
-    tau_free = _NAN if span is None else free_propagation_time(particle, span)
-    if span is not None:  # b = (L/2)/N, formed once the span rule has passed L; 2N may be inf
-        points = [(n_cells, 0.5 * span / n_cells) for n_cells in points]
-    first, *later = config.potentials
+def _rows(particle: Particle, potentials: tuple[float, ...], points: list[tuple[int, float]],
+          tau_free: float = _NAN) -> list[SweepRow]:
+    """The rows of every command: over ``potentials`` (outer) and (N, b)
+    ``points`` (inner, in order), each V's record built once, every row with
+    ``tau_free`` and its rel_gap.  Before any row, each V, b and N is checked
+    once, for the first error in row order: CellSpec's for the first V with
+    each b, then each N, then CellSpec's for each later V.  No row raises."""
+    first, *later = potentials
     for _, width in points:
         _check_cell_spec(first, width)
     for n_cells, _ in points:
@@ -267,8 +249,16 @@ def _sweep(config: SweepConfig, points: list, span: float | None = None) -> list
     for strength in later:
         _check_cell_spec(strength, points[0][1])  # every b has passed, so only V can fail
     rows: list[SweepRow] = []
-    for strength in config.potentials:
-        shared = _make_shared(particle, strength, tau_free)
+    for strength in potentials:
+        geometry, gamma, tau_inf = None, _NAN, _NAN
+        with contextlib.suppress(OverflowGuardError):
+            geometry = _geometry(particle, strength)
+        if strength > 0.0 and geometry is not None:
+            with contextlib.suppress(OverflowGuardError):
+                coeffs = _hartman_coeffs(particle, strength, geometry)
+                gamma = coeffs.gamma  # a handoff row keeps its phase where tau_inf leaves range
+                tau_inf = _limit_time(coeffs, particle.k)
+        shared = _Shared(geometry, gamma, tau_inf, tau_free)
         rows += [_row(particle, shared, strength, width, n_cells) for n_cells, width in points]
     return rows
 
@@ -281,7 +271,7 @@ def run_point(config: SweepConfig) -> SweepRow:
         raise ValueError("point mode requires exactly one potential strength")
     if len(config.cells) != 1:
         raise ValueError("point mode requires exactly one repetition count")
-    return _sweep(config, [(config.cells[0], config.width)])[0]
+    return _rows(Particle(config.energy), config.potentials, [(config.cells[0], config.width)])[0]
 
 
 def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
@@ -297,7 +287,8 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
     if not config.potentials:
         raise ValueError("sweep-b requires at least one potential strength")
     widths = sorted(config.grid.values())
-    return _sweep(config, [(n_cells, width) for n_cells in config.cells for width in widths])
+    points = [(n_cells, width) for n_cells in config.cells for width in widths]
+    return _rows(Particle(config.energy), config.potentials, points)
 
 
 def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
@@ -316,7 +307,10 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
     counts = config.grid.integer_values()
     if not counts:
         raise ValueError("sweep-n grid holds no repetition count N >= 1")
-    return _sweep(config, counts, config.span)
+    particle, span = Particle(config.energy), config.span
+    tau_free = free_propagation_time(particle, span)  # the span rule, before any b = (L/2)/N is formed
+    points = [(n_cells, 0.5 * span / n_cells) for n_cells in counts]  # 2N may be inf
+    return _rows(particle, config.potentials, points, tau_free)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +421,7 @@ def run_limits() -> LimitsReport:
         particle = Particle(energy)
         geo = _geometry(particle, strength)
         scaled = _scaled(geo, 15.0 / (geo.rho * geo.sin_phi))
-        coeffs = hartman_coeffs(particle, strength)
+        coeffs = _hartman_coeffs(particle, strength, geo)
         scalars = _cell_scalars(geo, scaled)
         xi, chi = scalars.xi, scalars.chi
         growth = math.exp(2.0 * scaled[1])

@@ -230,11 +230,12 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     outside, t = exp(-ln|G| - i(k*L + arg G)) with ln|G| = ln cosh(N nu) +
     ln|1 - i q chi| and arg G = -arctan(q chi), from the same nu, so no
     component of G has to fit in a double.  The record's ``path`` names the
-    branch.  Raises ValueError for an N below 0 or past the largest double,
-    and OverflowGuardError where the cell geometry itself leaves double range
-    (see :func:`model._geometry`).
+    branch.  Raises ValueError unless N is an int, not a bool, in [0, the
+    largest double], and OverflowGuardError where the cell geometry itself
+    leaves double range (see :func:`model._geometry`).
     """
-    return _closed_form(_geometry(particle, cell.strength), cell.width, _check_cells(n_cells))
+    n_cells = _check_cells(n_cells)  # the N rule first, as at every entry point that takes N
+    return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
 
 
 def _unevaluated(message: str, path: str = "not-evaluated") -> ClosedForm:
@@ -382,9 +383,9 @@ def tunneling_time_fd(
     The phase is that of :func:`transmission_closed`, so this shares G with
     the closed form and checks only the analytic k-derivative behind tau;
     :func:`sweep.run_limits` no longer uses it, as :func:`transfer.lattice_oracle`
-    gives t and tau exactly.  Raises ValueError for an N below 0 or past the
-    largest double, and OverflowGuardError where the upper stencil energy
-    leaves double range.
+    gives t and tau exactly.  Raises ValueError unless N is an int, not a
+    bool, in [0, the largest double], and OverflowGuardError where the upper
+    stencil energy leaves double range.
     """
     if not (1e-9 <= rel_step <= 1e-3):
         raise ValueError("rel_step must lie in [1e-9, 1e-3]")

@@ -16,7 +16,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import _LARGEST, CellSpec, Particle, _check_real, _record
+from .model import _LARGEST, CellSpec, Particle, _check_cells, _check_real, _record
 
 __all__ = [
     "TransferMatrix",
@@ -106,10 +106,10 @@ def barrier_matrix(particle: Particle, potential: complex, width: float,
     only multiplies the off-diagonal elements by exp(-+ 2i*k*b*j).  Raises
     ValueError unless the potential is finite, the width one that CellSpec
     accepts (finite and > 0, not a bool) and ``offset_index`` an integer
-    >= 0, and OverflowGuardError where the barrier's growth factor
+    >= 0 (not a bool), and OverflowGuardError where the barrier's growth factor
     exp(|Im(kc)|*b), a phase or 1 + 2j itself leaves double range.
     """
-    if not (isinstance(offset_index, int) and offset_index >= 0):
+    if isinstance(offset_index, bool) or not (isinstance(offset_index, int) and offset_index >= 0):
         raise ValueError(f"offset_index must be an integer >= 0, got {offset_index!r}")
     if not (abs(potential.real) <= _LARGEST and abs(potential.imag) <= _LARGEST):
         raise ValueError(f"potential must be finite, got {potential!r}")
@@ -173,9 +173,8 @@ def _power(base: tuple, n_cells: int, mul) -> tuple:
 
 def _lattice(particle: Particle, cell: CellSpec, n_cells: int, jet: bool) -> tuple:
     """(M, A**N) of the lattice M = P**(2N) @ A**N with A = (P**-1 L0) @ (P**-1 G0), as barrier j
-    is P**j @ B0 @ P**-j; A**N carries its k-derivative as elements 4 to 7 where `jet` is set."""
-    if n_cells < 0:
-        raise ValueError("n_cells must be >= 0")
+    is P**j @ B0 @ P**-j; A**N carries its k-derivative as elements 4 to 7 where `jet` is set.
+    Its callers check N."""
     energy, k, strength, width = particle.energy, particle.k, cell.strength, cell.width
     reach = _reach(2 * n_cells - 1)  # the loss barrier of the last cell sits at offset 2N - 1
     loss = _phase_free(energy, k, -1j * strength, width, reach, jet)
@@ -191,11 +190,12 @@ def lattice_matrix_direct(particle: Particle, cell: CellSpec, n_cells: int) -> T
     """Transfer matrix of the N-cell lattice (gain on [2m*b, (2m+1)*b], loss on
     [(2m+1)*b, (2m+2)*b]) by repeated squaring of the package's own barriers.
 
-    Raises ValueError for N < 0, and OverflowGuardError where a barrier's growth
-    factor or a phase up to k*b*(4N - 1) leaves double range, or the product
-    passes ELEMENT_GUARD (the thick-barrier limit is the answer there).
+    Raises ValueError unless N is an int, not a bool, in [0, the largest
+    double], and OverflowGuardError where a barrier's growth factor or a
+    phase up to k*b*(4N - 1) leaves double range, or the product passes
+    ELEMENT_GUARD (the thick-barrier limit is the answer there).
     """
-    return _lattice(particle, cell, n_cells, False)[0] if n_cells else IDENTITY
+    return _lattice(particle, cell, n_cells, False)[0] if _check_cells(n_cells) else IDENTITY
 
 
 def lattice_oracle(particle: Particle, cell: CellSpec, n_cells: int) -> tuple[complex, float]:
@@ -205,7 +205,7 @@ def lattice_oracle(particle: Particle, cell: CellSpec, n_cells: int) -> tuple[co
     lattice_matrix_direct or transmission_from_matrix does, and OverflowGuardError
     where dM/dk (unguarded) leaves double range and tau with it.
     """
-    if n_cells == 0:
+    if not _check_cells(n_cells):
         return 1.0 + 0.0j, 0.0
     matrix, power = _lattice(particle, cell, n_cells, True)
     t, tau = transmission_from_matrix(matrix), -(power[7] / power[3]).imag / (2.0 * particle.k)

@@ -1,6 +1,7 @@
 """The public records are NamedTuples: immutable, equal by value, and checked
 on every way of building them; importing the CLI loads no ``dataclasses``.
-Each real input rule has one text at every entry point that takes the input."""
+Each real input rule, and the rule for N, has one text at every entry point
+that takes the input."""
 
 import copy
 import math
@@ -25,13 +26,20 @@ from pttunnel import (
     SweepRow,
     TransferMatrix,
     barrier_matrix,
+    closed_form,
+    evaluate_point,
     free_propagation_time,
     hartman_coeffs,
+    lattice_matrix_direct,
+    lattice_oracle,
     n_infinity_bracket,
     run_point,
     run_sweep_b,
     run_sweep_n,
     square_barrier_time,
+    transmission_closed,
+    tunneling_time,
+    tunneling_time_fd,
 )
 from pttunnel.sweep import LimitCheck
 
@@ -243,3 +251,38 @@ def test_every_real_input_rule_raises_one_text_everywhere(entry, kind, name):
     with pytest.raises(Exception) as raised:
         call(value)
     assert (type(raised.value), str(raised.value)) == expected
+
+
+# One rule for N: it is an int, not a bool, in [0, the largest double], and
+# each bad count, at each entry point that takes N, raises the rule's one
+# ValueError text before a cell geometry or a barrier is built: in a lattice
+# of E = 1.0, V = 5.0 and b = 0.1, and in one at E = 1e-300, V = 1e10 and
+# b = 1.0, whose cell geometry leaves double range (an OverflowGuardError at
+# a valid N).
+_BAD_N = {"-1": -1, "2.0": 2.0, "2.5": 2.5, "True": True, "10**400": 10**400}
+_N_TEXTS = {
+    "-1": "n_cells must be >= 0",
+    "10**400": "n_cells must be at most 1.7976931348623157e+308, the largest double",
+}
+_N_POINTS = {"": (1.0, 5.0, 0.1), "no-geometry-": (1e-300, 1e10, 1.0)}
+_N_ENTRIES = {
+    **{entry.__name__: lambda energy, strength, width, n_cells, entry=entry:
+       entry(Particle(energy), CellSpec(strength, width), n_cells)
+       for entry in (closed_form, transmission_closed, tunneling_time, tunneling_time_fd,
+                     evaluate_point, lattice_matrix_direct, lattice_oracle)},
+    "run_point": lambda energy, strength, width, n_cells: run_point(
+        SweepConfig(energy, (strength,), (n_cells,), width)),
+    "run_sweep_b": lambda energy, strength, width, n_cells: run_sweep_b(
+        SweepConfig(energy, (strength,), (n_cells,), grid=GridSpec(width, 2.0 * width, 2))),
+}
+_N_CASES = [(entry, point, name) for point in _N_POINTS for entry in _N_ENTRIES for name in _BAD_N]
+
+
+@pytest.mark.parametrize("entry, point, name", _N_CASES,
+                         ids=[f"{entry}-{point}N={name}" for entry, point, name in _N_CASES])
+def test_the_n_rule_raises_one_text_everywhere(entry, point, name):
+    value = _BAD_N[name]
+    with pytest.raises(Exception) as raised:
+        _N_ENTRIES[entry](*_N_POINTS[point], value)
+    text = _N_TEXTS.get(name, f"n_cells must be an int, got {value!r}")
+    assert (type(raised.value), str(raised.value)) == (ValueError, text)

@@ -459,6 +459,8 @@ _HUGE_N = "n_cells must be at most 1.7976931348623157e+308, the largest double"
          ValueError, "offset_index must be an integer >= 0, got 1.5"),
         (lambda: barrier_matrix(Particle(1.0), 1j, 1.0, -1),
          ValueError, "offset_index must be an integer >= 0, got -1"),
+        (lambda: barrier_matrix(Particle(1.0), 1j, 1.0, True),
+         ValueError, "offset_index must be an integer >= 0, got True"),
         # an N past the largest double has no float, L or N^2
         (lambda: closed_form(Particle(1.0), CellSpec(1.0, 1.0), 10**400),
          ValueError, _HUGE_N),
@@ -492,7 +494,7 @@ _HUGE_N = "n_cells must be at most 1.7976931348623157e+308, the largest double"
          "bracket-span-0", "bracket-span-inf", "square-barrier-span",
          "barrier-width-nan", "barrier-width-inf", "barrier-width-0", "barrier-width-bool",
          "barrier-potential-nan", "barrier-potential-inf",
-         "barrier-offset-fraction", "barrier-offset-negative",
+         "barrier-offset-fraction", "barrier-offset-negative", "barrier-offset-bool",
          "closed-form-huge-n", "transmission-huge-n", "time-huge-n", "fd-time-huge-n",
          "evaluate-point-huge-n", "fd-stencil-overflow",
          "square-barrier-underflow", "square-barrier-overflow", "square-barrier-height-squared",

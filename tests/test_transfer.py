@@ -275,6 +275,20 @@ def test_lattice_overflow_guard():
         _product_by_composition(p, cell, 20)
 
 
+def test_guard_types_a_square_whose_modulus_leaves_double_range():
+    # the square (1.26e308+1.375e308j, 0, 0, 1) has finite parts, but abs()
+    # of its first element, 1.87e308, raises OverflowError
+    base = (1.25e154 + 0.55e154j, 0j, 0j, 1 + 0j)
+    square = transfer._mul(base, base)
+    assert all(cmath.isfinite(element) for element in square)
+    with pytest.raises(OverflowError):
+        abs(square[0])
+    with pytest.raises(OverflowGuardError) as caught:
+        transfer._power(base, 2, transfer._mul)
+    assert (type(caught.value), str(caught.value)) == (
+        OverflowGuardError, "direct lattice product of 2 cells exceeds 1e+280 (sum of |elements| inf)")
+
+
 def test_barrier_growth_overflow_is_typed():
     # |Im(kc)|*b ~ 2,800: cos(kc*b) and sin(kc*b) leave double range
     p = Particle(1.0)
@@ -305,7 +319,8 @@ def test_barrier_growth_overflow_is_typed():
         (lambda: barrier_matrix(Particle(1.0), 0.5, 1.0, 10**400),
          "barrier phase k*b*(1 + 2j) = 1.000e+00*1.000e+00*inf "
          "or Re(kc)*b = 7.071e-01*1.000e+00 leaves double range"),
-        (lambda: lattice_matrix_direct(Particle(1.0), CellSpec(0.5, 1.0), 10**400),
+        # N passes the N rule, but the last offset 2N - 1 does not fit a double
+        (lambda: lattice_matrix_direct(Particle(1.0), CellSpec(0.5, 1.0), 10**308),
          "barrier phase k*b*(1 + 2j) = 1.000e+00*1.000e+00*inf "
          "or Re(kc)*b = 1.029e+00*1.000e+00 leaves double range"),
         # k*b = 1e200, but Re(kc) = 7e149 takes kc*b past double range
@@ -395,8 +410,12 @@ def test_lattice_oracle_is_the_direct_product_with_its_derivative():
     assert lattice_oracle(Particle(1e-220), CellSpec(0.0, 1.0), 1) == (1.0 + 0.0j, 1.0 / 1e-110)
     with pytest.raises(ValueError, match="n_cells must be >= 0"):
         lattice_oracle(Particle(2.0), CellSpec(3.0, 0.5), -1)
-    with pytest.raises(OverflowGuardError, match="barrier phase"):
+    with pytest.raises(ValueError) as caught:  # the N rule, before any barrier
         lattice_oracle(Particle(1.0), CellSpec(0.5, 1.0), 10**400)
+    assert (type(caught.value), str(caught.value)) == (
+        ValueError, "n_cells must be at most 1.7976931348623157e+308, the largest double")
+    with pytest.raises(OverflowGuardError, match="barrier phase"):
+        lattice_oracle(Particle(1.0), CellSpec(0.5, 1.0), 10**308)
     with pytest.raises(OverflowGuardError, match="barrier growth"):
         lattice_oracle(Particle(1.0), CellSpec(1e4, 10.0), 1)
 
