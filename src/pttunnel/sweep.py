@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .chebyshev import cheb_pair
 from .errors import OverflowGuardError, SpectralSingularityError
-from .model import (_LARGEST, CellSpec, Particle, _check_cell_spec, _check_cells, _Geometry,
-                    _geometry, _record, _scaled, _Validated)
+from .model import (_LARGEST, CellSpec, Particle, _check_cell_spec, _check_cells, _geometry,
+                    _record, _scaled, _Validated)
 from .timing import (
     _cell_scalars,
     _closed_form,
@@ -84,6 +84,8 @@ class GridSpec(_Validated, _GridSpecFields):
     __slots__ = ()
 
     def __new__(cls, start: float, stop: float, count: int, log: bool = False) -> GridSpec:
+        if type(count) is not int:  # not isinstance: a bool is no count
+            raise ValueError(f"grid count must be an int, got {count!r}")
         if count < 1:
             raise ValueError("grid count must be >= 1")
         if not (abs(start) <= _LARGEST and abs(stop) <= _LARGEST):
@@ -179,18 +181,6 @@ _COLUMN_FIELDS = {
 }
 
 
-class _Shared(NamedTuple):
-    """What every row at one (E, V) shares: the width-free cell geometry (None
-    where it leaves double range), the thick-cell gamma and limit time
-    tau_inf of V > 0 (each nan at V = 0 or where it leaves double range) and
-    the free time tau_free of a sweep-n span (nan for any other row)."""
-
-    geometry: _Geometry | None
-    gamma: float
-    tau_inf: float
-    tau_free: float
-
-
 def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow:
     """Evaluate tau, |t| and theta at one point, downgrading failures to flags.
 
@@ -209,31 +199,6 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
     return _rows(particle, (cell.strength,), [(n_cells, cell.width)])[0]
 
 
-def _row(particle: Particle, shared: _Shared, strength: float, width: float,
-         n_cells: int) -> SweepRow:
-    """The row of :func:`evaluate_point` at a cell (strength, width) that
-    CellSpec accepts and a checked N, from the (E, V) record it shares with
-    its sweep."""
-    record = _closed_form(shared.geometry, width, n_cells)
-    span = 2.0 * (n_cells * width)  # 2N itself is inf past half the largest double
-    tau, theta, error = record.tau, record.theta, record.error
-    method = METHOD_ANALYTIC
-    if record.path == "handoff":
-        tau = shared.tau_inf
-        theta = _wrap_phase(math.atan(shared.gamma) - particle.k * span)
-        method = METHOD_HARTMAN
-    flags = [FLAG_BAND_EDGE] if record.band_edge else []
-    if error is not None:
-        flags.append(error.code)
-    elif not math.isfinite(tau):
-        flags.append(FLAG_OVERFLOW)
-    # nan where tau_free is nan (no span) or L/2k underflows to 0
-    rel_gap = abs(tau - shared.tau_free) / shared.tau_free if shared.tau_free else _NAN
-    return _record(SweepRow, (particle.energy, strength, n_cells, width, span, tau, method,
-                              record.t_abs, theta, tuple(flags), shared.tau_inf, shared.tau_free,
-                              rel_gap))
-
-
 def _rows(particle: Particle, potentials: tuple[float, ...], points: list[tuple[int, float]],
           tau_free: float = _NAN) -> list[SweepRow]:
     """The rows of every command: over ``potentials`` (outer) and (N, b)
@@ -248,8 +213,13 @@ def _rows(particle: Particle, potentials: tuple[float, ...], points: list[tuple[
         _check_cells(n_cells)
     for strength in later:
         _check_cell_spec(strength, points[0][1])  # every b has passed, so only V can fail
+    energy, k = particle.energy, particle.k
     rows: list[SweepRow] = []
     for strength in potentials:
+        # What every row at one (E, V) shares: the width-free cell geometry
+        # (None where it leaves double range), and the thick-cell gamma and
+        # limit time tau_inf of V > 0 (each nan at V = 0 or where it leaves
+        # double range).
         geometry, gamma, tau_inf = None, _NAN, _NAN
         with contextlib.suppress(OverflowGuardError):
             geometry = _geometry(particle, strength)
@@ -257,9 +227,26 @@ def _rows(particle: Particle, potentials: tuple[float, ...], points: list[tuple[
             with contextlib.suppress(OverflowGuardError):
                 coeffs = _hartman_coeffs(particle, strength, geometry)
                 gamma = coeffs.gamma  # a handoff row keeps its phase where tau_inf leaves range
-                tau_inf = _limit_time(coeffs, particle.k)
-        shared = _Shared(geometry, gamma, tau_inf, tau_free)
-        rows += [_row(particle, shared, strength, width, n_cells) for n_cells, width in points]
+                tau_inf = _limit_time(coeffs, k)
+        for n_cells, width in points:
+            record = _closed_form(geometry, width, n_cells)
+            span = 2.0 * (n_cells * width)  # 2N itself is inf past half the largest double
+            tau, theta, error = record.tau, record.theta, record.error
+            method = METHOD_ANALYTIC
+            if record.path == "handoff":
+                tau = tau_inf
+                theta = _wrap_phase(math.atan(gamma) - k * span)
+                method = METHOD_HARTMAN
+            flags = [FLAG_BAND_EDGE] if record.band_edge else []
+            if error is not None:
+                flags.append(error.code)
+            elif not math.isfinite(tau):
+                flags.append(FLAG_OVERFLOW)
+            # nan where tau_free is nan (no span) or L/2k underflows to 0
+            rel_gap = abs(tau - tau_free) / tau_free if tau_free else _NAN
+            rows.append(_record(SweepRow, (energy, strength, n_cells, width, span, tau, method,
+                                           record.t_abs, theta, tuple(flags), tau_inf, tau_free,
+                                           rel_gap)))
     return rows
 
 
@@ -454,9 +441,9 @@ def run_limits() -> LimitsReport:
 
 
 # CSV: the columns the package computes as floats for each row, and those
-# that carry the caller's inputs.
+# whose texts are formatted once per run of rows that share the value's object.
 _CSV_FLOAT_COLUMNS = frozenset(("L", "tau", "rel_gap", "t_abs", "theta"))
-_INPUT_COLUMNS = frozenset(("E", "V", "N", "b"))
+_CSV_RUN_COLUMNS = frozenset(("E", "V", "N", "b", "tau_inf", "tau_free"))
 
 
 def _column(rows: list[SweepRow], column: str) -> Iterator:
@@ -466,9 +453,9 @@ def _column(rows: list[SweepRow], column: str) -> Iterator:
     return map(attrgetter(_COLUMN_FIELDS[column]), rows)
 
 
-def _input_text(value: float) -> str:
-    # A library caller may pass an int E, V or b (N is one); str keeps
-    # every digit where %.17g would round it past 2**53.
+def _run_text(value: float) -> str:
+    # N is an int, and a library caller may put one in E, V, b, tau_inf or
+    # tau_free; str keeps every digit where %.17g would round it past 2**53.
     return str(value) if isinstance(value, int) else "%.17g" % value
 
 
@@ -489,11 +476,7 @@ def _csv_column(rows: list[SweepRow], column: str) -> Iterable:
     # tau_free objects, and those of one N its int, so these are formatted
     # once per run; b is its own object on each row.
     values = _column(rows, column)
-    if column in _INPUT_COLUMNS:
-        return _texts_by_run(values, _input_text)
-    if column in ("tau_inf", "tau_free"):
-        return _texts_by_run(values, "%.17g".__mod__)
-    return values
+    return _texts_by_run(values, _run_text) if column in _CSV_RUN_COLUMNS else values
 
 
 def rows_to_csv(rows: Iterable[SweepRow], columns: tuple[str, ...]) -> str:

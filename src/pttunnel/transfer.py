@@ -52,47 +52,6 @@ class TransferMatrix(NamedTuple):
 IDENTITY = TransferMatrix(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
-def _barrier_elements(energy: float, k: float, diag: complex, potential: complex, width: float,
-                      reach: float) -> tuple:
-    """(m11, m22, s, -0.5*s) and (kc, mu, cos(kc*b), sin(kc*b)) of one barrier of complex
-    height `potential` and width `width` at E = k**2, diag = exp(-i*k*b) (1.0 for P**-1 @ B0):
-    m11 = 0.5*diag*p+ and m22 = 0.5*p-/diag, where
-    p+- = 2 cos(kc*b) +- i(mu + 1/mu) sin(kc*b), s = i(mu - 1/mu) sin(kc*b),
-    kc = sqrt(E - potential) and mu = kc/k, so p+*p- + s*s = 4 (det = 1).
-    At offset j, m12 = 0.5*off*s and m21 = -0.5*s/off, off = exp(-i*k*b*(1 + 2j)).
-    The caller checks the potential and the width; a phase k*b*`reach` (1 + 2j
-    of the last offset) or Re(kc)*b past double range is an OverflowGuardError,
-    raised before `diag` is read (it is nan where k*b is inf).
-    """
-    kc = cmath.sqrt(energy - potential)
-    if kc == 0:
-        raise ValueError("potential equals the energy; internal wave number vanishes")
-    kb = k * width
-    if not math.isfinite(max(kb * reach, abs(kc.real) * width)):
-        raise OverflowGuardError(
-            f"barrier phase k*b*(1 + 2j) = {k:.3e}*{width:.3e}*{reach:.0f} "
-            f"or Re(kc)*b = {kc.real:.3e}*{width:.3e} leaves double range"
-        )
-    mu = kc / k
-    inv_mu = 1.0 / mu
-    try:
-        cos_cb = cmath.cos(kc * width)
-        sin_cb = cmath.sin(kc * width)
-    except OverflowError:  # the elements come out non-finite and raise below
-        cos_cb = sin_cb = cmath.inf
-    even = (mu + inv_mu) * sin_cb
-    s = 1j * ((mu - inv_mu) * sin_cb)
-    p_plus, p_minus = 2.0 * cos_cb + 1j * even, 2.0 * cos_cb - 1j * even
-    m11, m22 = 0.5 * diag * p_plus, 0.5 * p_minus / diag
-    # Just below |Im(kc)|*b ~ 710, where cos and sin overflow, the couplings
-    # overflow instead and the elements come out nan.
-    if not (cmath.isfinite(m11) and cmath.isfinite(m22) and cmath.isfinite(s)):
-        raise OverflowGuardError(
-            f"barrier growth |Im(kc)|*b = {abs((kc * width).imag):.3e} leaves double range"
-        )
-    return (m11, m22, s, -0.5 * s), (kc, mu, cos_cb, sin_cb)
-
-
 def _reach(offset_index: int) -> float:
     """The offset factor 1 + 2j of offset j; inf where it leaves double range."""
     return 1.0 + 2.0 * offset_index if offset_index <= _LARGEST else math.inf
@@ -116,24 +75,55 @@ def barrier_matrix(particle: Particle, potential: complex, width: float,
     _check_real("width", width, positive=True)
     reach = _reach(offset_index)
     k = particle.k
-    ikb = -1j * (k * width)
-    m11, m22, s, neg_half_s = _barrier_elements(particle.energy, k, cmath.exp(ikb), potential, width, reach)[0]
-    off = cmath.exp(ikb * reach)
-    return TransferMatrix(m11, 0.5 * off * s, neg_half_s / off, m22)
+    m11, m12, m21, m22 = _phase_free(particle.energy, k, potential, width, reach, False)
+    ikb = -1j * (k * width)  # finite: _phase_free has checked k*b*(1 + 2j)
+    diag, off = cmath.exp(ikb), cmath.exp(ikb * reach)
+    return TransferMatrix(diag * m11, off * m12, m21 / off, m22 / diag)
 
 
 def _phase_free(energy: float, k: float, potential: complex, width: float, reach: float,
                 jet: bool) -> tuple:
-    """P**-1 @ B0 = 0.5 [[p+, s], [-s, p-]] of one barrier, P = diag(exp(-ikb), exp(ikb)), followed
-    where `jet` is set by its k-derivative, from dkc/dk = k/kc and dmu/dk = U/(kc k**2)."""
-    (m11, m22, s, m21), (kc, mu, cos_cb, sin_cb) = _barrier_elements(energy, k, 1.0, potential, width, reach)
+    """P**-1 @ B0 = 0.5 [[p+, s], [-s, p-]] of one barrier of complex height `potential` and
+    width `width` at E = k**2, P = diag(exp(-ikb), exp(ikb)), where
+    p+- = 2 cos(kc*b) +- i(mu + 1/mu) sin(kc*b), s = i(mu - 1/mu) sin(kc*b),
+    kc = sqrt(E - potential) and mu = kc/k, so p+*p- + s*s = 4 (det = 1); followed
+    where `jet` is set by its k-derivative, from dkc/dk = k/kc and dmu/dk = U/(kc k**2).
+    The caller checks the potential and the width; a phase k*b*`reach` (1 + 2j
+    of the last offset) or Re(kc)*b past double range is an OverflowGuardError.
+    """
+    kc = cmath.sqrt(energy - potential)
+    if kc == 0:
+        raise ValueError("potential equals the energy; internal wave number vanishes")
+    kb = k * width
+    if not math.isfinite(max(kb * reach, abs(kc.real) * width)):
+        raise OverflowGuardError(
+            f"barrier phase k*b*(1 + 2j) = {k:.3e}*{width:.3e}*{reach:.0f} "
+            f"or Re(kc)*b = {kc.real:.3e}*{width:.3e} leaves double range"
+        )
+    mu = kc / k
+    inv_mu = 1.0 / mu
+    try:
+        cos_cb = cmath.cos(kc * width)
+        sin_cb = cmath.sin(kc * width)
+    except OverflowError:  # the elements come out non-finite and raise below
+        cos_cb = sin_cb = cmath.inf
+    even = (mu + inv_mu) * sin_cb
+    s = 1j * ((mu - inv_mu) * sin_cb)
+    m11, m22 = 0.5 * (2.0 * cos_cb + 1j * even), 0.5 * (2.0 * cos_cb - 1j * even)
+    # Just below |Im(kc)|*b ~ 710, where cos and sin overflow, the couplings
+    # overflow instead and the elements come out nan.  Halved, a finite element
+    # stays finite under barrier_matrix's unit-modulus phases.
+    if not (cmath.isfinite(m11) and cmath.isfinite(m22) and cmath.isfinite(s)):
+        raise OverflowGuardError(
+            f"barrier growth |Im(kc)|*b = {abs((kc * width).imag):.3e} leaves double range"
+        )
     if not jet:
-        return m11, 0.5 * s, m21, m22
+        return m11, 0.5 * s, -0.5 * s, m22
     dkc, dmu = k / kc, potential / kc / k / k  # kc*k*k may underflow to 0
     d_cos, d_sin = -width * dkc * sin_cb, width * dkc * cos_cb
     d_even = dmu * (1.0 - 1.0 / (mu * mu)) * sin_cb + (mu + 1.0 / mu) * d_sin
     d12 = 0.5j * (dmu * (1.0 + 1.0 / (mu * mu)) * sin_cb + (mu - 1.0 / mu) * d_sin)
-    return m11, 0.5 * s, m21, m22, d_cos + 0.5j * d_even, d12, -d12, d_cos - 0.5j * d_even
+    return m11, 0.5 * s, -0.5 * s, m22, d_cos + 0.5j * d_even, d12, -d12, d_cos - 0.5j * d_even
 
 
 def _mul(a: tuple, b: tuple) -> tuple:

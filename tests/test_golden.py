@@ -9,9 +9,12 @@ sweep-b-wide and sweep-n-thin commands of ``ptbench/workloads.py`` write
 ``oracle-points.sha256`` pins the bits of the oracle point, what ptbench's
 oracle-limits workload computes per lattice: one SHA-256 per (E, V, b, N)
 over the ``repr`` of each result (or of the error raised), for the oracle
-lattices of seeds 1-3 and one point per ``ClosedForm.path``.  A change that
-alters any of them alters what users get, so it must come with regenerated
-files and a stated reason.  Regenerate them all with
+lattices of seeds 1-3 and one point per ``ClosedForm.path``, and
+``barrier-points.sha256`` those of ``barrier_matrix``: its gain and loss
+barriers at offsets 0, 1 and 2N - 1 of the seed-1 oracle lattices and of
+the same path points.  A change that alters any of them alters what users
+get, so it must come with regenerated files and a stated reason.
+Regenerate them all with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -29,8 +32,9 @@ import tempfile
 import pytest
 
 from conftest import PATH_POINTS
-from pttunnel import (CellSpec, Particle, PtTunnelError, closed_form, lattice_matrix_direct,
-                      lattice_oracle, transmission_from_matrix, tunneling_time_fd)
+from pttunnel import (CellSpec, Particle, PtTunnelError, barrier_matrix, closed_form,
+                      lattice_matrix_direct, lattice_oracle, transmission_from_matrix,
+                      tunneling_time_fd)
 from pttunnel.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -90,40 +94,58 @@ def test_workload_outputs_are_byte_identical(tmp_path):
     assert digests == (GOLDEN / "workloads.sha256").read_text()
 
 
+def _result_text(call, *args) -> str:
+    """The repr of ``call(*args)``, or of what it raised."""
+    try:
+        return repr(call(*args))
+    except (PtTunnelError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _oracle_results(energy: float, strength: float, width: float, n_cells: int) -> str:
     """The repr of each oracle-point result at one lattice, or of what it raised."""
     particle, cell = Particle(energy), CellSpec(strength, width)
     calls = (closed_form, lattice_matrix_direct, lattice_oracle, tunneling_time_fd,
              lambda *args: transmission_from_matrix(lattice_matrix_direct(*args)))
-    texts = []
-    for call in calls:
-        try:
-            texts.append(repr(call(particle, cell, n_cells)))
-        except (PtTunnelError, ValueError) as exc:
-            texts.append(f"{type(exc).__name__}: {exc}")
-    return "\n".join(texts)
+    return "\n".join(_result_text(call, particle, cell, n_cells) for call in calls)
 
 
-def _oracle_point_digests() -> str:
-    """One ``sha256sum``-style line per pinned lattice, labelled by its source."""
+def _barrier_results(energy: float, strength: float, width: float, n_cells: int) -> str:
+    """The repr of the lattice's gain and loss barrier_matrix at offsets 0, 1
+    and 2N - 1 (the last loss barrier's), or of what each raised."""
+    particle = Particle(energy)
+    return "\n".join(_result_text(barrier_matrix, particle, potential, width, offset)
+                     for potential in (1j * strength, -1j * strength)
+                     for offset in (0, 1, 2 * n_cells - 1))
+
+
+def _point_digests(results, seeds) -> str:
+    """One ``sha256sum``-style line of ``results`` per pinned lattice, labelled by
+    its source: the oracle lattices of ``seeds``, then one point per path."""
     workloads = _workloads()
     points = [(f"seed-{seed}-lattice-{j}", (lat.energy, lat.strength, lat.width, lat.n_cells))
-              for seed in (1, 2, 3) for j, lat in enumerate(workloads.oracle_lattices(seed))]
+              for seed in seeds for j, lat in enumerate(workloads.oracle_lattices(seed))]
     points += [(f"path-{name}", point) for name, point in PATH_POINTS.items() if point is not None]
-    return "".join(f"{hashlib.sha256(_oracle_results(*point).encode()).hexdigest()}  {label}\n"
+    return "".join(f"{hashlib.sha256(results(*point).encode()).hexdigest()}  {label}\n"
                    for label, point in points)
 
 
 def test_oracle_point_bits_are_pinned():
-    digests = _oracle_point_digests()
+    digests = _point_digests(_oracle_results, (1, 2, 3))
     assert digests.count("\n") == 3 * 24 + 7
     assert digests == (GOLDEN / "oracle-points.sha256").read_text()
 
 
+def test_barrier_matrix_bits_are_pinned():
+    digests = _point_digests(_barrier_results, (1,))
+    assert digests.count("\n") == 24 + 7
+    assert digests == (GOLDEN / "barrier-points.sha256").read_text()
+
+
 def _regenerate() -> None:
     """Write each command's stdout to its file under ``tests/golden/``, the
-    workload digests to ``workloads.sha256`` and the oracle point's to
-    ``oracle-points.sha256``."""
+    workload digests to ``workloads.sha256``, the oracle point's to
+    ``oracle-points.sha256`` and barrier_matrix's to ``barrier-points.sha256``."""
     for name, argv in COMMANDS.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -131,7 +153,8 @@ def _regenerate() -> None:
         (GOLDEN / name).write_bytes(out.getvalue().encode())
     with tempfile.TemporaryDirectory() as out_dir:
         (GOLDEN / "workloads.sha256").write_text(_workload_digests(out_dir))
-    (GOLDEN / "oracle-points.sha256").write_text(_oracle_point_digests())
+    (GOLDEN / "oracle-points.sha256").write_text(_point_digests(_oracle_results, (1, 2, 3)))
+    (GOLDEN / "barrier-points.sha256").write_text(_point_digests(_barrier_results, (1,)))
 
 
 if __name__ == "__main__":

@@ -101,6 +101,9 @@ INVALID = [
         "strength and width must be numbers, got CellSpec(strength=True, width=0.25)",
     ),
     (GridSpec(0.05, 5.0, 100), {"count": 0}, ValueError, "grid count must be >= 1"),
+    (GridSpec(0.05, 5.0, 100), {"count": 2.5}, ValueError, "grid count must be an int, got 2.5"),
+    (GridSpec(0.05, 5.0, 100), {"count": 3.0}, ValueError, "grid count must be an int, got 3.0"),
+    (GridSpec(0.05, 5.0, 100), {"count": True}, ValueError, "grid count must be an int, got True"),
     (GridSpec(0.05, 5.0, 100), {"stop": math.nan}, ValueError, "grid endpoints must be finite"),
     (GridSpec(0.05, 5.0, 100), {"log": True, "start": 0.0}, ValueError, "log grid requires positive endpoints"),
     (GridSpec(0.05, 5.0, 100), {"log": True, "stop": -1.0}, ValueError, "log grid requires positive endpoints"),

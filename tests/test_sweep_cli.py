@@ -576,13 +576,13 @@ def test_writers_match_reference_bytes(columns):
 
 def test_csv_runs_of_shared_values_are_keyed_on_the_object():
     # adjacent rows whose shared columns hold 0.0 then -0.0, or two distinct
-    # nan objects, each keep their own text
+    # nan objects, each keep their own text, and an int keeps every digit
     row = run_sweep_b(_PATH_CONFIGS[0])[0]
     nan_a, nan_b = float("nan"), -float("nan")
     assert nan_a is not nan_b
     rows = [
         row._replace(energy=value, strength=value, tau_inf=value, tau_free=value)
-        for value in (0.0, -0.0, 0.0, nan_a, nan_b, nan_b, -0.0, 1.5)
+        for value in (0.0, -0.0, 0.0, nan_a, nan_b, nan_b, 2**60 + 1, -0.0, 1.5)
     ]
     for columns in (SWEEP_B_COLUMNS, SWEEP_N_COLUMNS):
         text = rows_to_csv(rows, columns)
