@@ -170,11 +170,6 @@ def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> 
                                   chi, xi_prime, chi_prime))
 
 
-def _growth_scale(xi_minus_1: float, xi_plus_1: float) -> float:
-    """sqrt(xi^2 - 1) for |xi| > 1 without forming xi^2."""
-    return math.sqrt(abs(xi_minus_1)) * math.sqrt(abs(xi_plus_1))
-
-
 class ClosedForm(NamedTuple):
     """tau, t and theta of the N-cell lattice from one evaluation.
 
@@ -239,7 +234,7 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
 
 
 def _unevaluated(message: str, path: str = "not-evaluated") -> ClosedForm:
-    return ClosedForm(_NAN, _NAN, None, OverflowGuardError(message), path=path)
+    return _record(ClosedForm, (_NAN, _NAN, None, OverflowGuardError(message), _NAN, False, path))
 
 
 def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedForm:
@@ -248,7 +243,7 @@ def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedFor
     if geo is None:
         return _unevaluated("cell geometry leaves double range")
     if n_cells == 0:
-        return ClosedForm(tau=0.0, theta=0.0, t=1.0 + 0.0j, path="empty")
+        return _record(ClosedForm, (0.0, 0.0, 1.0 + 0.0j, None, _NAN, False, "empty"))
     scaled = _scaled(geo, width)
     alpha, beta, _, _ = scaled
     k = geo.k
@@ -268,14 +263,33 @@ def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedFor
     # outside the band xi > 1 and T_N > 0.  The side is read off xi - 1, whose
     # sign quad shares: just outside the band xi itself can round to 1.0.
     if xi_minus_1 > 0.0:
-        return _out_of_band(xi, xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime,
-                            n, k, length, band_edge, beta)
-    return _in_band(xi, chi, xi_prime, chi_prime, quad, n, k, length, band_edge)
-
-
-def _in_band(xi: float, chi: float, xi_prime: float, chi_prime: float, quad: float, n: float,
-             k: float, length: float, band_edge: bool) -> ClosedForm:
-    """The record of a cell with |xi| <= 1, from its band angle psi."""
+        # xi > 1: the record from the growth rate nu = acosh(xi).
+        # s = sqrt(xi^2 - 1) without forming xi^2
+        scale = math.sqrt(abs(xi_minus_1)) * math.sqrt(abs(xi_plus_1))
+        if scale == 0.0:  # xi + 1 > 2 here: it lost every digit, as where cos 2phi rounds to 1
+            return _unevaluated(f"xi + 1 cancels to 0 at beta = {beta:.3f}")
+        nu1 = math.asinh(scale)
+        nu = n * nu1
+        tt = math.tanh(nu)
+        cs, rs, y = chi / scale, xi / scale, nu1 * nu1
+        sech2 = 4.0 * (decay := math.exp(-2.0 * nu)) / (1.0 + decay) ** 2
+        # the two parts of s^2 dq/dxi that vanish as x^3, summed where small
+        coth_part = y * (nu1 / scale) * _horner(_A_SERIES, y) if nu1 < _SERIES_X else nu1 * rs - 1.0
+        tanh_part = nu**3 * _horner(_B_SERIES, nu * nu) * sech2 if nu < _SERIES_X else tt - nu * sech2
+        minus_s2_dq = n * sech2 * coth_part + rs * tanh_part
+        bracket = tt * (chi_prime / scale) - cs * (xi_prime / scale) * minus_s2_dq
+        tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
+        q_chi = chi * (tt / scale)
+        # t = exp(-ln|G| - i(k*L + arg G)), G = T_N (1 - i q chi) and T_N = cosh(N nu)
+        ln_g = nu - _LN2 + math.log1p(decay) + 0.5 * math.log1p(q_chi**2)
+        phase = -k * length - math.atan2(-q_chi, 1.0)
+        if ln_g > _LN_MAX:  # the phase stays well defined through the bounded ratio q*chi
+            error = OverflowGuardError(
+                f"|G| ~ exp({ln_g:.1f}) exceeds double range; transmission magnitude underflows")
+            return _record(ClosedForm, (tau, _wrap_phase(phase), None, error, xi, band_edge, "underflow"))
+        t = cmath.rect(math.exp(-ln_g), phase)
+        return _record(ClosedForm, (tau, cmath.phase(t), t, None, xi, band_edge, "out-of-band"))
+    # |xi| <= 1: the record from the band angle psi.
     # sin psi from the cancellation-free offsets stays consistent with chi.
     # q (odd in xi) and dq/dxi (even) take psi1 = arccos|xi| <= pi/2, where
     # N A(psi) + cos(psi) B(N psi) does not cancel as it does near psi = pi;
@@ -306,36 +320,6 @@ def _in_band(xi: float, chi: float, xi_prime: float, chi_prime: float, quad: flo
         return _record(ClosedForm, (tau, _NAN, None, error, xi, band_edge, "singular"))
     t = cmath.exp(-1j * k * length) / g
     return _record(ClosedForm, (tau, cmath.phase(t), t, None, xi, band_edge, "in-band"))
-
-
-def _out_of_band(xi: float, xi_minus_1: float, xi_plus_1: float, chi: float, xi_prime: float,
-                 chi_prime: float, n: float, k: float, length: float, band_edge: bool,
-                 beta: float) -> ClosedForm:
-    """The record of a cell with xi > 1, from its growth rate nu = acosh(xi)."""
-    scale = _growth_scale(xi_minus_1, xi_plus_1)
-    if scale == 0.0:  # xi + 1 > 2 here: it lost every digit, as where cos 2phi rounds to 1
-        return _unevaluated(f"xi + 1 cancels to 0 at beta = {beta:.3f}")
-    nu1 = math.asinh(scale)
-    nu = n * nu1
-    tt = math.tanh(nu)
-    cs, rs, y = chi / scale, xi / scale, nu1 * nu1
-    sech2 = 4.0 * (decay := math.exp(-2.0 * nu)) / (1.0 + decay) ** 2
-    # the two parts of s^2 dq/dxi that vanish as x^3, summed where small
-    coth_part = y * (nu1 / scale) * _horner(_A_SERIES, y) if nu1 < _SERIES_X else nu1 * rs - 1.0
-    tanh_part = nu**3 * _horner(_B_SERIES, nu * nu) * sech2 if nu < _SERIES_X else tt - nu * sech2
-    minus_s2_dq = n * sech2 * coth_part + rs * tanh_part
-    bracket = tt * (chi_prime / scale) - cs * (xi_prime / scale) * minus_s2_dq
-    tau = bracket / (2.0 * k * (1.0 + (tt * cs) ** 2))
-    q_chi = chi * (tt / scale)
-    # t = exp(-ln|G| - i(k*L + arg G)), G = T_N (1 - i q chi) and T_N = cosh(N nu)
-    ln_g = nu - _LN2 + math.log1p(decay) + 0.5 * math.log1p(q_chi**2)
-    phase = -k * length - math.atan2(-q_chi, 1.0)
-    if ln_g > _LN_MAX:  # the phase stays well defined through the bounded ratio q*chi
-        error = OverflowGuardError(
-            f"|G| ~ exp({ln_g:.1f}) exceeds double range; transmission magnitude underflows")
-        return _record(ClosedForm, (tau, _wrap_phase(phase), None, error, xi, band_edge, "underflow"))
-    t = cmath.rect(math.exp(-ln_g), phase)
-    return _record(ClosedForm, (tau, cmath.phase(t), t, None, xi, band_edge, "out-of-band"))
 
 
 def transmission_closed(particle: Particle, cell: CellSpec, n_cells: int) -> complex:

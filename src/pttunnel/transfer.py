@@ -121,8 +121,9 @@ def _phase_free(energy: float, k: float, potential: complex, width: float, reach
         return m11, 0.5 * s, -0.5 * s, m22
     dkc, dmu = k / kc, potential / kc / k / k  # kc*k*k may underflow to 0
     d_cos, d_sin = -width * dkc * sin_cb, width * dkc * cos_cb
-    d_even = dmu * (1.0 - 1.0 / (mu * mu)) * sin_cb + (mu + 1.0 / mu) * d_sin
-    d12 = 0.5j * (dmu * (1.0 + 1.0 / (mu * mu)) * sin_cb + (mu - 1.0 / mu) * d_sin)
+    inv_mu2 = 1.0 / (mu * mu)  # not inv_mu * inv_mu, which rounds differently
+    d_even = dmu * (1.0 - inv_mu2) * sin_cb + (mu + inv_mu) * d_sin
+    d12 = 0.5j * (dmu * (1.0 + inv_mu2) * sin_cb + (mu - inv_mu) * d_sin)
     return m11, 0.5 * s, -0.5 * s, m22, d_cos + 0.5j * d_even, d12, -d12, d_cos - 0.5j * d_even
 
 

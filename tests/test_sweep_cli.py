@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import stat
 import subprocess
@@ -16,12 +17,13 @@ from hypothesis import strategies as st
 
 import pttunnel
 
-from conftest import bisect_width_for_xi
+from conftest import PATH_POINTS, bisect_width_for_xi
 from test_golden import COMMANDS as GOLDEN_COMMANDS, GOLDEN
 from pttunnel import (
     CellSpec,
     ClosedForm,
     GridSpec,
+    OverflowGuardError,
     Particle,
     SpectralSingularityError,
     SweepConfig,
@@ -31,6 +33,7 @@ from pttunnel import (
     free_propagation_time,
     hartman_limit_time,
     lattice_matrix_direct,
+    lattice_oracle,
     run_limits,
     run_point,
     run_sweep_b,
@@ -44,6 +47,7 @@ from pttunnel.sweep import (
     POINT_COLUMNS,
     SWEEP_B_COLUMNS,
     SWEEP_N_COLUMNS,
+    oracle_triangle_residuals,
     rows_to_csv,
     rows_to_json,
     write_text,
@@ -668,6 +672,26 @@ def test_limits_report_catches_sign_mutation(monkeypatch):
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert "thick-cell-coefficient-identity" in failing
+
+
+def test_oracle_triangle_skips_a_point_without_t_and_one_the_oracle_refuses(monkeypatch):
+    # the singular point has no closed-form t; at E = 1, V = 20, b = 52.5,
+    # N = 2 the out-of-band t (1.4e-281) exists, but the lattice product
+    # leaves the guard: neither may count as a used point or move a residual
+    energy, strength, width, n_cells = PATH_POINTS["singular"]
+    no_t = (Particle(energy), CellSpec(strength, width), n_cells)
+    refused = (Particle(1.0), CellSpec(20.0, 52.5), 2)
+    assert closed_form(*no_t).t is None
+    assert closed_form(*refused).path == "out-of-band" and closed_form(*refused).t is not None
+    with pytest.raises(OverflowGuardError):
+        lattice_oracle(*refused)
+    expected = oracle_triangle_residuals(random.Random(7), 20)
+    skipped = iter([no_t, refused])
+    draw = sweep_mod.draw_regular_point
+    monkeypatch.setattr(sweep_mod, "draw_regular_point", lambda rng: next(skipped, None) or draw(rng))
+    worst_t, worst_tau, used = oracle_triangle_residuals(random.Random(7), 20)
+    assert used == 20
+    assert (worst_t, worst_tau) == expected[:2]
 
 
 # ---------------------------------------------------------------------------
