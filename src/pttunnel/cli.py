@@ -91,6 +91,11 @@ _MODES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each mode's sub-parser by name from the same add_parser calls."""
     parser = argparse.ArgumentParser(
         prog="pttunnel",
         description=(
@@ -99,23 +104,33 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="mode", required=True)
+    modes = {}
     for name, mode in _MODES.items():
-        p = sub.add_parser(name, help=mode.help)
+        p = modes[name] = sub.add_parser(name, help=mode.help)
         for dest in mode.flags:
             flag = _SETTINGS[dest].flag if dest in _SETTINGS else _CONFIG_FLAG
             p.add_argument(f"--{dest}", **{"help": mode.grid_help, **flag})
-    return parser
+    return parser, modes
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every :func:`main` call, built on the first; parsing leaves it unchanged.
+# The parsers of every main() call, built on the first; parsing leaves them
+# unchanged.  This saves the build only where main runs more than once in one
+# process (a script or a test run calling it in a loop); the pttunnel console
+# script calls it once per process.
+_parser = functools.cache(_build_parsers)
 
-    This saves the build only where ``main`` runs more than once in one
-    process (a script or a test run calling it in a loop); the ``pttunnel``
-    console script calls it once per process.
-    """
-    return build_parser()
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: where argv[0] names a mode, its parser reads the rest
+    once, as the full parser would after classifying it; any other argv goes to the full parser."""
+    parser, modes = _parser()
+    if argv and argv[0] in modes:
+        args, extra = modes[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.mode = argv[0]
+        return args
+    return parser.parse_args(argv)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -186,7 +201,7 @@ def _run_point(config: SweepConfig) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -207,9 +207,11 @@ def _rows(particle: Particle, potentials: tuple[float, ...], points: list[tuple[
     once, for the first error in row order: CellSpec's for the first V with
     each b, then each N, then CellSpec's for each later V.  No row raises."""
     first, *later = potentials
-    for _, width in points:
+    # each distinct object once, in first-appearance order: points keeps
+    # every one alive, so no id is reused, and True and 1 stay apart
+    for width in {id(width): width for _, width in points}.values():
         _check_cell_spec(first, width)
-    for n_cells, _ in points:
+    for n_cells in {id(n_cells): n_cells for n_cells, _ in points}.values():
         _check_cells(n_cells)
     for strength in later:
         _check_cell_spec(strength, points[0][1])  # every b has passed, so only V can fail
@@ -230,22 +232,22 @@ def _rows(particle: Particle, potentials: tuple[float, ...], points: list[tuple[
                 tau_inf = _limit_time(coeffs, k)
         for n_cells, width in points:
             record = _closed_form(geometry, width, n_cells)
+            tau, theta, _, error, _, band_edge, path = record
             span = 2.0 * (n_cells * width)  # 2N itself is inf past half the largest double
-            tau, theta, error = record.tau, record.theta, record.error
             method = METHOD_ANALYTIC
-            if record.path == "handoff":
+            if path == "handoff":
                 tau = tau_inf
                 theta = _wrap_phase(math.atan(gamma) - k * span)
                 method = METHOD_HARTMAN
-            flags = [FLAG_BAND_EDGE] if record.band_edge else []
+            flags = (FLAG_BAND_EDGE,) if band_edge else ()
             if error is not None:
-                flags.append(error.code)
+                flags += (error.code,)
             elif not math.isfinite(tau):
-                flags.append(FLAG_OVERFLOW)
+                flags += (FLAG_OVERFLOW,)
             # nan where tau_free is nan (no span) or L/2k underflows to 0
             rel_gap = abs(tau - tau_free) / tau_free if tau_free else _NAN
             rows.append(_record(SweepRow, (energy, strength, n_cells, width, span, tau, method,
-                                           record.t_abs, theta, tuple(flags), tau_inf, tau_free,
+                                           record.t_abs, theta, flags, tau_inf, tau_free,
                                            rel_gap)))
     return rows
 
@@ -409,8 +411,7 @@ def run_limits() -> LimitsReport:
         geo = _geometry(particle, strength)
         scaled = _scaled(geo, 15.0 / (geo.rho * geo.sin_phi))
         coeffs = _hartman_coeffs(particle, strength, geo)
-        scalars = _cell_scalars(geo, scaled)
-        xi, chi = scalars.xi, scalars.chi
+        xi, _, _, chi, _, _ = _cell_scalars(geo, scaled)
         growth = math.exp(2.0 * scaled[1])
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
         worst = max(worst, abs(chi / growth / (0.25 * geo.u_minus * geo.sin_phi) - 1.0))

@@ -102,9 +102,9 @@ def _wrap_phase(raw: float) -> float:
     return wrapped if wrapped > -math.pi else math.pi
 
 
-class _CellScalars(NamedTuple):
-    """xi, chi and their k-derivatives, plus the offsets xi -+ 1 in
-    cancellation-free form.
+def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> tuple[float, ...]:
+    """(xi, xi - 1, xi + 1, chi, xi', chi'): xi, chi and their k-derivatives,
+    with the offsets xi -+ 1 in cancellation-free form, as a plain tuple.
 
     The time expression divides by xi^2 - 1, and for thin cells xi sits
     within O(b^2) of 1, where forming xi - 1 from the rounded xi would lose
@@ -121,16 +121,6 @@ class _CellScalars(NamedTuple):
     For the same reason xi' carries cosh 2beta - cos 2alpha, O(b^2) in a thin
     cell, as 2 (sinh^2 beta + sin^2 alpha).
     """
-
-    xi: float
-    xi_minus_1: float
-    xi_plus_1: float
-    chi: float
-    xi_prime: float
-    chi_prime: float
-
-
-def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> _CellScalars:
     alpha, beta, alpha_prime, beta_prime = scaled
     (_, _, _, sin_phi, cos_phi, sin_2phi, cos_2phi, u_plus, u_minus, phi_prime, u_plus_prime,
      u_minus_prime, _, _) = geo
@@ -166,8 +156,7 @@ def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> 
         + 0.5 * u_plus_prime * cos_phi * sin_2a
         + 0.5 * u_minus_prime * sin_phi * sinh_2b
     )
-    return _record(_CellScalars, (0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1,
-                                  chi, xi_prime, chi_prime))
+    return 0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime
 
 
 class ClosedForm(NamedTuple):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from typing import NamedTuple
 
 from .errors import OverflowGuardError, SpectralSingularityError
@@ -136,8 +135,16 @@ def _mul(a: tuple, b: tuple) -> tuple:
 
 
 def _mul_jet(a: tuple, b: tuple) -> tuple:
-    """(A, A') @ (B, B') = (AB, A'B + AB'), each pair as one 8-tuple."""
-    return (*_mul(a[:4], b[:4]), *map(operator.add, _mul(a[4:], b[:4]), _mul(a[:4], b[4:])))
+    """(A, A') @ (B, B') = (AB, A'B + AB'), each pair as one 8-tuple; each element of
+    A'B + AB' is (A'B)_ij + (AB')_ij, each product formed as in :func:`_mul`."""
+    a11, a12, a21, a22, d11, d12, d21, d22 = a
+    b11, b12, b21, b22, e11, e12, e21, e22 = b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22,
+            (d11 * b11 + d12 * b21) + (a11 * e11 + a12 * e21),
+            (d11 * b12 + d12 * b22) + (a11 * e12 + a12 * e22),
+            (d21 * b11 + d22 * b21) + (a21 * e11 + a22 * e21),
+            (d21 * b12 + d22 * b22) + (a21 * e12 + a22 * e22))
 
 
 def _power(base: tuple, n_cells: int, mul) -> tuple:

@@ -52,7 +52,7 @@ def bisect_width_for_xi(
     geo = _geometry(particle, strength)
 
     def offset(width: float) -> float:
-        return _cell_scalars(geo, _scaled(geo, width)).xi - target
+        return _cell_scalars(geo, _scaled(geo, width))[0] - target
 
     f_lo = offset(lo)
     f_hi = offset(hi)

@@ -135,8 +135,7 @@ def test_criterion_5_asymptotic_expansions():
         width = 15.0 / (geo.rho * geo.sin_phi)
         growth = math.exp(2.0 * _scaled(geo, width)[1])
         coeffs = hartman_coeffs(p, strength)
-        scalars = _cell_scalars(geo, _scaled(geo, width))
-        xi, chi = scalars.xi, scalars.chi
+        xi, _, _, chi, _, _ = _cell_scalars(geo, _scaled(geo, width))
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
         for n in (1, 2, 3, 4):

@@ -107,7 +107,7 @@ def test_out_of_band_g_where_xi_rounds_to_one(lattice_reference, energy, strengt
     # xi - 1 = 5.1e-18 and 6.6e-17 > 0, but xi rounds to 1.0 and to just
     # below it: t must come from nu, built on xi -+ 1, not from xi itself
     geo = _geometry(Particle(energy), strength)
-    assert _cell_scalars(geo, _scaled(geo, width)).xi_minus_1 > 0.0
+    assert _cell_scalars(geo, _scaled(geo, width))[1] > 0.0  # xi - 1
     record = closed_form(Particle(energy), CellSpec(strength, width), n)
     assert record.xi == xi and record.error is None
     reference = lattice_reference(energy, strength, width, n, dps=60)
@@ -147,7 +147,7 @@ GATE_C = 64.0
 
 def _xi_minus_1(energy, strength, width):
     geo = _geometry(Particle(energy), strength)
-    return _cell_scalars(geo, _scaled(geo, width)).xi_minus_1
+    return _cell_scalars(geo, _scaled(geo, width))[1]
 
 
 def _edge_bracket(energy, strength):

@@ -74,8 +74,7 @@ def test_thick_cell_asymptotic_ratios(energy, strength):
     width = 15.0 / (d.rho * d.sin_phi)
     growth = math.exp(2.0 * _scaled(d, width)[1])
     coeffs = hartman_coeffs(p, strength)
-    scalars = _cell_scalars(d, _scaled(d, width))
-    xi, chi = scalars.xi, scalars.chi
+    xi, _, _, chi, _, _ = _cell_scalars(d, _scaled(d, width))
     assert xi / growth == pytest.approx(coeffs.f1, rel=1e-4)
     assert chi / growth == pytest.approx(0.25 * d.u_minus * d.sin_phi, rel=1e-4)
     assert chi / xi == pytest.approx(coeffs.gamma, rel=1e-4)

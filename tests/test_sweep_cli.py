@@ -42,7 +42,7 @@ from pttunnel import (
     tunneling_time,
 )
 from pttunnel import sweep as sweep_mod
-from pttunnel.cli import _MODES, _SETTINGS, build_parser, main
+from pttunnel.cli import _MODES, _SETTINGS, _parse, build_parser, main
 from pttunnel.sweep import (
     POINT_COLUMNS,
     SWEEP_B_COLUMNS,
@@ -1343,6 +1343,100 @@ def test_cli_bad_input_exit_code_and_messages(name, tmp_path, capsys, monkeypatc
         (tmp_path / "run.cfg").write_text(config)
     assert main([arg.replace("{tmp}", tmp) for arg in command.split()]) == code
     assert capsys.readouterr() == (stdout.replace("{tmp}", tmp), stderr.replace("{tmp}", tmp))
+
+
+_USAGE = "usage: pttunnel [-h] {point,sweep-b,sweep-n,limits} ...\n"
+_HELP = _USAGE + """
+Transmission and stationary-phase tunneling times for layered gain/loss
+(+iV/-iV) barrier lattices.
+
+positional arguments:
+  {point,sweep-b,sweep-n,limits}
+    point               evaluate a single (E, V, b, N) point
+    sweep-b             sweep the cell width at fixed repetitions
+    sweep-n             sweep repetitions at fixed total span
+    limits              run the analytic limit validation report
+
+options:
+  -h, --help            show this help message and exit
+"""
+# the mode choices as an invalid-choice error lists them: older argparse
+# releases quote each one, newer ones do not
+_MODE_CHOICES = ("'point', 'sweep-b', 'sweep-n', 'limits'", "point, sweep-b, sweep-n, limits")
+_INVALID_MODE = _USAGE + "pttunnel: error: argument mode: invalid choice: {value} (choose from {choices})\n"
+
+# The inputs whose first argument names no mode, which only the full parser
+# reads: argv, exit code, stdout and stderr.
+_FULL_PARSER_INPUTS = {
+    "no-arguments": ([], 2, "", _USAGE + "pttunnel: error: the following arguments are required: mode\n"),
+    "unknown-mode": (["sweep", "--energy", "1"], 2, "", _INVALID_MODE.replace("{value}", "'sweep'")),
+    "top-level-help": (["--help"], 0, _HELP, ""),
+    "help-before-the-mode": (["-h", "sweep-b", "--energy", "1"], 0, _HELP, ""),
+    # the full parser takes the option's value for the mode
+    "option-before-the-mode": (["--energy", "1", "point"], 2, "", _INVALID_MODE.replace("{value}", "'1'")),
+}
+
+
+@pytest.mark.parametrize("name", list(_FULL_PARSER_INPUTS))
+def test_cli_full_parser_input_exit_code_and_messages(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at this width
+    argv, code, stdout, stderr = _FULL_PARSER_INPUTS[name]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == stdout
+    assert err in {stderr.replace("{choices}", choices) for choices in _MODE_CHOICES}
+
+
+def test_main_without_arguments_reads_sys_argv(capsysbinary, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pttunnel", *GOLDEN_COMMANDS["sweep-b.csv"]])
+    assert main() == 0
+    assert capsysbinary.readouterr() == ((GOLDEN / "sweep-b.csv").read_bytes(), b"")
+    monkeypatch.setattr(sys, "argv", ["pttunnel", "limits", "--energy", "1"])
+    assert main() == 2
+    assert capsysbinary.readouterr() == (
+        b"", _USAGE.encode() + b"pttunnel: error: unrecognized arguments: --energy 1\n")
+    monkeypatch.setattr(sys, "argv", ["pttunnel"])
+    assert main() == 2
+    assert capsysbinary.readouterr().err.endswith(b"the following arguments are required: mode\n")
+
+
+def _parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, as a dict, or the exit code with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# Beyond the inputs above: what one pass over a mode's arguments must read
+# as the full parser does.
+_DISPATCH_ARGVS = [
+    ["sweep-b", "--ener", "2", "--pot", "3"],  # abbreviations
+    ["sweep-b", "--energy=2", "--grid=-1:1:3"],
+    ["sweep-b", "--", "--energy", "2"],
+    ["sweep-b", "--energy", "1", "--", "extra"],
+    ["sweep-n", "--energy", "1", "extra", "--bogus", "x"],
+    ["sweep-n", "--format", "xml"],
+    ["point", "--energy", "abc"],
+    ["point", "--cells", "1.5"],
+    ["point", "-h"],
+    ["limits", "--help", "--energy", "1"],
+    ["sweep-b", "sweep-b"],
+    ["sweep-b", "--energy"],
+    ["point", "--width", "-1"],
+]
+
+
+def test_main_parses_every_command_as_the_full_parser_does(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at this width
+    commands = [command.split() for command, *_ in _BAD_INPUTS.values()]
+    commands += list(GOLDEN_COMMANDS.values())
+    commands += [argv for argv, *_ in _FULL_PARSER_INPUTS.values()] + _DISPATCH_ARGVS
+    full = build_parser().parse_args
+    for argv in commands:
+        assert _parse_outcome(_parse, argv) == _parse_outcome(full, argv), argv
 
 
 # Every double, nan and the infinities among them; half the draws are positive

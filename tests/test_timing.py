@@ -43,8 +43,7 @@ def scalars_of(particle, cell):
 
 
 def test_xi_chi_free_space_reduction():
-    scalars = scalars_of(Particle(1.0), CellSpec(0.0, 1.0))
-    xi, chi = scalars.xi, scalars.chi
+    xi, _, _, chi, _, _ = scalars_of(Particle(1.0), CellSpec(0.0, 1.0))
     assert xi == pytest.approx(math.cos(2.0), rel=1e-12)
     assert chi == pytest.approx(math.sin(2.0), rel=1e-12)
 
@@ -58,8 +57,7 @@ def test_xi_chi_consistent_with_unit_cell_matrix():
     t_closed = transmission_closed(p, cell, 1)
     assert abs(t_closed - t_matrix) / abs(t_matrix) < 1e-12
     # and xi - i*chi is m22 stripped of its free phase
-    scalars = scalars_of(p, cell)
-    xi, chi = scalars.xi, scalars.chi
+    xi, _, _, chi, _, _ = scalars_of(p, cell)
     reduced = unit_cell.m22 * cmath.exp(-2j * p.k * cell.width)
     assert xi == pytest.approx(reduced.real, rel=1e-12)
     assert -chi == pytest.approx(reduced.imag, rel=1e-12)
@@ -98,8 +96,7 @@ def test_xi_chi_overflow_guard():
 
 
 def test_xi_chi_prime_free_space():
-    scalars = scalars_of(Particle(1.0), CellSpec(0.0, 1.0))
-    xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
+    _, _, _, _, xi_p, chi_p = scalars_of(Particle(1.0), CellSpec(0.0, 1.0))
     assert xi_p == pytest.approx(-2.0 * math.sin(2.0), rel=1e-12)
     assert chi_p == pytest.approx(2.0 * math.cos(2.0), rel=1e-12)
 
@@ -112,12 +109,11 @@ def test_xi_chi_prime_match_finite_differences(energy, strength, width):
     k = math.sqrt(energy)
     h = 1e-6 * k
     cell = CellSpec(strength, width)
-    hi = scalars_of(Particle((k + h) ** 2), cell)
-    lo = scalars_of(Particle((k - h) ** 2), cell)
-    scalars = scalars_of(Particle(energy), cell)
-    xi_p, chi_p = scalars.xi_prime, scalars.chi_prime
-    assert (hi.xi - lo.xi) / (2.0 * h) == pytest.approx(xi_p, rel=1e-6)
-    assert (hi.chi - lo.chi) / (2.0 * h) == pytest.approx(chi_p, rel=1e-6)
+    xi_hi, _, _, chi_hi, _, _ = scalars_of(Particle((k + h) ** 2), cell)
+    xi_lo, _, _, chi_lo, _, _ = scalars_of(Particle((k - h) ** 2), cell)
+    _, _, _, _, xi_p, chi_p = scalars_of(Particle(energy), cell)
+    assert (xi_hi - xi_lo) / (2.0 * h) == pytest.approx(xi_p, rel=1e-6)
+    assert (chi_hi - chi_lo) / (2.0 * h) == pytest.approx(chi_p, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +142,9 @@ def test_transmission_magnitude_identity():
     p = Particle(2.0)
     cell = CellSpec(7.0, 0.6)
     n = 3
-    scalars = scalars_of(p, cell)
-    t_n, u_n1 = cheb_pair(n, scalars.xi)
-    g = complex(t_n, -scalars.chi * u_n1)
+    xi, _, _, chi, _, _ = scalars_of(p, cell)
+    t_n, u_n1 = cheb_pair(n, xi)
+    g = complex(t_n, -chi * u_n1)
     t = transmission_closed(p, cell, n)
     assert abs(t) * abs(g) == pytest.approx(1.0, rel=1e-12)
 
@@ -167,9 +163,9 @@ def test_transmission_log_domain_path():
     assert 0.0 < abs(t) < 1e-250
     assert math.isfinite(t.real) and math.isfinite(t.imag)
     # phase agrees with the bounded-ratio expression -k*L - arg(1 - i*chi*q)
-    scalars = scalars_of(p, cell)
-    t_1, u_0 = cheb_pair(1, scalars.xi)
-    bounded = -p.k * 2.0 * cell.width - math.atan(-scalars.chi * u_0 / t_1)
+    xi, _, _, chi, _, _ = scalars_of(p, cell)
+    t_1, u_0 = cheb_pair(1, xi)
+    bounded = -p.k * 2.0 * cell.width - math.atan(-chi * u_0 / t_1)
     assert math.remainder(cmath.phase(t) - bounded, math.tau) == pytest.approx(0.0, abs=1e-9)
     assert closed_form(p, cell, 1).theta == cmath.phase(t)
 
@@ -309,7 +305,7 @@ def test_closed_form_bundle_is_consistent():
     assert cf.t == transmission_closed(p, cell, 2)
     assert cf.tau == tunneling_time(p, cell, 2)
     assert cf.theta == cmath.phase(cf.t)
-    assert cf.xi == scalars_of(p, cell).xi
+    assert cf.xi == scalars_of(p, cell)[0]
     assert cf.error is None
     assert not (cf.band_edge or cf.path == "handoff")
     # a root of T_N is a regular point; the record marks the handoff past BETA_MAX
@@ -364,9 +360,9 @@ def test_closed_form_cancelled_growth_scale_is_typed():
     p = Particle(1e300)
     cell = CellSpec(1e150, 120.0)
     geo = _geometry(p, cell.strength)
-    scalars = _cell_scalars(geo, _scaled(geo, cell.width))
-    growth_scale = math.sqrt(abs(scalars.xi_minus_1)) * math.sqrt(abs(scalars.xi_plus_1))
-    assert scalars.xi_minus_1 > 0.0 and growth_scale == 0.0
+    _, xi_minus_1, xi_plus_1, _, _, _ = _cell_scalars(geo, _scaled(geo, cell.width))
+    growth_scale = math.sqrt(abs(xi_minus_1)) * math.sqrt(abs(xi_plus_1))
+    assert xi_minus_1 > 0.0 and growth_scale == 0.0
     cf = closed_form(p, cell, 10**9)
     assert isinstance(cf.error, OverflowGuardError) and cf.path != "handoff"
     assert cf.t is None and math.isnan(cf.tau) and math.isnan(cf.theta)
@@ -401,10 +397,10 @@ def test_record_t_abs_matches_the_row_rule_on_every_path(name):
 
 @pytest.mark.parametrize("name", list(PATH_POINTS))
 def test_records_built_in_c_equal_keyword_built_ones(name):
-    # the row path builds _Geometry, ClosedForm, _CellScalars and SweepRow,
-    # and the direct product its TransferMatrix, by tuple.__new__
-    # (model._record), past each NamedTuple's own __new__; the no-geometry
-    # point is one whose (E, V) geometry leaves double range
+    # the row path builds _Geometry, ClosedForm and SweepRow, and the direct
+    # product its TransferMatrix, by tuple.__new__ (model._record), past each
+    # NamedTuple's own __new__; the no-geometry point is one whose (E, V)
+    # geometry leaves double range
     energy, strength, width, n_cells = PATH_POINTS[name] or (1e-300, 1e10, 1.0, 2)
     particle = Particle(energy)
     geo = None
@@ -416,8 +412,6 @@ def test_records_built_in_c_equal_keyword_built_ones(name):
     records = [record, evaluate_point(particle, CellSpec(strength, width), n_cells)]
     if geo is not None:
         records.append(geo)
-    if record.path in ("empty", "in-band", "singular", "out-of-band", "underflow"):
-        records.append(_cell_scalars(geo, _scaled(geo, width)))
     with contextlib.suppress(OverflowGuardError):  # no product past the element guard or double range
         records.append(lattice_matrix_direct(particle, CellSpec(strength, width), n_cells))
     for record in records:
