@@ -129,9 +129,9 @@ class _Geometry(NamedTuple):
     u_plus/u_minus are the impedance combinations k/rho +- rho/k.  Only
     alpha = b*rho*cos(phi) and beta = b*rho*sin(phi), the oscillatory and
     growing phase accumulations across one barrier, and their k-derivatives
-    depend on the barrier width b, each as b times a factor held here
-    (:func:`_scaled`).  A sweep at fixed (E, V) builds this record once and
-    each row only scales it by b.
+    depend on the barrier width b, each as b times a factor held here; the
+    kernel's cell part (:func:`timing._cell`) forms them.  A sweep at fixed
+    (E, V) builds this record once and the cell part of each b scales it.
     """
 
     k: float
@@ -187,16 +187,4 @@ def _geometry(particle: Particle, strength: float) -> _Geometry:
         v * sin_phi + k2 * cos_phi,  # alpha_rate
         k2 * sin_phi - v * cos_phi,  # beta_rate
     ))
-
-
-def _scaled(g: _Geometry, width: float) -> tuple[float, float, float, float]:
-    """(alpha, beta, alpha', beta') at barrier width b."""
-    k, rho, rho3, sin_phi, cos_phi, _, _, _, _, _, _, _, alpha_rate, beta_rate = g
-    bk = width * k
-    return (
-        width * rho * cos_phi,
-        width * rho * sin_phi,
-        bk * alpha_rate / rho3,
-        bk * beta_rate / rho3,
-    )
 

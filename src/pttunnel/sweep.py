@@ -21,9 +21,9 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 from .chebyshev import cheb_pair
 from .errors import OverflowGuardError, SpectralSingularityError
 from .model import (_LARGEST, CellSpec, Particle, _check_cell_spec, _check_cells, _geometry,
-                    _record, _scaled, _Validated)
+                    _record, _Validated)
 from .timing import (
-    _cell_scalars,
+    _cell,
     _closed_form,
     _hartman_coeffs,
     _limit_time,
@@ -112,16 +112,17 @@ class GridSpec(_Validated, _GridSpecFields):
 
     def values(self) -> list[float]:
         # every exact grid value lies between the endpoints, so one that
-        # rounding took past the largest double counts as that double
-        if self.count == 1:
-            return [self.start]
-        if self.log:
-            ratio = self.stop / self.start
-            values = [self.start * ratio ** (i / (self.count - 1)) for i in range(self.count)]
-        else:
-            step = (self.stop - self.start) / (self.count - 1)
-            values = [self.start + i * step for i in range(self.count)]
-        return [min(max(v, -_LARGEST), _LARGEST) for v in values]
+        # rounding took past the largest double (to +-inf: a value is never
+        # nan) counts as that double
+        start, count, big = self.start, self.count, _LARGEST
+        if count == 1:
+            return [start]
+        if self.log:  # every value is >= 0
+            ratio = self.stop / start
+            return [v if (v := start * ratio ** (i / (count - 1))) <= big else big for i in range(count)]
+        step = (self.stop - start) / (count - 1)
+        return [v if -big <= (v := start + i * step) <= big else math.copysign(big, v)
+                for i in range(count)]
 
     def integer_values(self) -> list[int]:
         """Grid rounded to unique ascending integers (for repetition counts)."""
@@ -196,25 +197,31 @@ def evaluate_point(particle: Particle, cell: CellSpec, n_cells: int) -> SweepRow
     tau_free and rel_gap are nan.  Raises ValueError unless N is an int, not
     a bool, in [0, the largest double].
     """
-    return _rows(particle, (cell.strength,), [(n_cells, cell.width)])[0]
+    return _rows(particle, (cell.strength,), [(n_cells, [cell.width])])[0]
 
 
-def _rows(particle: Particle, potentials: tuple[float, ...], points: list[tuple[int, float]],
+def _rows(particle: Particle, potentials: tuple[float, ...], blocks: list[tuple[int, list[float]]],
           tau_free: float = _NAN) -> list[SweepRow]:
-    """The rows of every command: over ``potentials`` (outer) and (N, b)
-    ``points`` (inner, in order), each V's record built once, every row with
-    ``tau_free`` and its rel_gap.  Before any row, each V, b and N is checked
-    once, for the first error in row order: CellSpec's for the first V with
-    each b, then each N, then CellSpec's for each later V.  No row raises."""
+    """The rows of every command: over ``potentials`` (outer), then the
+    (N, widths) ``blocks`` in order, then each block's widths, every row
+    with ``tau_free`` and its rel_gap.  Each V's record is built once, and
+    its cell parts (:func:`timing._cell`) once per widths list: a block
+    whose list is the previous block's object reuses them, for its own N.
+    Before any row, each widths list's widths are checked once and each
+    block's N once, for the first error in row order: CellSpec's for the
+    first V with each b, then each N, then CellSpec's for each later V.
+    No row raises."""
     first, *later = potentials
-    # each distinct object once, in first-appearance order: points keeps
-    # every one alive, so no id is reused, and True and 1 stay apart
-    for width in {id(width): width for _, width in points}.values():
-        _check_cell_spec(first, width)
-    for n_cells in {id(n_cells): n_cells for n_cells, _ in points}.values():
+    last = None
+    for _, widths in blocks:
+        if widths is not last:
+            last = widths
+            for width in widths:
+                _check_cell_spec(first, width)
+    for n_cells, _ in blocks:
         _check_cells(n_cells)
     for strength in later:
-        _check_cell_spec(strength, points[0][1])  # every b has passed, so only V can fail
+        _check_cell_spec(strength, blocks[0][1][0])  # every b has passed, so only V can fail
     energy, k = particle.energy, particle.k
     rows: list[SweepRow] = []
     for strength in potentials:
@@ -230,25 +237,31 @@ def _rows(particle: Particle, potentials: tuple[float, ...], points: list[tuple[
                 coeffs = _hartman_coeffs(particle, strength, geometry)
                 gamma = coeffs.gamma  # a handoff row keeps its phase where tau_inf leaves range
                 tau_inf = _limit_time(coeffs, k)
-        for n_cells, width in points:
-            record = _closed_form(geometry, width, n_cells)
-            tau, theta, _, error, _, band_edge, path = record
-            span = 2.0 * (n_cells * width)  # 2N itself is inf past half the largest double
-            method = METHOD_ANALYTIC
-            if path == "handoff":
-                tau = tau_inf
-                theta = _wrap_phase(math.atan(gamma) - k * span)
-                method = METHOD_HARTMAN
-            flags = (FLAG_BAND_EDGE,) if band_edge else ()
-            if error is not None:
-                flags += (error.code,)
-            elif not math.isfinite(tau):
-                flags += (FLAG_OVERFLOW,)
-            # nan where tau_free is nan (no span) or L/2k underflows to 0
-            rel_gap = abs(tau - tau_free) / tau_free if tau_free else _NAN
-            rows.append(_record(SweepRow, (energy, strength, n_cells, width, span, tau, method,
-                                           record.t_abs, theta, flags, tau_inf, tau_free,
-                                           rel_gap)))
+        last = None
+        for n_cells, widths in blocks:
+            if widths is not last:  # a loop, as a comprehension's frame outweighs a one-b list
+                last, cells = widths, []
+                for width in widths:  # no cell part without a geometry
+                    cells.append((width, None if geometry is None else _cell(geometry, width)))
+            for width, cell in cells:
+                record = _closed_form(geometry, cell, width, n_cells)
+                tau, theta, _, error, _, band_edge, path = record
+                span = 2.0 * (n_cells * width)  # 2N itself is inf past half the largest double
+                method = METHOD_ANALYTIC
+                if path == "handoff":
+                    tau = tau_inf
+                    theta = _wrap_phase(math.atan(gamma) - k * span)
+                    method = METHOD_HARTMAN
+                flags = (FLAG_BAND_EDGE,) if band_edge else ()
+                if error is not None:
+                    flags += (error.code,)
+                elif not math.isfinite(tau):
+                    flags += (FLAG_OVERFLOW,)
+                # nan where tau_free is nan (no span) or L/2k underflows to 0
+                rel_gap = abs(tau - tau_free) / tau_free if tau_free else _NAN
+                rows.append(_record(SweepRow, (energy, strength, n_cells, width, span, tau, method,
+                                               record.t_abs, theta, flags, tau_inf, tau_free,
+                                               rel_gap)))
     return rows
 
 
@@ -260,7 +273,7 @@ def run_point(config: SweepConfig) -> SweepRow:
         raise ValueError("point mode requires exactly one potential strength")
     if len(config.cells) != 1:
         raise ValueError("point mode requires exactly one repetition count")
-    return _rows(Particle(config.energy), config.potentials, [(config.cells[0], config.width)])[0]
+    return _rows(Particle(config.energy), config.potentials, [(config.cells[0], [config.width])])[0]
 
 
 def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
@@ -276,8 +289,7 @@ def run_sweep_b(config: SweepConfig) -> list[SweepRow]:
     if not config.potentials:
         raise ValueError("sweep-b requires at least one potential strength")
     widths = sorted(config.grid.values())
-    points = [(n_cells, width) for n_cells in config.cells for width in widths]
-    return _rows(Particle(config.energy), config.potentials, points)
+    return _rows(Particle(config.energy), config.potentials, [(n_cells, widths) for n_cells in config.cells])
 
 
 def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
@@ -298,8 +310,8 @@ def run_sweep_n(config: SweepConfig) -> list[SweepRow]:
         raise ValueError("sweep-n grid holds no repetition count N >= 1")
     particle, span = Particle(config.energy), config.span
     tau_free = free_propagation_time(particle, span)  # the span rule, before any b = (L/2)/N is formed
-    points = [(n_cells, 0.5 * span / n_cells) for n_cells in counts]  # 2N may be inf
-    return _rows(particle, config.potentials, points, tau_free)
+    blocks = [(n_cells, [0.5 * span / n_cells]) for n_cells in counts]  # 2N may be inf
+    return _rows(particle, config.potentials, blocks, tau_free)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +356,8 @@ def draw_regular_point(rng: random.Random) -> tuple[Particle, CellSpec, int]:
         particle = Particle(rng.uniform(0.1, 50.0))
         cell = CellSpec(rng.uniform(0.0, 100.0), rng.uniform(1e-3, 3.0))
         n_cells = rng.randint(1, 20)
-        beta = _scaled(_geometry(particle, cell.strength), cell.width)[1]
+        # b rho <= 3 (50^2 + 100^2)^(1/4) < 32: the cell part is a tuple ending in beta
+        beta = _cell(_geometry(particle, cell.strength), cell.width)[-1]
         if beta * n_cells <= 200.0:
             return particle, cell, n_cells
 
@@ -409,10 +422,9 @@ def run_limits() -> LimitsReport:
     for energy, strength in ((1.0, 20.0), (4.0, 10.0), (0.5, 7.0), (2.0, 50.0)):
         particle = Particle(energy)
         geo = _geometry(particle, strength)
-        scaled = _scaled(geo, 15.0 / (geo.rho * geo.sin_phi))
+        xi, _, _, chi, _, _, beta = _cell(geo, 15.0 / (geo.rho * geo.sin_phi))
         coeffs = _hartman_coeffs(particle, strength, geo)
-        xi, _, _, chi, _, _ = _cell_scalars(geo, scaled)
-        growth = math.exp(2.0 * scaled[1])
+        growth = math.exp(2.0 * beta)
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
         worst = max(worst, abs(chi / growth / (0.25 * geo.u_minus * geo.sin_phi) - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))

@@ -36,8 +36,7 @@ from .errors import (
     PtTunnelError,
     SpectralSingularityError,
 )
-from .model import (CellSpec, Particle, _check_cells, _check_real, _Geometry, _geometry, _record,
-                    _scaled)
+from .model import CellSpec, Particle, _check_cells, _check_real, _Geometry, _geometry, _record
 
 __all__ = [
     "BETA_MAX",
@@ -102,63 +101,6 @@ def _wrap_phase(raw: float) -> float:
     return wrapped if wrapped > -math.pi else math.pi
 
 
-def _cell_scalars(geo: _Geometry, scaled: tuple[float, float, float, float]) -> tuple[float, ...]:
-    """(xi, xi - 1, xi + 1, chi, xi', chi'): xi, chi and their k-derivatives,
-    with the offsets xi -+ 1 in cancellation-free form, as a plain tuple.
-
-    The time expression divides by xi^2 - 1, and for thin cells xi sits
-    within O(b^2) of 1, where forming xi - 1 from the rounded xi would lose
-    all leading digits.  Regrouping with cos(2a) = 1 - 2 sin^2(a) and
-    cosh(2b) = 1 + 2 sinh^2(b) gives the offsets directly:
-
-        xi - 1 = sinh^2(beta) (1 - cos 2phi cos^2 alpha)
-                 - sin^2(alpha) (1 + cos 2phi cosh^2 beta)
-        xi + 1 = cos^2(alpha) (1 - cos 2phi sinh^2 beta)
-                 + cosh^2(beta) (1 - cos 2phi sin^2 alpha)
-
-    and every downstream (xi^2 - 1) factor is built from these, which keeps
-    the free-space (V = 0) reduction of the time exact to rounding at any N.
-    For the same reason xi' carries cosh 2beta - cos 2alpha, O(b^2) in a thin
-    cell, as 2 (sinh^2 beta + sin^2 alpha).
-    """
-    alpha, beta, alpha_prime, beta_prime = scaled
-    (_, _, _, sin_phi, cos_phi, sin_2phi, cos_2phi, u_plus, u_minus, phi_prime, u_plus_prime,
-     u_minus_prime, _, _) = geo
-    sin_a = math.sin(alpha)
-    cos_a = math.cos(alpha)
-    sinh_b = math.sinh(beta)
-    cosh_b = math.cosh(beta)
-    sin_2a = math.sin(2.0 * alpha)
-    cos_2a = math.cos(2.0 * alpha)
-    sinh_2b = math.sinh(2.0 * beta)
-    cosh_2b = math.cosh(2.0 * beta)
-    sin_a2 = sin_a * sin_a
-    cos_a2 = cos_a * cos_a
-    sinh_b2 = sinh_b * sinh_b
-    cosh_b2 = cosh_b * cosh_b
-    xi_minus_1 = sinh_b2 * (1.0 - cos_2phi * cos_a2) - sin_a2 * (
-        1.0 + cos_2phi * cosh_b2
-    )
-    xi_plus_1 = cos_a2 * (1.0 - cos_2phi * sinh_b2) + cosh_b2 * (
-        1.0 - cos_2phi * sin_a2
-    )
-    chi = 0.5 * (u_plus * cos_phi * sin_2a + u_minus * sin_phi * sinh_2b)
-    xi_prime = (
-        2.0 * beta_prime * sin_phi * sin_phi * sinh_2b
-        - 2.0 * alpha_prime * cos_phi * cos_phi * sin_2a
-        + 2.0 * phi_prime * sin_2phi * (sinh_b2 + sin_a2)
-    )
-    chi_prime = (
-        u_plus
-        * (alpha_prime * cos_2a * cos_phi - 0.5 * phi_prime * sin_phi * sin_2a)
-        + u_minus
-        * (beta_prime * cosh_2b * sin_phi + 0.5 * phi_prime * cos_phi * sinh_2b)
-        + 0.5 * u_plus_prime * cos_phi * sin_2a
-        + 0.5 * u_minus_prime * sin_phi * sinh_2b
-    )
-    return 0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime
-
-
 class ClosedForm(NamedTuple):
     """tau, t and theta of the N-cell lattice from one evaluation.
 
@@ -195,7 +137,10 @@ _T_ABS_WITHOUT_T = {"singular": math.inf, "underflow": 0.0, "handoff": 0.0, "not
 
 
 def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
-    """Evaluate tau, t and theta at one (E, V, b, N) point in a single pass.
+    """Evaluate tau, t and theta at one (E, V, b, N) point in a single pass:
+    the kernel's cell part (:func:`_cell`, all that reads b and not N), then
+    its N part (:func:`_closed_form`), which a sweep runs once per N on one
+    cell part.
 
     The time is
 
@@ -219,33 +164,80 @@ def closed_form(particle: Particle, cell: CellSpec, n_cells: int) -> ClosedForm:
     leaves double range (see :func:`model._geometry`).
     """
     n_cells = _check_cells(n_cells)  # the N rule first, as at every entry point that takes N
-    return _closed_form(_geometry(particle, cell.strength), cell.width, n_cells)
+    geo = _geometry(particle, cell.strength)
+    return _closed_form(geo, _cell(geo, cell.width), cell.width, n_cells)
 
 
 def _unevaluated(message: str, path: str = "not-evaluated") -> ClosedForm:
     return _record(ClosedForm, (_NAN, _NAN, None, OverflowGuardError(message), _NAN, False, path))
 
 
-def _closed_form(geo: _Geometry | None, width: float, n_cells: int) -> ClosedForm:
-    """:func:`closed_form` on a (k, V) geometry that many widths share, or on
-    None where that geometry leaves double range.  Its callers check N."""
+def _cell(geo: _Geometry, width: float) -> tuple[float, ...] | ClosedForm:
+    """The kernel's cell part at barrier width b, which every N shares: the
+    plain tuple (xi, xi - 1, xi + 1, chi, xi', chi', beta), or the
+    ``handoff`` record (beta > BETA_MAX) and then the ``not-evaluated`` one
+    (2*alpha leaves double range) of :class:`ClosedForm`.
+
+    The time expression divides by xi^2 - 1, and for thin cells xi sits
+    within O(b^2) of 1, where forming xi - 1 from the rounded xi would lose
+    all leading digits.  Regrouping with cos(2a) = 1 - 2 sin^2(a) and
+    cosh(2b) = 1 + 2 sinh^2(b) gives the offsets directly:
+
+        xi - 1 = sinh^2(beta) (1 - cos 2phi cos^2 alpha)
+                 - sin^2(alpha) (1 + cos 2phi cosh^2 beta)
+        xi + 1 = cos^2(alpha) (1 - cos 2phi sinh^2 beta)
+                 + cosh^2(beta) (1 - cos 2phi sin^2 alpha)
+
+    and every downstream (xi^2 - 1) factor is built from these, which keeps
+    the free-space (V = 0) reduction of the time exact to rounding at any N.
+    For the same reason xi' carries cosh 2beta - cos 2alpha, O(b^2) in a thin
+    cell, as 2 (sinh^2 beta + sin^2 alpha).
+    """
+    (k, rho, rho3, sin_phi, cos_phi, sin_2phi, cos_2phi, u_plus, u_minus, phi_prime, u_plus_prime,
+     u_minus_prime, alpha_rate, beta_rate) = geo
+    alpha, beta = width * rho * cos_phi, width * rho * sin_phi
+    if beta > BETA_MAX:
+        return _unevaluated(f"growth exponent beta = {beta:.3f} exceeds {BETA_MAX:.0f}; exp(2*beta) "
+                            "leaves double range -- use the thick-barrier limit", "handoff")
+    if not math.isfinite(two_alpha := 2.0 * alpha):
+        return _unevaluated(f"cell phase 2*alpha = 2*{alpha:.3e} leaves double range")
+    bk = width * k
+    alpha_prime, beta_prime = bk * alpha_rate / rho3, bk * beta_rate / rho3
+    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+    sinh_b, cosh_b = math.sinh(beta), math.cosh(beta)
+    sin_2a, cos_2a = math.sin(two_alpha), math.cos(two_alpha)
+    sinh_2b, cosh_2b = math.sinh(2.0 * beta), math.cosh(2.0 * beta)
+    sin_a2, cos_a2 = sin_a * sin_a, cos_a * cos_a
+    sinh_b2, cosh_b2 = sinh_b * sinh_b, cosh_b * cosh_b
+    xi_minus_1 = sinh_b2 * (1.0 - cos_2phi * cos_a2) - sin_a2 * (1.0 + cos_2phi * cosh_b2)
+    xi_plus_1 = cos_a2 * (1.0 - cos_2phi * sinh_b2) + cosh_b2 * (1.0 - cos_2phi * sin_a2)
+    chi = 0.5 * (u_plus * cos_phi * sin_2a + u_minus * sin_phi * sinh_2b)
+    xi_prime = (2.0 * beta_prime * sin_phi * sin_phi * sinh_2b - 2.0 * alpha_prime * cos_phi * cos_phi * sin_2a
+                + 2.0 * phi_prime * sin_2phi * (sinh_b2 + sin_a2))
+    chi_prime = (u_plus * (alpha_prime * cos_2a * cos_phi - 0.5 * phi_prime * sin_phi * sin_2a)
+                 + u_minus * (beta_prime * cosh_2b * sin_phi + 0.5 * phi_prime * cos_phi * sinh_2b)
+                 + 0.5 * u_plus_prime * cos_phi * sin_2a + 0.5 * u_minus_prime * sin_phi * sinh_2b)
+    return 0.5 * (xi_minus_1 + xi_plus_1), xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime, beta
+
+
+def _closed_form(geo: _Geometry | None, cell: tuple[float, ...] | ClosedForm | None, width: float,
+                 n_cells: int) -> ClosedForm:
+    """:func:`closed_form`'s N part, on a (k, V) geometry that many widths
+    share (None where it leaves double range, and then ``cell`` is unread)
+    and its :func:`_cell` at b.  It checks the geometry, N = 0, the cell's
+    record, then k*L; its callers check N."""
     if geo is None:
         return _unevaluated("cell geometry leaves double range")
     if n_cells == 0:
         return _record(ClosedForm, (0.0, 0.0, 1.0 + 0.0j, None, _NAN, False, "empty"))
-    scaled = _scaled(geo, width)
-    alpha, beta, _, _ = scaled
+    if type(cell) is ClosedForm:  # handoff or not-evaluated: no N changes that
+        return cell
+    xi, xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime, beta = cell
     k = geo.k
     n = float(n_cells)  # the same bits below 2**53, and N^2 past 1.3e154 is inf, not an OverflowError
     length = 2.0 * (n * width)  # 2N itself is inf past half the largest double
-    if beta > BETA_MAX:
-        return _unevaluated(f"growth exponent beta = {beta:.3f} exceeds {BETA_MAX:.0f}; exp(2*beta) "
-                            "leaves double range -- use the thick-barrier limit", "handoff")
-    if not math.isfinite(2.0 * alpha):
-        return _unevaluated(f"cell phase 2*alpha = 2*{alpha:.3e} leaves double range")
     if not math.isfinite(k * length):
         return _unevaluated(f"lattice phase k*L = {k:.3e}*{length:.3e} leaves double range")
-    xi, xi_minus_1, xi_plus_1, chi, xi_prime, chi_prime = _cell_scalars(geo, scaled)
     quad = xi_minus_1 * xi_plus_1  # inf far outside the band is fine
     band_edge = n * n * abs(quad) < BAND_EDGE_TOL
     # xi + 1 >= 2 cos^2(alpha) >= 0 for every cell (0 < cos 2phi <= 1), so

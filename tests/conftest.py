@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from pttunnel import Particle
-from pttunnel.model import _geometry, _scaled
-from pttunnel.timing import _cell_scalars
+from pttunnel.model import _geometry
+from pttunnel.timing import _cell
 
 # One (E, V, b, N) point per path of the kernel; None is a geometry that
 # leaves double range, which only the sweeps hand to the kernel.  The
@@ -39,6 +39,14 @@ def lattice_reference():
     return module.lattice_reference
 
 
+def cell_part(geo, width: float) -> tuple[float, ...]:
+    """The kernel's cell part (xi, xi - 1, xi + 1, chi, xi', chi', beta) of
+    one (E, V) geometry at width b; fails where it is a record instead."""
+    part = _cell(geo, width)
+    assert type(part) is tuple, part
+    return part
+
+
 def bisect_width_for_xi(
     particle: Particle,
     strength: float,
@@ -52,7 +60,7 @@ def bisect_width_for_xi(
     geo = _geometry(particle, strength)
 
     def offset(width: float) -> float:
-        return _cell_scalars(geo, _scaled(geo, width))[0] - target
+        return cell_part(geo, width)[0] - target
 
     f_lo = offset(lo)
     f_hi = offset(hi)

@@ -8,6 +8,7 @@ import math
 import random
 import time
 
+from conftest import cell_part
 from pttunnel import (
     CellSpec,
     GridSpec,
@@ -23,9 +24,8 @@ from pttunnel import (
     tunneling_time,
 )
 from pttunnel.chebyshev import cheb_pair
-from pttunnel.model import _geometry, _scaled
+from pttunnel.model import _geometry
 from pttunnel.sweep import SWEEP_B_COLUMNS, oracle_triangle_residuals, rows_to_csv
-from pttunnel.timing import _cell_scalars
 
 
 def _report(name: str, passed: bool, detail: str) -> bool:
@@ -133,9 +133,9 @@ def test_criterion_5_asymptotic_expansions():
         p = Particle(energy)
         geo = _geometry(p, strength)
         width = 15.0 / (geo.rho * geo.sin_phi)
-        growth = math.exp(2.0 * _scaled(geo, width)[1])
+        xi, _, _, chi, _, _, beta = cell_part(geo, width)
+        growth = math.exp(2.0 * beta)
         coeffs = hartman_coeffs(p, strength)
-        xi, _, _, chi, _, _ = _cell_scalars(geo, _scaled(geo, width))
         worst = max(worst, abs(xi / growth / coeffs.f1 - 1.0))
         worst = max(worst, abs(chi / xi / coeffs.gamma - 1.0))
         for n in (1, 2, 3, 4):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import bisect_width_for_xi
+from conftest import bisect_width_for_xi, cell_part
 from pttunnel import (
     CellSpec,
     OverflowGuardError,
@@ -17,9 +17,9 @@ from pttunnel import (
     free_propagation_time,
 )
 from pttunnel.chebyshev import cheb_pair
-from pttunnel.model import _geometry, _scaled
+from pttunnel.model import _geometry
 from pttunnel.sweep import draw_regular_point
-from pttunnel.timing import _cell_scalars, closed_form, tunneling_time_fd
+from pttunnel.timing import closed_form, tunneling_time_fd
 from pttunnel.transfer import lattice_oracle
 
 # (E, V, N, j, lo, hi): the width in (lo, hi) puts xi on the j-th root
@@ -107,7 +107,7 @@ def test_out_of_band_g_where_xi_rounds_to_one(lattice_reference, energy, strengt
     # xi - 1 = 5.1e-18 and 6.6e-17 > 0, but xi rounds to 1.0 and to just
     # below it: t must come from nu, built on xi -+ 1, not from xi itself
     geo = _geometry(Particle(energy), strength)
-    assert _cell_scalars(geo, _scaled(geo, width))[1] > 0.0  # xi - 1
+    assert cell_part(geo, width)[1] > 0.0  # xi - 1
     record = closed_form(Particle(energy), CellSpec(strength, width), n)
     assert record.xi == xi and record.error is None
     reference = lattice_reference(energy, strength, width, n, dps=60)
@@ -147,7 +147,7 @@ GATE_C = 64.0
 
 def _xi_minus_1(energy, strength, width):
     geo = _geometry(Particle(energy), strength)
-    return _cell_scalars(geo, _scaled(geo, width))[1]
+    return cell_part(geo, width)[1]
 
 
 def _edge_bracket(energy, strength):
@@ -202,7 +202,7 @@ def _gate_points():
     for _ in range(6):
         energy, strength = rng.uniform(0.2, 5.0), rng.uniform(1.0, 30.0)
         beta = rng.uniform(20.0, 308.0)
-        width = beta / _scaled(_geometry(Particle(energy), strength), 1.0)[1]
+        width = beta / cell_part(_geometry(Particle(energy), strength), 1.0)[-1]  # beta at b = 1
         points.append(("thick", energy, strength, width, rng.choice([1, 2])))
     return points
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import cell_part
 from pttunnel import (
     CellSpec,
     Particle,
@@ -14,8 +15,7 @@ from pttunnel import (
     tunneling_time,
 )
 from pttunnel.chebyshev import cheb_pair
-from pttunnel.model import _geometry, _scaled
-from pttunnel.timing import _cell_scalars
+from pttunnel.model import _geometry
 
 
 def test_thick_cell_distance_strictly_decreases():
@@ -72,9 +72,9 @@ def test_thick_cell_asymptotic_ratios(energy, strength):
     p = Particle(energy)
     d = _geometry(p, strength)
     width = 15.0 / (d.rho * d.sin_phi)
-    growth = math.exp(2.0 * _scaled(d, width)[1])
+    xi, _, _, chi, _, _, beta = cell_part(d, width)
+    growth = math.exp(2.0 * beta)
     coeffs = hartman_coeffs(p, strength)
-    xi, _, _, chi, _, _ = _cell_scalars(d, _scaled(d, width))
     assert xi / growth == pytest.approx(coeffs.f1, rel=1e-4)
     assert chi / growth == pytest.approx(0.25 * d.u_minus * d.sin_phi, rel=1e-4)
     assert chi / xi == pytest.approx(coeffs.gamma, rel=1e-4)

@@ -198,7 +198,7 @@ def test_run_point_matches_library():
 def test_point_row_spectral_singularity_flagged(monkeypatch):
     # an injected record with a nan tau, the case that exits 4; the true
     # lasing point of test_real_spectral_singularity_row has a finite tau
-    def singular(geometry, width, n_cells):
+    def singular(geometry, cell, width, n_cells):
         nan = float("nan")
         return ClosedForm(nan, nan, None, SpectralSingularityError(0.0), 0.5, path="singular")
 
@@ -320,8 +320,8 @@ def _same(a, b):
 
 
 # Sweep-b and sweep-n runs whose rows take every kernel path a sweep can
-# reach (ClosedForm.path: all but N = 0 and a spectral singularity), V = 0
-# and the XiAtUnity band edge.
+# reach (ClosedForm.path: all but a spectral singularity), V = 0 and the
+# XiAtUnity band edge.
 _PATH_CONFIGS = (
     _sweep_b_config(
         energy=1.0, potentials=(20.0, 0.0, 3.0), cells=(3, 12),
@@ -345,13 +345,20 @@ _PATH_CONFIGS = (
         energy=100.0, potentials=(0.0,), cells=(1,),
         grid=GridSpec(1e306, 1e307, 2, log=True),
     ),
+    # one cell part per (V, b) serves every N: N = 0 (empty) on cells that
+    # hand off (V = 20, b > 350) or whose phase 2bk leaves double range
+    # (V = 0, b = 1e307), and the evaluated rows of the other N
+    _sweep_b_config(
+        energy=100.0, potentials=(20.0, 0.0), cells=(0, 1, 3),
+        grid=GridSpec(0.1, 1e307, 24, log=True),
+    ),
 )
 
 
 def test_sweep_rows_equal_point_rows():
     # the sweeps compute the (E, V) work once; every row must still be the
     # row evaluate_point gives at its own point, plus the reference columns
-    paths, flags, free = set(), set(), False
+    paths, flags, free, empty_on = set(), set(), False, set()
     for config in _PATH_CONFIGS:
         particle = Particle(config.energy)
         run = run_sweep_b if config.span is None else run_sweep_n
@@ -372,12 +379,15 @@ def test_sweep_rows_equal_point_rows():
                     field, row, expected,
                 )
             paths.add(closed_form(particle, cell, row.n_cells).path)
+            if row.n_cells == 0:  # the path of the cell the empty row shares
+                empty_on.add(closed_form(particle, cell, 1).path)
             flags.update(row.flags)
             free |= row.strength == 0.0
     documented = set(re.findall(r"``([a-z-]+)`` \(", ClosedForm.__doc__))
     assert len(documented) == 7
-    assert paths == documented - {"empty", "singular"}
+    assert paths == documented - {"singular"}
     assert free and "XiAtUnity" in flags
+    assert {"handoff", "not-evaluated", "in-band"} <= empty_on
 
 
 def test_sweep_validation_errors():
@@ -433,11 +443,12 @@ _CELL_ERRORS = {
 
 @pytest.fixture
 def closed_form_calls(monkeypatch):
-    """The number of rows a sweep has evaluated so far, counted on its
-    ``_closed_form`` calls."""
+    """The kernel calls a sweep has made so far: those of its cell part
+    ``_cell`` and of its N part ``_closed_form``."""
     calls = []
-    real = sweep_mod._closed_form
-    monkeypatch.setattr(sweep_mod, "_closed_form", lambda *args: calls.append(args) or real(*args))
+    for name in ("_cell", "_closed_form"):
+        real = getattr(sweep_mod, name)
+        monkeypatch.setattr(sweep_mod, name, lambda *args, real=real: calls.append(args) or real(*args))
     return calls
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PATH_POINTS, bisect_width_for_xi
+from conftest import PATH_POINTS, bisect_width_for_xi, cell_part
 from pttunnel import (
     CellSpec,
     DegeneratePotentialError,
@@ -28,13 +28,13 @@ from pttunnel import (
     tunneling_time_fd,
 )
 from pttunnel.chebyshev import cheb_pair
-from pttunnel.model import _geometry, _scaled
-from pttunnel.timing import _LN_MAX, _cell_scalars, _closed_form, closed_form
+from pttunnel.model import _geometry
+from pttunnel.timing import _LN_MAX, _cell, _closed_form, closed_form
 
 
 def scalars_of(particle, cell):
-    geo = _geometry(particle, cell.strength)
-    return _cell_scalars(geo, _scaled(geo, cell.width))
+    """(xi, xi - 1, xi + 1, chi, xi', chi') of one cell."""
+    return cell_part(_geometry(particle, cell.strength), cell.width)[:6]
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_xi_growth_matches_thick_cell_coefficient():
     p = Particle(1.0)
     cell = CellSpec(20.0, 3.0)
     xi = closed_form(p, cell, 1).xi
-    beta = _scaled(_geometry(p, 20.0), cell.width)[1]
+    beta = cell_part(_geometry(p, 20.0), cell.width)[-1]
     f1 = hartman_coeffs(p, 20.0).f1
     assert xi * math.exp(-2.0 * beta) == pytest.approx(f1, rel=1e-4)
 
@@ -354,13 +354,44 @@ def test_closed_form_huge_width_is_typed(width, n_cells):
     assert math.isnan(cf.xi) and cf.path == "not-evaluated"  # no cell scalars evaluated
 
 
+def _path_and_message(record):
+    return record.path, None if record.error is None else str(record.error)
+
+
+def test_kernel_checks_in_order_on_shared_cells():
+    # the N part checks the geometry, then N = 0, then the cell part's
+    # record (beta before 2*alpha), then k*L, on a cell part that every N
+    # shares; the messages are the kernel's before it was split
+    geo = _geometry(Particle(100.0), 20.0)
+    free = _geometry(Particle(100.0), 0.0)
+    handoff = _cell(geo, 400.0)  # beta = 398
+    both = _cell(geo, 1e307)  # beta > BETA_MAX and 2*alpha = inf
+    phase = _cell(free, 1e307)  # 2*alpha = inf, and k*L = inf at N = 1
+    evaluated = _cell(free, 5e306)  # k*L = inf from N = 2
+    empty = ("empty", None)
+    assert _path_and_message(_closed_form(None, None, 1.0, 0)) == (
+        "not-evaluated", "cell geometry leaves double range")
+    for cell, width in ((handoff, 400.0), (both, 1e307), (phase, 1e307), (evaluated, 5e306)):
+        assert _path_and_message(_closed_form(geo, cell, width, 0)) == empty
+    handoff_message = ("growth exponent beta = 398.034 exceeds 350; exp(2*beta) leaves double range "
+                       "-- use the thick-barrier limit")
+    assert _path_and_message(_closed_form(geo, handoff, 400.0, 2)) == ("handoff", handoff_message)
+    path, message = _path_and_message(_closed_form(geo, both, 1e307, 1))
+    assert path == "handoff" and message.startswith("growth exponent beta = 99508549176834478")
+    assert _path_and_message(_closed_form(free, phase, 1e307, 1)) == (
+        "not-evaluated", "cell phase 2*alpha = 2*1.000e+308 leaves double range")
+    assert _closed_form(free, evaluated, 5e306, 1).path == "in-band"
+    assert _path_and_message(_closed_form(free, evaluated, 5e306, 2)) == (
+        "not-evaluated", "lattice phase k*L = 1.000e+01*2.000e+307 leaves double range")
+
+
 def test_closed_form_cancelled_growth_scale_is_typed():
     # sin(phi) = 5e-151 rounds cos 2phi to 1, so xi + 1 cancels to 0.0 at
     # beta = 60 and the growth scale sqrt(xi^2 - 1) is 0 outside the band
     p = Particle(1e300)
     cell = CellSpec(1e150, 120.0)
     geo = _geometry(p, cell.strength)
-    _, xi_minus_1, xi_plus_1, _, _, _ = _cell_scalars(geo, _scaled(geo, cell.width))
+    _, xi_minus_1, xi_plus_1, _, _, _, _ = cell_part(geo, cell.width)
     growth_scale = math.sqrt(abs(xi_minus_1)) * math.sqrt(abs(xi_plus_1))
     assert xi_minus_1 > 0.0 and growth_scale == 0.0
     cf = closed_form(p, cell, 10**9)
@@ -386,7 +417,7 @@ def _t_abs_from_fields(record):
 def test_record_t_abs_matches_the_row_rule_on_every_path(name):
     point = PATH_POINTS[name]
     if point is None:
-        record = _closed_form(None, 1.0, 2)
+        record = _closed_form(None, None, 1.0, 2)
     else:
         energy, strength, width, n_cells = point
         record = closed_form(Particle(energy), CellSpec(strength, width), n_cells)
@@ -407,7 +438,7 @@ def test_records_built_in_c_equal_keyword_built_ones(name):
     with contextlib.suppress(OverflowGuardError):
         geo = _geometry(particle, strength)
     assert (geo is None) == (name == "no-geometry")
-    record = _closed_form(geo, width, n_cells)
+    record = _closed_form(geo, None if geo is None else _cell(geo, width), width, n_cells)
     assert record.path == ("not-evaluated" if geo is None else name)
     records = [record, evaluate_point(particle, CellSpec(strength, width), n_cells)]
     if geo is not None:
