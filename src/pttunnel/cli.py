@@ -90,12 +90,12 @@ _MODES = {
 }
 
 
+# The add_argument keywords of --dest, as build_parser passes them and _parse reads them.
+def _flag(dest: str) -> dict:
+    return _SETTINGS[dest].flag if dest in _SETTINGS else _CONFIG_FLAG
+
+
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser, and each mode's sub-parser by name from the same add_parser calls."""
     parser = argparse.ArgumentParser(
         prog="pttunnel",
         description=(
@@ -104,33 +104,46 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         ),
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    modes = {}
     for name, mode in _MODES.items():
-        p = modes[name] = sub.add_parser(name, help=mode.help)
+        p = sub.add_parser(name, help=mode.help)
         for dest in mode.flags:
-            flag = _SETTINGS[dest].flag if dest in _SETTINGS else _CONFIG_FLAG
-            p.add_argument(f"--{dest}", **{"help": mode.grid_help, **flag})
-    return parser, modes
+            p.add_argument(f"--{dest}", **{"help": mode.grid_help, **_flag(dest)})
+    return parser
 
 
-# The parsers of every main() call, built on the first; parsing leaves them
-# unchanged.  This saves the build only where main runs more than once in one
-# process (a script or a test run calling it in a loop); the pttunnel console
-# script calls it once per process.
-_parser = functools.cache(_build_parsers)
+# The parser of every main() call whose argv _parse cannot read from the flag
+# tables, built on the first such call; parsing leaves it unchanged.  This
+# saves the build only where main runs more than once in one process (a
+# script or a test run calling it in a loop); the pttunnel console script
+# calls it once per process.
+_parser = functools.cache(build_parser)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``: where argv[0] names a mode, its parser reads the rest
-    once, as the full parser would after classifying it; any other argv goes to the full parser."""
-    parser, modes = _parser()
-    if argv and argv[0] in modes:
-        args, extra = modes[argv[0]].parse_known_args(argv[1:])
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        args.mode = argv[0]
-        return args
-    return parser.parse_args(argv)
+    """``build_parser().parse_args(argv)``."""
+    # A mode followed by --flag value pairs of its own flags, each value not
+    # starting with '-' and passing the flag's type and choices, is read from
+    # _MODES and the flags' keywords: a repeated flag keeps its last value, an
+    # "append" flag a list of all.  Argparse reads any other argv: help, '=',
+    # abbreviations, '--' and every error.
+    mode = _MODES.get(argv[0]) if argv else None
+    if mode is not None and len(argv) % 2:
+        values = dict.fromkeys(mode.flags)
+        for option, text in zip(argv[1::2], argv[2::2]):
+            dest = option[2:]
+            if option[:2] != "--" or dest not in values or text[:1] == "-":
+                break
+            flag = _flag(dest)
+            try:
+                value = flag.get("type", str)(text)
+            except (TypeError, ValueError):
+                break
+            if value not in flag.get("choices", (value,)):
+                break
+            values[dest] = [*(values[dest] or ()), value] if "action" in flag else value
+        else:
+            return argparse.Namespace(mode=argv[0], **values)
+    return _parser().parse_args(argv)
 
 
 def _load_config(path: str) -> dict[str, str]:

@@ -455,8 +455,8 @@ def run_limits() -> LimitsReport:
 
 # CSV: the columns the package computes as floats for each row, and those
 # whose texts are formatted once per run of rows that share the value's object.
-_CSV_FLOAT_COLUMNS = frozenset(("L", "tau", "rel_gap", "t_abs", "theta"))
-_CSV_RUN_COLUMNS = frozenset(("E", "V", "N", "b", "tau_inf", "tau_free"))
+_CSV_FLOAT_COLUMNS = frozenset(("b", "L", "tau", "rel_gap", "t_abs", "theta"))
+_CSV_RUN_COLUMNS = frozenset(("E", "V", "N", "tau_inf", "tau_free"))
 
 
 def _column(rows: list[SweepRow], column: str) -> Iterator:
@@ -467,8 +467,8 @@ def _column(rows: list[SweepRow], column: str) -> Iterator:
 
 
 def _run_text(value: float) -> str:
-    # N is an int, and a library caller may put one in E, V, b, tau_inf or
-    # tau_free; str keeps every digit where %.17g would round it past 2**53.
+    # N is an int, and a library caller may put one in any number column;
+    # str keeps every digit where %.17g would round it past 2**53.
     return str(value) if isinstance(value, int) else "%.17g" % value
 
 
@@ -484,12 +484,19 @@ def _texts_by_run(values: Iterable, text) -> list[str]:
     return texts
 
 
-def _csv_column(rows: list[SweepRow], column: str) -> Iterable:
-    # The rows of one (E, V) in a sweep share their E, V, tau_inf and
-    # tau_free objects, and those of one N its int, so these are formatted
-    # once per run; b is its own object on each row.
-    values = _column(rows, column)
-    return _texts_by_run(values, _run_text) if column in _CSV_RUN_COLUMNS else values
+def _csv_column(rows: list[SweepRow], column: str) -> tuple[str, Iterable]:
+    # The column's template field and its values.  The rows of one (E, V) in
+    # a sweep share their E, V, tau_inf and tau_free objects, and those of one
+    # N its int, so these are formatted once per run; a per-row number column
+    # takes the template's %.17g only where it holds floats alone.
+    values = list(_column(rows, column))
+    if column in _CSV_RUN_COLUMNS:
+        return "%s", _texts_by_run(values, _run_text)
+    if column not in _CSV_FLOAT_COLUMNS:
+        return "%s", values
+    if set(map(type, values)) <= {float}:
+        return "%.17g", values
+    return "%s", list(map(_run_text, values))
 
 
 def rows_to_csv(rows: Iterable[SweepRow], columns: tuple[str, ...]) -> str:
@@ -497,13 +504,13 @@ def rows_to_csv(rows: Iterable[SweepRow], columns: tuple[str, ...]) -> str:
 
     Each row goes through one template for the column set; the E, V, N,
     tau_inf and tau_free texts are formatted once per run of rows that share
-    the value's object, as the rows of one (E, V) in a sweep do.  ``columns``
-    names one or more columns.
+    the value's object, as the rows of one (E, V) in a sweep do; an int in
+    any number column keeps every digit.  ``columns`` names one or more columns.
     """
     rows = list(rows)
-    template = ",".join("%.17g" if c in _CSV_FLOAT_COLUMNS else "%s" for c in columns)
-    cells = zip(*(_csv_column(rows, c) for c in columns))
-    return "\n".join([",".join(columns), *map(template.__mod__, cells)]) + "\n"
+    fields, values = zip(*(_csv_column(rows, c) for c in columns))
+    template = ",".join(fields)
+    return "\n".join([",".join(columns), *map(template.__mod__, zip(*values))]) + "\n"
 
 
 # JSON: one encoder for every value, with '\n' between a list's items.

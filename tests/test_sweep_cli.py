@@ -42,7 +42,7 @@ from pttunnel import (
     tunneling_time,
 )
 from pttunnel import sweep as sweep_mod
-from pttunnel.cli import _MODES, _SETTINGS, _parse, build_parser, main
+from pttunnel.cli import _CONFIG_FLAG, _MODES, _SETTINGS, _parse, _parser, build_parser, main
 from pttunnel.sweep import (
     POINT_COLUMNS,
     SWEEP_B_COLUMNS,
@@ -603,6 +603,24 @@ def test_csv_runs_of_shared_values_are_keyed_on_the_object():
         text = rows_to_csv(rows, columns)
         assert text == _reference_csv(rows, columns)
         assert [line[:5] for line in text.splitlines()[1:4]] == ["0,0,3", "-0,-0", "0,0,3"]
+
+
+def test_csv_keeps_every_digit_of_an_int_in_a_per_row_number_column():
+    # a library SweepRow may hold an int in any number column; CSV writes it
+    # with every digit, as JSON does, beside rows whose columns hold floats
+    big = 2**60 + 1
+    floats = run_sweep_b(_PATH_CONFIGS[0])[0]
+    ints = floats._replace(energy=big, strength=big, n_cells=big, width=big, span=big, tau=big,
+                           t_abs=big, theta=big, tau_inf=big, tau_free=big, rel_gap=big)
+    for columns in (SWEEP_B_COLUMNS, SWEEP_N_COLUMNS, POINT_COLUMNS):
+        numbers = [c for c in columns if c not in ("tau_method", "flags")]
+        document = json.loads(rows_to_json([ints], columns, "point"))
+        assert [document["rows"][0][c] for c in numbers] == [big] * len(numbers)
+        for rows in ([ints], [floats, ints, floats]):
+            text = rows_to_csv(rows, columns)
+            assert text == _reference_csv(rows, columns)
+            cells = dict(zip(columns, text.splitlines()[rows.index(ints) + 1].split(",")))
+            assert [cells[c] for c in numbers] == [str(big)] * len(numbers)
 
 
 def test_csv_of_interleaved_sweeps_matches_reference_bytes():
@@ -1412,17 +1430,19 @@ def test_main_without_arguments_reads_sys_argv(capsysbinary, monkeypatch):
 
 
 def _parse_outcome(parse, argv):
-    """The namespace ``parse(argv)`` returns, as a dict, or the exit code with stdout and stderr."""
+    """The namespace ``parse(argv)`` returns, as its sorted items with each
+    value's repr (so that nan matches nan, and 1 does not match 1.0), or the
+    exit code with stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return vars(parse(argv))
+            return sorted((key, repr(value)) for key, value in vars(parse(argv)).items())
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
 
-# Beyond the inputs above: what one pass over a mode's arguments must read
-# as the full parser does.
+# Beyond the inputs above: what _parse reads from the flag tables, or leaves
+# to argparse, must read as the full parser does.
 _DISPATCH_ARGVS = [
     ["sweep-b", "--ener", "2", "--pot", "3"],  # abbreviations
     ["sweep-b", "--energy=2", "--grid=-1:1:3"],
@@ -1437,6 +1457,8 @@ _DISPATCH_ARGVS = [
     ["sweep-b", "sweep-b"],
     ["sweep-b", "--energy"],
     ["point", "--width", "-1"],
+    ["sweep-b", "--energy", "1", "--grid", "1:2:3", "--energy", "nan"],  # the last store wins
+    ["sweep-n", "--potential", "1", "--energy", "2", "--potential", "1e400", "--potential", "1_0"],
 ]
 
 
@@ -1448,6 +1470,90 @@ def test_main_parses_every_command_as_the_full_parser_does(monkeypatch):
     full = build_parser().parse_args
     for argv in commands:
         assert _parse_outcome(_parse, argv) == _parse_outcome(full, argv), argv
+
+
+# Flag values: valid and invalid floats and ints, formats, texts, "" and
+# values that start with '-'.
+_PARSE_VALUES = st.one_of(
+    st.sampled_from([
+        "1", "0.25", "1e400", "nan", "-inf", "1_000", " 2", "1.5", "0x10", "abc", "", "-", "--",
+        "-1", "-x", "-h", "csv", "json", "xml", "CSV", "1:8:4", "-1:1:3", "a.out", "sweep-b",
+    ]),
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.text(max_size=3),
+)
+_ALL_FLAGS = sorted({f"--{dest}" for mode in _MODES.values() for dest in mode.flags})
+
+
+@st.composite
+def _parse_argvs(draw):
+    """A mode and a sequence of its own flags, repeats included, mostly as
+    plain --flag value pairs, with now and then an '=' form, an abbreviation,
+    another or unknown option, '--' or a flag with no value.  Most values are
+    valid for their flag (_FLAG_VALUES)."""
+    mode = draw(st.sampled_from(list(_MODES)))
+    flags = [f"--{dest}" for dest in _MODES[mode].flags]
+    argv = [mode]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(flags))
+        valid = _FLAG_VALUES.get(flag, ("run.cfg",))
+        value = draw(st.sampled_from(valid) if draw(st.integers(0, 3)) else _PARSE_VALUES)
+        form = draw(st.sampled_from(["pair"] * 16 + ["equals", "abbreviation", "other", "dangling"]))
+        if form == "equals":
+            argv.append(f"{flag}={value}")
+        elif form == "abbreviation":
+            argv += [flag[: draw(st.integers(3, len(flag) - 1))], value]
+        elif form == "other":
+            argv += [draw(st.sampled_from([*_ALL_FLAGS, "--bogus", "-x", "-h", "--", "extra"])), value]
+        elif form == "dangling":
+            argv.append(flag)
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_parse_argvs())
+@example(["sweep-b", "--format", "json", "--format", "csv", "--cells", "2", "--cells", "-3"])
+@example(["point", "--potential", "1", "--potential", "nan", "--output", ""])
+def test_parse_reads_every_argv_as_the_full_parser_does(argv):
+    assert _parse_outcome(_parse, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+def test_flag_specs_use_only_the_keywords_that_parse_reads():
+    # _parse reads type, action="append", choices and help from each flag's
+    # add_argument keywords; any other keyword (nargs, const, default, a
+    # store_true action, ...) would make it read a command differently
+    for flag in [setting.flag for setting in _SETTINGS.values()] + [_CONFIG_FLAG]:
+        assert set(flag) <= {"type", "action", "choices", "help"}, flag
+        assert flag.get("action", "append") == "append", flag
+
+
+def test_plain_pairs_leave_the_parser_unbuilt(capsys):
+    # a mode and plain --flag value pairs never build the argparse parser;
+    # help does
+    _parser.cache_clear()
+    try:
+        assert main(["sweep-n", "--energy", "1", "--potential", "2", "--potential", "3",
+                     "--grid", "1:8:4", "--format", "json"]) == 0
+        assert _parser.cache_info().currsize == 0
+        assert main(["-h"]) == 0
+        assert _parser.cache_info().currsize == 1
+    finally:
+        _parser.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_commands_write_the_same_bytes_with_equals(name, tmp_path, capsysbinary):
+    # argparse reads '--flag=value'; _parse reads the plain pairs from the tables
+    argv = GOLDEN_COMMANDS[name]
+    equals = [argv[0], *(f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2]))]
+    assert main(equals) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+    for form, command in (("plain", argv), ("equals", equals)):
+        assert main([*command, "--output", str(tmp_path / form)]) == 0
+    assert (tmp_path / "plain").read_bytes() == (tmp_path / "equals").read_bytes()
 
 
 # Every double, nan and the infinities among them; half the draws are positive
